@@ -34,9 +34,7 @@ __all__ = [
     "ParamKind",
     "SCALAR",
     "TENSOR",
-    "apply_inverted_scalar",
     "apply_scalar",
-    "apply_tensor",
     "apply_with_kinds",
     "complete_omitted_indices",
     "fresh_symbol",
@@ -78,14 +76,6 @@ def apply_with_kinds(kernel: Callable, kinds: Sequence[ParamKind], args: Sequenc
 
 def apply_scalar(kernel: Callable, args: Sequence):
     return apply_with_kinds(kernel, [SCALAR] * len(args), args)
-
-
-def apply_tensor(kernel: Callable, args: Sequence):
-    return kernel(*args)
-
-
-def apply_inverted_scalar(kernel: Callable, args: Sequence):
-    return apply_with_kinds(kernel, [INVERTED] * len(args), args)
 
 
 def complete_omitted_indices(args: Sequence, mode: str):

@@ -73,10 +73,8 @@ def _parse_bindings(pairs: list[str], parser: argparse.ArgumentParser) -> dict |
 
 def _eval_and_print(interp: Interpreter, text: str, binds, precision: int) -> None:
     """Evaluate top-level forms eagerly, printing each non-define value."""
-    for node in lang.parse_program(text):
-        value = interp.eval(node, interp.global_env)
-        if not isinstance(node, lang.Define):
-            print(_render(value, binds, precision))
+    for value in interp.iter_source(text):
+        print(_render(value, binds, precision))
 
 
 def run_script(path: str, dump: bool, binds, precision: int) -> int:

@@ -18,13 +18,13 @@ from .application import (
     ParamKind,
     apply_with_kinds,
     complete_omitted_indices,
+    fresh_symbol,
     with_symbols_scope,
 )
 from .errors import (
     ArityError,
     DomainError,
     IndexLabelError,
-    ShapeMismatchError,
     TegiTypeError,
     UnboundVariableError,
 )
@@ -59,6 +59,7 @@ from .tensor import (
     flip_indices,
     format_tensor,
     fresh_uid,
+    tensor,
     tensor_map,
     transpose,
 )
@@ -138,23 +139,6 @@ def _scalar(v) -> Expr:
     raise TegiTypeError(f"expected a scalar, got {format_value(v)}")
 
 
-def _stack(elems) -> TensorValue:
-    """Stack evaluated tensor-literal elements into one unmarked tensor."""
-    tensors = [e for e in elems if isinstance(e, TensorValue)]
-    if not tensors:
-        return TensorValue((len(elems),), tuple(_scalar(e) for e in elems))
-    if len(tensors) != len(elems):
-        raise ShapeMismatchError("mixed scalar and tensor components")
-    first = tensors[0]
-    for t in tensors:
-        if t.shape != first.shape:
-            raise ShapeMismatchError("ragged tensor literal")
-        if t.indices:
-            raise ShapeMismatchError("tensor components must not carry index marks")
-    comps = tuple(c for t in tensors for c in t.components)
-    return TensorValue((len(elems),) + first.shape, comps)
-
-
 _PRELUDE_CACHE: str | None = None
 
 
@@ -176,14 +160,16 @@ class Interpreter:
 
     # -- entry points --------------------------------------------------------
 
-    def eval_source(self, text: str) -> list:
-        """Evaluate top-level forms; returns the values of non-define forms."""
-        values = []
+    def iter_source(self, text: str):
+        """Evaluate top-level forms in order, yielding each non-define value."""
         for node in lang.parse_program(text):
             v = self.eval(node, self.global_env)
             if not isinstance(node, lang.Define):
-                values.append(v)
-        return values
+                yield v
+
+    def eval_source(self, text: str) -> list:
+        """Evaluate top-level forms; returns the values of non-define forms."""
+        return list(self.iter_source(text))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -198,7 +184,9 @@ class Interpreter:
         if isinstance(node, lang.IndexedRef):
             return self._indexed(node, env)
         if isinstance(node, lang.TensorLit):
-            return _stack([self.eval(e, env) for e in node.elements])
+            elems = [self.eval(e, env) for e in node.elements]
+            # Check leaves first: tensor() would stack a {…} element as an axis.
+            return tensor([e if isinstance(e, TensorValue) else _scalar(e) for e in elems])
         if isinstance(node, lang.Braces):
             return tuple(self.eval(e, env) for e in node.items)
         if isinstance(node, lang.Apply):
@@ -215,7 +203,7 @@ class Interpreter:
         if isinstance(node, lang.Define):
             return self._define(node, env)
         if isinstance(node, lang.WithSymbols):
-            syms = [Sym(name, fresh_uid()) for name in node.names]
+            syms = [fresh_symbol(name) for name in node.names]
             frame = {s.name: symbol(s.name, s.uid) for s in syms}
             result = self.eval(node.body, Environment(frame, env))
             return with_symbols_scope(syms, result)

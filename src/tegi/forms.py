@@ -1,8 +1,9 @@
-"""Differential-forms toolkit: wedge product, exterior derivative, Hodge star.
+"""Differential-forms toolkit: alternation, determinant, Hodge star.
 
 A k-form here is any value whose trailing unmarked axes hold the form slots;
 marked leading axes ride along untouched, which is what makes matrix-valued
 forms (curvature, connection coefficients) work with no extra machinery.
+The wedge product and exterior derivative are prelude definitions.
 """
 
 from __future__ import annotations
@@ -11,34 +12,21 @@ import itertools
 import math
 from fractions import Fraction
 
-from .application import apply_scalar, complete_omitted_indices, with_symbols_scope
 from .errors import (
     DomainError,
     FormDegreeError,
     ShapeMismatchError,
     TegiTypeError,
 )
-from .symexpr import (
-    ZERO,
-    Expr,
-    abs_,
-    add,
-    as_symbol,
-    differentiate,
-    integer,
-    mul,
-    sqrt,
-)
-from .tensor import TensorValue, contract
+from .symexpr import ZERO, Expr, abs_, add, integer, mul, sqrt
+from .tensor import TensorValue, _strides, _view
 
 __all__ = [
     "det",
     "df_normalize",
     "df_order",
-    "exterior_d",
     "hodge",
     "levi_civita",
-    "wedge",
 ]
 
 
@@ -49,13 +37,6 @@ def df_order(v) -> int:
     if isinstance(v, Expr):
         return 0
     raise TegiTypeError("df-order expects a scalar or tensor value")
-
-
-def _offset(shape: tuple[int, ...], coords: tuple[int, ...]) -> int:
-    off = 0
-    for d, c in zip(shape, coords):
-        off = off * d + c
-    return off
 
 
 def _perm_sign(p) -> int:
@@ -94,49 +75,6 @@ def det(m) -> Expr:
     return total
 
 
-def wedge(a, b):
-    """Wedge product, computed as an index-completed scalar multiplication.
-
-    Both arguments get fresh subscripts over their form axes, the products
-    multiply out (contracting any matching value-level labels), and the fresh
-    axes scope back out in order as the form axes of the result.
-    """
-    args, gens = complete_omitted_indices([a, b], "distinct")
-    prod = contract(add, apply_scalar(mul, args))
-    return with_symbols_scope(gens, prod)
-
-
-def exterior_d(a, coords: TensorValue) -> TensorValue:
-    """Exterior derivative with respect to a coordinate frame.
-
-    The new derivative axis sits first among the form axes, matching the
-    convention of the surface-language `d`.
-    """
-    if (
-        not isinstance(coords, TensorValue)
-        or coords.rank != 1
-        or coords.indices
-    ):
-        raise TegiTypeError("coordinate frame must be an unmarked rank-1 tensor")
-    xs = []
-    for c in coords.components:
-        if not isinstance(c, Expr) or as_symbol(c) is None:
-            raise TegiTypeError("coordinate frame entries must be symbols")
-        xs.append(c)
-    n = coords.shape[0]
-    if isinstance(a, Expr):
-        return TensorValue((n,), tuple(differentiate(a, x) for x in xs))
-    if not isinstance(a, TensorValue):
-        raise TegiTypeError("exterior derivative of a non-tensor value")
-    m = len(a.indices)
-    new_shape = a.shape[:m] + (n,) + a.shape[m:]
-    comps = []
-    for out in itertools.product(*(range(d) for d in new_shape)):
-        src = out[:m] + out[m + 1 :]
-        comps.append(differentiate(a.components[_offset(a.shape, src)], xs[out[m]]))
-    return TensorValue(new_shape, tuple(comps), a.indices)
-
-
 def df_normalize(v):
     """Project the form axes onto their antisymmetric part (1/k! alternation)."""
     if not isinstance(v, TensorValue):
@@ -149,16 +87,19 @@ def df_normalize(v):
     if len(dims) != 1:
         raise ShapeMismatchError("alternation needs form axes of equal dimension")
     scale = Fraction(1, math.factorial(k))
+    perms = list(itertools.permutations(range(k)))
+    signs = [integer(_perm_sign(p)) for p in perms]
+    # Output form axis p[q] reads source form axis q.
+    st = _strides(v.shape)
+    views = [
+        _view(v.components, v.shape, st[:m] + tuple(st[m + p.index(r)] for r in range(k)))
+        for p in perms
+    ]
     comps = []
-    for out in itertools.product(*(range(d) for d in v.shape)):
-        marked, form = out[:m], out[m:]
+    for column in zip(*views):
         total = ZERO
-        for p in itertools.permutations(range(k)):
-            src = marked + tuple(form[i] for i in p)
-            total = add(
-                total,
-                mul(integer(_perm_sign(p)), v.components[_offset(v.shape, src)]),
-            )
+        for sign, c in zip(signs, column):
+            total = add(total, mul(sign, c))
         comps.append(total * scale)
     return TensorValue(v.shape, tuple(comps), v.indices)
 
@@ -191,24 +132,25 @@ def hodge(a, g_lower: TensorValue, g_upper: TensorValue):
     if any(d != n for d in form_shape):
         raise ShapeMismatchError("form axes must match the metric dimension")
     scale = sqrt(abs_(det(g_lower)))
-    eps = levi_civita(n)
     gup = [[g_upper.components[i * n + j] for j in range(n)] for i in range(n)]
-    out_shape = marked_shape + (n,) * (n - k)
-    src_shape = marked_shape + form_shape
+    size = n**k  # form components per marked block, contiguous in row-major order
     out = []
-    for coords in itertools.product(*(range(d) for d in out_shape)):
-        mc, rest = coords[: len(marked_shape)], coords[len(marked_shape) :]
-        total = ZERO
-        for is_ in itertools.product(range(n), repeat=k):
-            e = eps.components[_offset(eps.shape, is_ + rest)]
-            if not e.terms:
-                continue
-            for js in itertools.product(range(n), repeat=k):
-                term = mul(e, comps[_offset(src_shape, mc + js)])
-                for im, jm in zip(is_, js):
-                    term = mul(term, gup[im][jm])
-                total = add(total, term)
-        out.append(mul(scale, total))
+    for b in range(0, len(comps), size):
+        block = comps[b : b + size]
+        for rest in itertools.product(range(n), repeat=n - k):
+            total = ZERO
+            for is_ in itertools.product(range(n), repeat=k):
+                sign = _perm_sign(is_ + rest)
+                if not sign:
+                    continue
+                e = integer(sign)
+                for js, c in zip(itertools.product(range(n), repeat=k), block):
+                    term = mul(e, c)
+                    for im, jm in zip(is_, js):
+                        term = mul(term, gup[im][jm])
+                    total = add(total, term)
+            out.append(mul(scale, total))
+    out_shape = marked_shape + (n,) * (n - k)
     if not out_shape:
         return out[0]
     return TensorValue(out_shape, tuple(out), marks)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from functools import reduce
+from typing import Callable, Sequence, Union
 
 from .errors import (
     IndexArityError,
@@ -128,12 +129,17 @@ def _strides(shape: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _offset(coords: Sequence[int], strides: Sequence[int]) -> int:
-    return sum(c * s for c, s in zip(coords, strides))
+def _view(comps: Sequence, shape: Sequence[int], strides: Sequence[int], base: int = 0) -> tuple:
+    """Gather comps[base + sum(c[a] * strides[a])] over the coordinates c of shape.
 
-
-def _coords(shape: Sequence[int]) -> Iterable[tuple[int, ...]]:
-    return itertools.product(*(range(d) for d in shape))
+    The result is row-major in shape.  Every reshaping is one such view of a
+    row-major tensor: a literal index fixes the base, a diagonal adds two
+    axes' strides, and a permutation reorders them.
+    """
+    offsets = [base]
+    for d, s in zip(shape, strides):
+        offsets = [o + c * s for o in offsets for c in range(d)]
+    return tuple(comps[o] for o in offsets)
 
 
 def tensor(data):
@@ -210,13 +216,10 @@ def diag(k: int, j: int, t: TensorValue) -> TensorValue:
             f"repeated index over axes of dimension {t.shape[k0]} and {t.shape[j0]}"
         )
     new_shape = t.shape[:j0] + t.shape[j0 + 1 :]
-    strides = _strides(t.shape)
-    comps = []
-    for c in _coords(new_shape):
-        src = c[:j0] + (c[k0],) + c[j0:]
-        comps.append(t.components[_offset(src, strides)])
+    strides = list(_strides(t.shape))
+    strides[k0] += strides.pop(j0)
     marks = _remove_at(j, t.indices) if j <= len(t.indices) else t.indices
-    return TensorValue(new_shape, tuple(comps), marks)
+    return TensorValue(new_shape, _view(t.components, new_shape, strides), marks)
 
 
 def reduce_indices(t):
@@ -261,21 +264,14 @@ def attach_indices(t, marks: Sequence[IndexMark]):
             selections[axis] = m.label - 1
         else:
             named.append(m)
+    shape, comps = t.shape, t.components
     if selections:
-        kept_axes = [a for a in range(t.rank) if a not in selections]
-        new_shape = tuple(t.shape[a] for a in kept_axes)
         strides = _strides(t.shape)
-        comps = []
-        for c in _coords(new_shape):
-            src = [0] * t.rank
-            for a, v in selections.items():
-                src[a] = v
-            for a, v in zip(kept_axes, c):
-                src[a] = v
-            comps.append(t.components[_offset(src, strides)])
-        t = TensorValue(new_shape, tuple(comps), t.indices + tuple(named))
-    else:
-        t = TensorValue(t.shape, t.components, t.indices + tuple(named))
+        kept = [a for a in range(t.rank) if a not in selections]
+        shape = tuple(t.shape[a] for a in kept)
+        base = sum(strides[a] * v for a, v in selections.items())
+        comps = _view(comps, shape, [strides[a] for a in kept], base)
+    t = TensorValue(shape, comps, t.indices + tuple(named))
     if t.rank == 0:
         return t.components[0]
     return reduce_indices(t)
@@ -291,16 +287,14 @@ def contract(f: Callable, t):
         )
         if axis is None:
             return t
+        n = t.shape[axis]
         new_shape = t.shape[:axis] + t.shape[axis + 1 :]
         strides = _strides(t.shape)
-        comps = []
-        for c in _coords(new_shape):
-            src = list(c[:axis]) + [0] + list(c[axis:])
-            acc = t.components[_offset(src, strides)]
-            for v in range(1, t.shape[axis]):
-                src[axis] = v
-                acc = f(acc, t.components[_offset(src, strides)])
-            comps.append(acc)
+        # The summed axis goes last, so each run of n components is one fold.
+        runs = _view(
+            t.components, new_shape + (n,), strides[:axis] + strides[axis + 1 :] + (strides[axis],)
+        )
+        comps = [reduce(f, runs[i : i + n]) for i in range(0, len(runs), n)]
         marks = _remove_at(axis + 1, t.indices)
         if not new_shape:
             return comps[0]
@@ -320,14 +314,8 @@ def permute_marked_axes(t: TensorValue, perm: Sequence[int]) -> TensorValue:
     axis_src = list(perm) + list(range(len(t.indices), t.rank))
     new_shape = tuple(t.shape[a] for a in axis_src)
     strides = _strides(t.shape)
-    comps = []
-    for c in _coords(new_shape):
-        src = [0] * t.rank
-        for dst_axis, src_axis in enumerate(axis_src):
-            src[src_axis] = c[dst_axis]
-        comps.append(t.components[_offset(src, strides)])
-    new_marks = tuple(t.indices[a] for a in perm)
-    return TensorValue(new_shape, tuple(comps), new_marks)
+    comps = _view(t.components, new_shape, [strides[a] for a in axis_src])
+    return TensorValue(new_shape, comps, tuple(t.indices[a] for a in perm))
 
 
 def transpose(order: Sequence[Label], t: TensorValue):

@@ -1,0 +1,266 @@
+"""Independent reference implementations the tests compare the engine against.
+
+`wedge` and `exterior_d` compute what the prelude's `wedge` and `d` compute,
+directly in Python.  The `*_ref` functions are the coordinate-loop versions
+of the reshaping operations in `tegi.tensor` and `tegi.forms`: each walks
+the output coordinates and computes one row-major source offset per
+component, with no shared gather helper.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+
+from tegi.application import apply_scalar, complete_omitted_indices, with_symbols_scope
+from tegi.errors import (
+    FormDegreeError,
+    IndexArityError,
+    IndexBoundsError,
+    ShapeMismatchError,
+    TegiTypeError,
+)
+from tegi.forms import _perm_sign, det, levi_civita
+from tegi.symexpr import ZERO, Expr, abs_, add, as_symbol, differentiate, integer, mul, sqrt
+from tegi.tensor import (
+    SUPERSUBSCRIPT,
+    IndexMark,
+    TensorValue,
+    contract,
+    find_identical_pairs,
+)
+
+
+def _strides(shape):
+    out, acc = [], 1
+    for d in reversed(shape):
+        out.append(acc)
+        acc *= d
+    return tuple(reversed(out))
+
+
+def _offset(coords, strides):
+    return sum(c * s for c, s in zip(coords, strides))
+
+
+def _coords(shape):
+    return itertools.product(*(range(d) for d in shape))
+
+
+# ---------------------------------------------------------------- forms
+
+
+def wedge(a, b):
+    """Wedge product, computed as an index-completed scalar multiplication.
+
+    Both arguments get fresh subscripts over their form axes, the products
+    multiply out (contracting any matching value-level labels), and the fresh
+    axes scope back out in order as the form axes of the result.
+    """
+    args, gens = complete_omitted_indices([a, b], "distinct")
+    prod = contract(add, apply_scalar(mul, args))
+    return with_symbols_scope(gens, prod)
+
+
+def exterior_d(a, coords: TensorValue) -> TensorValue:
+    """Exterior derivative with respect to a coordinate frame.
+
+    The new derivative axis sits first among the form axes, matching the
+    convention of the surface-language `d`.
+    """
+    if (
+        not isinstance(coords, TensorValue)
+        or coords.rank != 1
+        or coords.indices
+    ):
+        raise TegiTypeError("coordinate frame must be an unmarked rank-1 tensor")
+    xs = []
+    for c in coords.components:
+        if not isinstance(c, Expr) or as_symbol(c) is None:
+            raise TegiTypeError("coordinate frame entries must be symbols")
+        xs.append(c)
+    n = coords.shape[0]
+    if isinstance(a, Expr):
+        return TensorValue((n,), tuple(differentiate(a, x) for x in xs))
+    if not isinstance(a, TensorValue):
+        raise TegiTypeError("exterior derivative of a non-tensor value")
+    m = len(a.indices)
+    new_shape = a.shape[:m] + (n,) + a.shape[m:]
+    strides = _strides(a.shape)
+    comps = []
+    for out in _coords(new_shape):
+        src = out[:m] + out[m + 1 :]
+        comps.append(differentiate(a.components[_offset(src, strides)], xs[out[m]]))
+    return TensorValue(new_shape, tuple(comps), a.indices)
+
+
+def df_normalize_ref(v):
+    if not isinstance(v, TensorValue):
+        return v
+    k = v.form_degree
+    if k <= 1:
+        return v
+    m = len(v.indices)
+    if len(set(v.shape[m:])) != 1:
+        raise ShapeMismatchError("alternation needs form axes of equal dimension")
+    scale = Fraction(1, math.factorial(k))
+    strides = _strides(v.shape)
+    comps = []
+    for out in _coords(v.shape):
+        marked, form = out[:m], out[m:]
+        total = ZERO
+        for p in itertools.permutations(range(k)):
+            src = marked + tuple(form[i] for i in p)
+            total = add(
+                total,
+                mul(integer(_perm_sign(p)), v.components[_offset(src, strides)]),
+            )
+        comps.append(total * scale)
+    return TensorValue(v.shape, tuple(comps), v.indices)
+
+
+def hodge_ref(a, g_lower: TensorValue, g_upper: TensorValue):
+    n = g_lower.shape[0]
+    if isinstance(a, Expr):
+        k, marks, marked_shape, form_shape, comps = 0, (), (), (), (a,)
+    else:
+        k = a.form_degree
+        m = len(a.indices)
+        marks, marked_shape, form_shape = a.indices, a.shape[:m], a.shape[m:]
+        comps = a.components
+    if k > n:
+        raise FormDegreeError("form degree exceeds the metric dimension")
+    scale = sqrt(abs_(det(g_lower)))
+    eps = levi_civita(n)
+    eps_strides = _strides(eps.shape)
+    src_strides = _strides(marked_shape + form_shape)
+    gup = [[g_upper.components[i * n + j] for j in range(n)] for i in range(n)]
+    out_shape = marked_shape + (n,) * (n - k)
+    out = []
+    for coords in _coords(out_shape):
+        mc, rest = coords[: len(marked_shape)], coords[len(marked_shape) :]
+        total = ZERO
+        for is_ in itertools.product(range(n), repeat=k):
+            e = eps.components[_offset(is_ + rest, eps_strides)]
+            if not e.terms:
+                continue
+            for js in itertools.product(range(n), repeat=k):
+                term = mul(e, comps[_offset(mc + js, src_strides)])
+                for im, jm in zip(is_, js):
+                    term = mul(term, gup[im][jm])
+                total = add(total, term)
+        out.append(mul(scale, total))
+    if not out_shape:
+        return out[0]
+    return TensorValue(out_shape, tuple(out), marks)
+
+
+# ---------------------------------------------------------------- tensor
+
+
+def diag_ref(k: int, j: int, t: TensorValue) -> TensorValue:
+    k0, j0 = k - 1, j - 1
+    if t.shape[k0] != t.shape[j0]:
+        raise ShapeMismatchError("repeated index over axes of different dimension")
+    new_shape = t.shape[:j0] + t.shape[j0 + 1 :]
+    strides = _strides(t.shape)
+    comps = []
+    for c in _coords(new_shape):
+        src = c[:j0] + (c[k0],) + c[j0:]
+        comps.append(t.components[_offset(src, strides)])
+    marks = t.indices[:j0] + t.indices[j0 + 1 :] if j <= len(t.indices) else t.indices
+    return TensorValue(new_shape, tuple(comps), marks)
+
+
+def reduce_indices_ref(t):
+    if not isinstance(t, TensorValue):
+        return t
+    while True:
+        pairs = find_identical_pairs(t.indices)
+        if not pairs:
+            return t
+        k, j = pairs[0]
+        same = t.indices[k - 1].variance == t.indices[j - 1].variance
+        t = diag_ref(k, j, t)
+        if not same:
+            marks = list(t.indices)
+            marks[k - 1] = IndexMark(SUPERSUBSCRIPT, marks[k - 1].label)
+            t = TensorValue(t.shape, t.components, tuple(marks))
+
+
+def attach_indices_ref(t, marks):
+    marks = tuple(marks)
+    if not isinstance(t, TensorValue):
+        if marks:
+            raise IndexArityError("cannot attach index marks to a scalar")
+        return t
+    existing = len(t.indices)
+    if existing + len(marks) > t.rank:
+        raise IndexArityError("too many index marks")
+    selections = {}
+    named = []
+    for pos, m in enumerate(marks):
+        axis = existing + pos
+        if isinstance(m.label, int):
+            if not 1 <= m.label <= t.shape[axis]:
+                raise IndexBoundsError("index out of bounds")
+            selections[axis] = m.label - 1
+        else:
+            named.append(m)
+    if selections:
+        kept_axes = [a for a in range(t.rank) if a not in selections]
+        new_shape = tuple(t.shape[a] for a in kept_axes)
+        strides = _strides(t.shape)
+        comps = []
+        for c in _coords(new_shape):
+            src = [0] * t.rank
+            for a, v in selections.items():
+                src[a] = v
+            for a, v in zip(kept_axes, c):
+                src[a] = v
+            comps.append(t.components[_offset(src, strides)])
+        t = TensorValue(new_shape, tuple(comps), t.indices + tuple(named))
+    else:
+        t = TensorValue(t.shape, t.components, t.indices + tuple(named))
+    if t.rank == 0:
+        return t.components[0]
+    return reduce_indices_ref(t)
+
+
+def contract_ref(f, t):
+    if not isinstance(t, TensorValue):
+        return t
+    while True:
+        axis = next(
+            (i for i, m in enumerate(t.indices) if m.variance == SUPERSUBSCRIPT), None
+        )
+        if axis is None:
+            return t
+        new_shape = t.shape[:axis] + t.shape[axis + 1 :]
+        strides = _strides(t.shape)
+        comps = []
+        for c in _coords(new_shape):
+            src = list(c[:axis]) + [0] + list(c[axis:])
+            acc = t.components[_offset(src, strides)]
+            for v in range(1, t.shape[axis]):
+                src[axis] = v
+                acc = f(acc, t.components[_offset(src, strides)])
+            comps.append(acc)
+        marks = t.indices[:axis] + t.indices[axis + 1 :]
+        if not new_shape:
+            return comps[0]
+        t = TensorValue(new_shape, tuple(comps), marks)
+
+
+def permute_marked_axes_ref(t: TensorValue, perm) -> TensorValue:
+    axis_src = list(perm) + list(range(len(t.indices), t.rank))
+    new_shape = tuple(t.shape[a] for a in axis_src)
+    strides = _strides(t.shape)
+    comps = []
+    for c in _coords(new_shape):
+        src = [0] * t.rank
+        for dst_axis, src_axis in enumerate(axis_src):
+            src[src_axis] = c[dst_axis]
+        comps.append(t.components[_offset(src, strides)])
+    return TensorValue(new_shape, tuple(comps), tuple(t.indices[a] for a in perm))

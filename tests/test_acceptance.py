@@ -22,7 +22,7 @@ from tegi.errors import (
     UnboundVariableError,
 )
 from tegi.evaluator import Interpreter, format_value
-from tegi.forms import df_normalize, exterior_d
+from tegi.forms import df_normalize
 from tegi.symexpr import cos, evaluate_at, integer, mul, sin, symbol
 from tegi.tensor import (
     IndexMark,
@@ -32,6 +32,8 @@ from tegi.tensor import (
     flip_indices,
     reduce_indices,
 )
+
+from oracles import exterior_d
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "corpus"

@@ -9,9 +9,7 @@ from tegi.application import (
     INVERTED,
     SCALAR,
     TENSOR,
-    apply_inverted_scalar,
     apply_scalar,
-    apply_tensor,
     apply_with_kinds,
     complete_omitted_indices,
     fresh_symbol,
@@ -65,19 +63,19 @@ class TestApplyTensor:
         # [TRIVIAL] tensor parameters see the marked value unchanged
         t = attach_indices(tensor([1, 2]), [down(I)])
         seen = []
-        apply_tensor(lambda v: seen.append(v), [t])
+        apply_with_kinds(lambda v: seen.append(v), [TENSOR], [t])
         assert seen == [t]
 
 
 class TestApplyInverted:
     def test_flip_before_map(self):
         u = attach_indices(tensor([1, 2]), [down(I)])
-        got = apply_inverted_scalar(neg, [u])
+        got = apply_with_kinds(neg, [INVERTED], [u])
         assert got.indices == (up(I),)
         assert to_nested(got) == [-1, -2]
 
     def test_scalar_passthrough(self):
-        assert apply_inverted_scalar(neg, [integer(3)]) == integer(-3)  # [TRIVIAL]
+        assert apply_with_kinds(neg, [INVERTED], [integer(3)]) == integer(-3)  # [TRIVIAL]
 
     def test_partial_derivative_matrix(self):
         # [PAPER] (∂/∂ [|(* r (sin θ)) (* r (cos θ))|]_i [|r θ|]_j) -> _i~j

@@ -1,5 +1,7 @@
 """Tests for the interpreter: environments, application semantics, builtins."""
 
+import re
+
 import pytest
 
 from tegi.errors import (
@@ -12,9 +14,10 @@ from tegi.errors import (
     UnboundVariableError,
 )
 from tegi.evaluator import Interpreter, format_value
-from tegi.forms import exterior_d
 from tegi.symexpr import Sym, as_int, int_pow, mul, rational, sin, symbol
 from tegi.tensor import TensorValue, attach_indices, down, to_nested, up
+
+from oracles import exterior_d
 
 
 def ev(src):
@@ -57,6 +60,38 @@ class TestScalarBasics:
     def test_strings(self):
         assert ev('"hi"') == "hi"
         assert format_value(ev('"hi"')) == '"hi"'
+
+
+class TestTensorLiterals:
+    def test_nested_literal(self):
+        assert show("[|[|1 2|] [|3 4|]|]") == "[|[|1 2|] [|3 4|]|]"  # [TRIVIAL]
+
+    @pytest.mark.parametrize(
+        "src, got",
+        [
+            ('[|"a" 1|]', '"a"'),
+            ("[|{1 2} {3 4}|]", "{1 2}"),
+            ("[|(less-than? 1 2)|]", "#t"),
+            ("[|sin|]", "#<function sin>"),
+            # a non-scalar next to a tensor element is reported as a non-scalar
+            ("[|[|1 2|] {1 2}|]", "{1 2}"),
+        ],
+    )
+    def test_non_scalar_leaf(self, src, got):
+        with pytest.raises(TegiTypeError, match=f"^expected a scalar, got {re.escape(got)}$"):
+            ev(src)
+
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            ("[|[|1 2|]_i [|3 4|]_i|]", "tensor components must not carry index marks"),
+            ("[|[|1|] 2|]", "mixed scalar and tensor components"),
+            ("[|[|1 2|] [|3|]|]", "ragged tensor literal"),
+        ],
+    )
+    def test_shape_errors(self, src, message):
+        with pytest.raises(ShapeMismatchError, match=f"^{re.escape(message)}$"):
+            ev(src)
 
 
 class TestWorkedReductionExamples:
@@ -152,6 +187,12 @@ class TestDefines:
         # T_i_j defined from a _j_i body stores the transposed layout
         src = "(define $T_i_j [|[|1 2|] [|3 4|]|]_j_i) T_1_2"
         assert show(src) == "3"
+
+    def test_iter_source_yields_before_a_later_error(self):
+        values = Interpreter().iter_source("(define $two 2) (* two 3) (derivative r 2)")
+        assert format_value(next(values)) == "6"
+        with pytest.raises(TegiTypeError):
+            next(values)
 
     def test_definitions_persist(self):
         interp = Interpreter()

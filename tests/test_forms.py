@@ -24,15 +24,9 @@ from tegi.symexpr import (
     symbol,
 )
 from tegi.tensor import TensorValue, attach_indices, down, tensor, to_nested, up
-from tegi.forms import (
-    det,
-    df_normalize,
-    df_order,
-    exterior_d,
-    hodge,
-    levi_civita,
-    wedge,
-)
+from tegi.forms import det, df_normalize, df_order, hodge, levi_civita
+
+from oracles import exterior_d, wedge
 
 I, J, K = Sym("i"), Sym("j"), Sym("k")
 R, TH, PH = symbol("r"), symbol("θ"), symbol("φ")
