@@ -1,9 +1,12 @@
 """Parameter application semantics.
 
-Scalar parameters lift a scalar function over tensor arguments by nesting
-tensor_map left to right, so index hoisting and reduction align shared labels
-and multiply out distinct ones.  Inverted scalar parameters flip the
-argument's marks first.  Tensor parameters receive values untouched.
+Scalar parameters lift a scalar function over tensor arguments with one
+many-tensor tensor_map: the arguments' marks are concatenated in argument
+order and repeated labels collapsed, as index reduction would collapse them
+in the outer product, before the function runs once per result component.
+Shared labels thus align and distinct ones multiply out.  Inverted scalar
+parameters flip the argument's marks first.  Tensor parameters receive
+values untouched.
 
 Omitted-index completion appends fresh subscript marks over form axes before
 an application (one shared sequence for ordinary scalar application, a fresh
@@ -58,20 +61,23 @@ def fresh_symbol(name: str = "t") -> Sym:
 
 
 def apply_with_kinds(kernel: Callable, kinds: Sequence[ParamKind], args: Sequence):
-    """Nest tensor_map over scalar and inverted-scalar argument positions."""
-    prepared = [
-        flip_indices(a) if k is INVERTED else a for k, a in zip(kinds, args)
-    ]
+    """Call kernel once per result component, lifted over scalar positions.
 
-    def rec(i: int, bound: list):
-        if i == len(prepared):
-            return kernel(*bound)
-        a = prepared[i]
-        if kinds[i] is TENSOR or not isinstance(a, TensorValue):
-            return rec(i + 1, bound + [a])
-        return tensor_map(lambda c: rec(i + 1, bound + [c]), a)
+    Inverted positions flip their argument's marks first; tensor positions
+    pass whole to every call.  tensor_map aligns the lifted arguments' labels
+    before kernel first runs, so a diagonal that index reduction would
+    discard is never computed.
+    """
+    args = [flip_indices(a) if k is INVERTED else a for k, a in zip(kinds, args)]
+    spots = [p for p, k in enumerate(kinds) if k is not TENSOR]
+    bound = list(args)
 
-    return rec(0, [])
+    def at(*vals):
+        for p, v in zip(spots, vals):
+            bound[p] = v
+        return kernel(*bound)
+
+    return tensor_map(at, *(args[p] for p in spots))
 
 
 def apply_scalar(kernel: Callable, args: Sequence):

@@ -41,7 +41,7 @@ def _render_numeric(v, binds: dict, precision: int) -> str:
     if isinstance(v, Expr):
         return _num_str(evaluate_at(v, binds), precision)
     if isinstance(v, TensorValue):
-        return format_tensor(v, fmt=lambda e: _num_str(evaluate_at(e, binds), precision))
+        return format_tensor(v, fmt=lambda e: _render_numeric(e, binds, precision))
     if isinstance(v, tuple):
         return "{" + " ".join(_render_numeric(x, binds, precision) for x in v) + "}"
     return format_value(v)

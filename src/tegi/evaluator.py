@@ -120,7 +120,7 @@ def format_value(v) -> str:
     if isinstance(v, Expr):
         return format_expr(v)
     if isinstance(v, TensorValue):
-        return format_tensor(v)
+        return format_tensor(v, format_value)
     if isinstance(v, str):
         escaped = v.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'

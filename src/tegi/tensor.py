@@ -206,35 +206,68 @@ def _update_at(k: int, variance: int, marks: tuple[IndexMark, ...]) -> tuple[Ind
     return marks[: k - 1] + (IndexMark(variance, m.label),) + marks[k:]
 
 
+def _diagonal(k: int, j: int, shape: tuple, strides: list) -> tuple[tuple, list]:
+    """Merge axis j into axis k (0-based, k < j) of a strided layout.
+
+    Each tensor read through the layout has its own stride vector over the
+    axes of shape; the diagonal adds axis j's stride to axis k's in each.
+    """
+    if shape[k] != shape[j]:
+        raise ShapeMismatchError(
+            f"repeated index over axes of dimension {shape[k]} and {shape[j]}"
+        )
+    return shape[:j] + shape[j + 1 :], [
+        s[:k] + (s[k] + s[j],) + s[k + 1 : j] + s[j + 1 :] for s in strides
+    ]
+
+
+def _collapse(marks: tuple, shape: tuple, strides: list) -> tuple[tuple, tuple, list]:
+    """Collapse repeated labels of a strided layout pairwise, leftmost pair first.
+
+    The first mark of a pair keeps its position, and becomes a supersubscript
+    when the two variances differ; dummies never pair.  Returns the new
+    (marks, shape, strides).
+    """
+    while True:
+        pairs = find_identical_pairs(marks)
+        if not pairs:
+            return marks, shape, strides
+        k, j = pairs[0]
+        shape, strides = _diagonal(k - 1, j - 1, shape, strides)
+        if _variance_at(k, marks) != _variance_at(j, marks):
+            marks = _update_at(k, SUPERSUBSCRIPT, marks)
+        marks = _remove_at(j, marks)
+
+
+def _nest(shape: tuple, marks: tuple, inner_shape: tuple, inner_marks: tuple, strides: list):
+    """Layout of an outer tensor whose components are inner tensors.
+
+    The inner axes follow the outer ones and the marks are concatenated, so
+    inner marks cannot follow an unmarked outer axis; then repeated labels
+    collapse.  strides are over shape + inner_shape.
+    """
+    if inner_marks and len(shape) > len(marks):
+        raise IndexLabelError("cannot hoist marked results over unmarked axes")
+    return _collapse(marks + inner_marks, shape + inner_shape, strides)
+
+
 def diag(k: int, j: int, t: TensorValue) -> TensorValue:
     """Extract the diagonal of axes k and j (1-based, k < j); axis j is removed."""
     if not 1 <= k < j <= t.rank:
         raise IndexLabelError(f"diag axes ({k}, {j}) out of range for rank {t.rank}")
-    k0, j0 = k - 1, j - 1
-    if t.shape[k0] != t.shape[j0]:
-        raise ShapeMismatchError(
-            f"repeated index over axes of dimension {t.shape[k0]} and {t.shape[j0]}"
-        )
-    new_shape = t.shape[:j0] + t.shape[j0 + 1 :]
-    strides = list(_strides(t.shape))
-    strides[k0] += strides.pop(j0)
+    shape, (strides,) = _diagonal(k - 1, j - 1, t.shape, [_strides(t.shape)])
     marks = _remove_at(j, t.indices) if j <= len(t.indices) else t.indices
-    return TensorValue(new_shape, _view(t.components, new_shape, strides), marks)
+    return TensorValue(shape, _view(t.components, shape, strides), marks)
 
 
 def reduce_indices(t):
     """Collapse repeated index labels pairwise, leftmost pair first."""
     if not isinstance(t, TensorValue):
         return t
-    while True:
-        pairs = find_identical_pairs(t.indices)
-        if not pairs:
-            return t
-        k, j = pairs[0]
-        same = _variance_at(k, t.indices) == _variance_at(j, t.indices)
-        t = diag(k, j, t)
-        if not same:
-            t = TensorValue(t.shape, t.components, _update_at(k, SUPERSUBSCRIPT, t.indices))
+    marks, shape, (strides,) = _collapse(t.indices, t.shape, [_strides(t.shape)])
+    if len(shape) == t.rank:
+        return t
+    return TensorValue(shape, _view(t.components, shape, strides), marks)
 
 
 def attach_indices(t, marks: Sequence[IndexMark]):
@@ -336,25 +369,46 @@ def transpose(order: Sequence[Label], t: TensorValue):
     return permute_marked_axes(t, perm)
 
 
-def tensor_map(f: Callable, t):
-    """Map f over components; marked results hoist their indices to the end."""
-    if not isinstance(t, TensorValue):
-        return f(t)
-    results = [f(c) for c in t.components]
+def tensor_map(f: Callable, *ts):
+    """Call f on the index-aligned components of ts, once per result component.
+
+    The result's axes are those of the outer product of ts, in argument
+    order, with repeated labels collapsed as reduce_indices collapses them.
+    The collapse works on each tensor's strides, so f runs only on the
+    diagonal that the result keeps.  Arguments that are not tensors go to
+    every call unchanged.  Marked results hoist their indices to the end.
+    """
+    if not any(isinstance(t, TensorValue) for t in ts):
+        return f(*ts)
+    marks, shape, strides = (), (), [()] * len(ts)
+    # Nest right to left, as one single-tensor map inside another would, so
+    # a malformed combination raises the same error as that nesting.
+    for n in reversed(range(len(ts))):
+        t = ts[n]
+        if isinstance(t, TensorValue):
+            own, zeros = _strides(t.shape), (0,) * t.rank
+            strides = [(own if q == n else zeros) + s for q, s in enumerate(strides)]
+            marks, shape, strides = _nest(t.shape, t.indices, shape, marks, strides)
+    columns = [
+        _view(t.components, shape, s) if isinstance(t, TensorValue) else itertools.repeat(t)
+        for t, s in zip(ts, strides)
+    ]
+    results = [f(*vals) for vals in zip(*columns)]
     inner = [r for r in results if isinstance(r, TensorValue)]
     if not inner:
-        return TensorValue(t.shape, tuple(results), t.indices)
+        return TensorValue(shape, tuple(results), marks)
     if len(inner) != len(results):
         raise ShapeMismatchError("mixed scalar and tensor results in tensor-map")
     first = inner[0]
     for r in inner[1:]:
         if r.shape != first.shape or r.indices != first.indices:
             raise ShapeMismatchError("inconsistent result shapes in tensor-map")
-    if first.indices and t.form_degree:
-        raise IndexLabelError("cannot hoist marked results over unmarked axes")
     comps = tuple(c for r in results for c in r.components)
-    combined = TensorValue(t.shape + first.shape, comps, t.indices + first.indices)
-    return reduce_indices(combined)
+    full = shape + first.shape
+    marks, shape, (strides,) = _nest(shape, marks, first.shape, first.indices, [_strides(full)])
+    if len(shape) != len(full):
+        comps = _view(comps, shape, strides)
+    return TensorValue(shape, comps, marks)
 
 
 def _mark_str(m: IndexMark) -> str:

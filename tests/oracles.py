@@ -4,7 +4,10 @@
 directly in Python.  The `*_ref` functions are the coordinate-loop versions
 of the reshaping operations in `tegi.tensor` and `tegi.forms`: each walks
 the output coordinates and computes one row-major source offset per
-component, with no shared gather helper.
+component, with no shared gather helper.  `apply_with_kinds_ref` lifts a
+function by nesting single-tensor maps, so it calls the function on the
+whole outer product of the lifted arguments and reduction then keeps the
+diagonal.
 """
 
 from __future__ import annotations
@@ -13,11 +16,18 @@ import itertools
 import math
 from fractions import Fraction
 
-from tegi.application import apply_scalar, complete_omitted_indices, with_symbols_scope
+from tegi.application import (
+    INVERTED,
+    TENSOR,
+    apply_scalar,
+    complete_omitted_indices,
+    with_symbols_scope,
+)
 from tegi.errors import (
     FormDegreeError,
     IndexArityError,
     IndexBoundsError,
+    IndexLabelError,
     ShapeMismatchError,
     TegiTypeError,
 )
@@ -29,6 +39,7 @@ from tegi.tensor import (
     TensorValue,
     contract,
     find_identical_pairs,
+    flip_indices,
 )
 
 
@@ -264,3 +275,44 @@ def permute_marked_axes_ref(t: TensorValue, perm) -> TensorValue:
             src[src_axis] = c[dst_axis]
         comps.append(t.components[_offset(src, strides)])
     return TensorValue(new_shape, tuple(comps), tuple(t.indices[a] for a in perm))
+
+
+# ---------------------------------------------------------------- lifting
+
+
+def tensor_map_ref(f, t):
+    """Map f over one tensor's components; marked results hoist their indices."""
+    if not isinstance(t, TensorValue):
+        return f(t)
+    results = [f(c) for c in t.components]
+    inner = [r for r in results if isinstance(r, TensorValue)]
+    if not inner:
+        return TensorValue(t.shape, tuple(results), t.indices)
+    if len(inner) != len(results):
+        raise ShapeMismatchError("mixed scalar and tensor results in tensor-map")
+    first = inner[0]
+    for r in inner[1:]:
+        if r.shape != first.shape or r.indices != first.indices:
+            raise ShapeMismatchError("inconsistent result shapes in tensor-map")
+    if first.indices and t.form_degree:
+        raise IndexLabelError("cannot hoist marked results over unmarked axes")
+    comps = tuple(c for r in results for c in r.components)
+    combined = TensorValue(t.shape + first.shape, comps, t.indices + first.indices)
+    return reduce_indices_ref(combined)
+
+
+def apply_with_kinds_ref(kernel, kinds, args):
+    """Nest tensor_map_ref over scalar and inverted-scalar argument positions."""
+    prepared = [
+        flip_indices(a) if k is INVERTED else a for k, a in zip(kinds, args)
+    ]
+
+    def rec(i: int, bound: list):
+        if i == len(prepared):
+            return kernel(*bound)
+        a = prepared[i]
+        if kinds[i] is TENSOR or not isinstance(a, TensorValue):
+            return rec(i + 1, bound + [a])
+        return tensor_map_ref(lambda c: rec(i + 1, bound + [c]), a)
+
+    return rec(0, [])

@@ -5,6 +5,7 @@ sympy; nothing here reuses the engine's own derivative or contraction
 machinery to produce an expected value.
 """
 
+import itertools
 import math
 import random
 import subprocess
@@ -143,14 +144,11 @@ class TestDocumentedDiscrepancy:
 # ------------------------------------------------------------------ 3, 4, 5
 
 
-def _sympy_s2():
-    """Loop-nest (Table/Sum style) Christoffel and Riemann for S^2."""
-    r, th = sp.symbols("r theta", positive=True)
-    ph = sp.Symbol("phi")
-    x = [th, ph]
-    g = sp.Matrix([[r**2, 0], [0, r**2 * sp.sin(th) ** 2]])
+def _loop_curvature(g, x, tidy=lambda e: e):
+    """Loop-nest (Table/Sum style) Christoffel symbols Γ^i_jk and Riemann
+    tensor R^i_jkl of the metric g in coordinates x; tidy maps each entry."""
     ginv = g.inv()
-    n = 2
+    n = len(x)
     gamma = [[[sp.Integer(0)] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -162,7 +160,7 @@ def _sympy_s2():
                         + sp.diff(g[m, j], x[k])
                         - sp.diff(g[j, k], x[m])
                     )
-                gamma[i][j][k] = sp.simplify(total / 2)
+                gamma[i][j][k] = tidy(total / 2)
     riem = [[[[sp.Integer(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -174,7 +172,15 @@ def _sympy_s2():
                             gamma[m][j][l] * gamma[i][m][k]
                             - gamma[m][j][k] * gamma[i][m][l]
                         )
-                    riem[i][j][k][l] = sp.simplify(total)
+                    riem[i][j][k][l] = tidy(total)
+    return gamma, riem
+
+
+def _sympy_s2():
+    r, th = sp.symbols("r theta", positive=True)
+    ph = sp.Symbol("phi")
+    g = sp.Matrix([[r**2, 0], [0, r**2 * sp.sin(th) ** 2]])
+    gamma, riem = _loop_curvature(g, [th, ph], sp.simplify)
     return (r, th), gamma, riem
 
 
@@ -272,6 +278,66 @@ class TestCurvatureFormRoute:
                             f"(+ Ω~{i}_{j}_{k}_{l} Ω~{i}_{j}_{l}_{k})"
                         )[-1]
                         assert format_value(s) == "0"
+
+
+SCHWARZSCHILD = """
+(define $x [| t r θ φ |])
+(define $g__
+  [| [| (+ -1 (/ (* 2 M) r)) 0 0 0 |]
+     [| 0 (/ 1 (- 1 (/ (* 2 M) r))) 0 0 |]
+     [| 0 0 r^2 0 |]
+     [| 0 0 0 (* r^2 (sin θ)^2) |] |])
+(define $g~~
+  [| [| (/ 1 (+ -1 (/ (* 2 M) r))) 0 0 0 |]
+     [| 0 (- 1 (/ (* 2 M) r)) 0 0 |]
+     [| 0 0 (/ 1 r^2) 0 |]
+     [| 0 0 0 (/ 1 (* r^2 (sin θ)^2)) |] |])
+(define $Γ_i_j_k
+  (* (/ 1 2)
+     (+ (∂/∂ g_i_k x~j)
+        (∂/∂ g_i_j x~k)
+        (* -1 (∂/∂ g_j_k x~i)))))
+(define $Γ~i_j_k (with-symbols {m} (. g~i~m Γ_m_j_k)))
+(define $R~i_j_k_l
+  (with-symbols {m}
+    (+ (- (∂/∂ Γ~i_j_l x~k) (∂/∂ Γ~i_j_k x~l))
+       (- (. Γ~m_j_l Γ~i_m_k) (. Γ~m_j_k Γ~i_m_l)))))
+R~i_j_k_l
+(contract + R~i_j_i_l)
+"""
+
+# (M, r, θ) with r > 2M, away from the poles
+SCHWARZSCHILD_POINTS = [(1.0, 7.0, 0.7), (0.5, 1.3, 2.1), (2.0, 4.5, 1.2)]
+
+
+@pytest.fixture(scope="module")
+def schwarzschild():
+    return Interpreter().eval_source(SCHWARZSCHILD)
+
+
+class TestSchwarzschild:
+    """4-D vacuum metric: the Riemann tensor of the paper's definition
+    matches the loop-nest oracle, and its Ricci contraction vanishes."""
+
+    def test_ricci_vanishes(self, schwarzschild):
+        ric = schwarzschild[-1]
+        assert ric.shape == (4, 4)
+        for m, rv, tv in SCHWARZSCHILD_POINTS:
+            for c in ric.components:
+                assert abs(evaluate_at(c, {"M": m, "r": rv, "θ": tv})) < 1e-9
+
+    def test_riemann_against_oracle(self, schwarzschild):
+        t, r, th, ph, M = sp.symbols("t r theta phi M")
+        f = 1 - 2 * M / r
+        g = sp.diag(-f, 1 / f, r**2, r**2 * sp.sin(th) ** 2)
+        _, riem = _loop_curvature(g, [t, r, th, ph])
+        m, rv, tv = SCHWARZSCHILD_POINTS[0]
+        point = {M: m, r: rv, th: tv}
+        got = schwarzschild[-2]
+        assert got.shape == (4, 4, 4, 4)
+        for (i, j, k, l), c in zip(itertools.product(range(4), repeat=4), got.components):
+            want = float(riem[i][j][k][l].subs(point))
+            assert abs(evaluate_at(c, {"M": m, "r": rv, "θ": tv}) - want) < 1e-9
 
 
 # ------------------------------------------------------------------ 6

@@ -3,7 +3,7 @@
 import pytest
 
 from tegi.errors import CompletionMismatchError
-from tegi.symexpr import Sym, as_int, cos, differentiate, integer, mul, neg, sin, symbol
+from tegi.symexpr import Sym, add, as_int, cos, differentiate, integer, mul, neg, sin, symbol
 from tegi.tensor import TensorValue, attach_indices, down, tensor, to_nested, up
 from tegi.application import (
     INVERTED,
@@ -56,6 +56,26 @@ class TestApplyScalar:
         t = attach_indices(tensor([1, 2]), [down(I)])
         got = apply_scalar(mul, [integer(10), t])
         assert to_nested(got) == [10, 20]
+
+    def test_shared_labels_call_the_kernel_once_per_component(self):
+        # (+ A~i_j_k_l B~i_j_k_l) at n = 3: 81 results, not the 3**8 pairs
+        # of the outer product
+        k, l = Sym("k"), Sym("l")
+        marks = [up(I), down(J), down(k), down(l)]
+        a = attach_indices(tensor([[[[symbol(f"a{p}{q}{r}{s}") for s in range(3)] for r in range(3)]
+                                    for q in range(3)] for p in range(3)]), marks)
+        b = attach_indices(tensor([[[[symbol(f"b{p}{q}{r}{s}") for s in range(3)] for r in range(3)]
+                                    for q in range(3)] for p in range(3)]), marks)
+        calls = []
+
+        def counted_add(x, y):
+            calls.append((x, y))
+            return add(x, y)
+
+        got = apply_scalar(counted_add, [a, b])
+        assert len(calls) == 81
+        assert got.indices == tuple(marks)
+        assert got.components == tuple(add(x, y) for x, y in zip(a.components, b.components))
 
 
 class TestApplyTensor:

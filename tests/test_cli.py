@@ -82,6 +82,13 @@ class TestRun:
         assert r.returncode == 0
         assert r.stdout == "[|3 6|]_i\n0.644\n"
 
+    def test_bind_booleans_inside_tensors(self, tmp_path):
+        f = tmp_path / "s.tegi"
+        f.write_text("(less-than? [|1 2|]~i [|2 1|]~i)\n", encoding="utf-8")
+        r = tegi("run", "--bind", "r=3", str(f))
+        assert r.returncode == 0
+        assert r.stdout == "[|#t #f|]~i\n"
+
     def test_bind_rejects_garbage(self, tmp_path):
         f = tmp_path / "s.tegi"
         f.write_text("1\n", encoding="utf-8")

@@ -61,6 +61,9 @@ class TestScalarBasics:
         assert ev('"hi"') == "hi"
         assert format_value(ev('"hi"')) == '"hi"'
 
+    def test_booleans_inside_tensors(self):
+        assert show("(less-than? [|1 2|]~i [|2 1|]~i)") == "[|#t #f|]~i"
+
 
 class TestTensorLiterals:
     def test_nested_literal(self):
@@ -222,6 +225,17 @@ class TestClosures:
     def test_closures_capture(self):
         src = "(define $adder (lambda [$n] (lambda [$x] (+ x n)))) ((adder 10) 5)"
         assert show(src) == "15"
+
+    def test_shared_label_never_evaluates_the_discarded_product(self):
+        # a~i b~i reads only the diagonal, so the pair (2, 2) at (2, 1),
+        # which divides by zero, is never formed
+        src = """
+        (define $f (lambda [$a $b] (/ 1 (- a b))))
+        (define $A [|1 2|])
+        (define $B [|2 4|])
+        (f A~i B~i)
+        """
+        assert show(src) == "[|-1 (/ -1 2)|]~i"
 
 
 class TestCompletion:
