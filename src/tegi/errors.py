@@ -1,7 +1,9 @@
 """Error classes shared by every stage of the interpreter.
 
-Each error carries an optional (line, column) location; the evaluator fills
-it in from the AST node that was being evaluated when the error surfaced.
+Each error carries an optional (line, column) location.  Errors raised
+without one get the location of the innermost function application, if any,
+being evaluated when they surfaced; recursion too deep for the Python stack
+becomes an `EvalError` located at the top-level form.
 """
 
 from __future__ import annotations

@@ -24,7 +24,9 @@ from .application import (
 from .errors import (
     ArityError,
     DomainError,
+    EvalError,
     IndexLabelError,
+    TegiError,
     TegiTypeError,
     UnboundVariableError,
 )
@@ -163,7 +165,10 @@ class Interpreter:
     def iter_source(self, text: str):
         """Evaluate top-level forms in order, yielding each non-define value."""
         for node in lang.parse_program(text):
-            v = self.eval(node, self.global_env)
+            try:
+                v = self.eval(node, self.global_env)
+            except RecursionError:
+                raise EvalError("recursion too deep", node.loc) from None
             if not isinstance(node, lang.Define):
                 yield v
 
@@ -189,14 +194,16 @@ class Interpreter:
             return tensor([e if isinstance(e, TensorValue) else _scalar(e) for e in elems])
         if isinstance(node, lang.Braces):
             return tuple(self.eval(e, env) for e in node.items)
-        if isinstance(node, lang.Apply):
-            fn = self.eval(node.fn, env)
-            args = [self.eval(a, env) for a in node.args]
-            return self.call(fn, args, loc=node.loc)
-        if isinstance(node, lang.BangApply):
-            fn = self.eval(node.fn, env)
-            args = [self.eval(a, env) for a in node.args]
-            return self.call(fn, args, distinct=True, loc=node.loc)
+        if isinstance(node, (lang.Apply, lang.BangApply)):
+            try:
+                fn = self.eval(node.fn, env)
+                args = [self.eval(a, env) for a in node.args]
+                distinct = isinstance(node, lang.BangApply)
+                return self.call(fn, args, distinct=distinct, loc=node.loc)
+            except TegiError as exc:
+                if exc.location is None:  # the innermost application wins
+                    exc.location = node.loc
+                raise
         if isinstance(node, lang.Lambda):
             params = tuple((_SIGIL_KIND[s], n) for s, n in node.params)
             return Closure(params, node.body, env)

@@ -62,16 +62,19 @@ def levi_civita(n: int) -> TensorValue:
 
 
 def det(m) -> Expr:
-    """Leibniz-formula determinant of a square rank-2 tensor (marks ignored)."""
+    """Leibniz-formula determinant of a square rank-2 tensor (marks ignored).
+
+    Permutations that meet a structurally zero entry contribute nothing and
+    are skipped; the others are summed in permutation order.
+    """
     if not isinstance(m, TensorValue) or m.rank != 2 or m.shape[0] != m.shape[1]:
         raise ShapeMismatchError("determinant needs a square matrix")
     n = m.shape[0]
     total = ZERO
     for p in itertools.permutations(range(n)):
-        term = integer(_perm_sign(p))
-        for i in range(n):
-            term = mul(term, m.components[i * n + p[i]])
-        total = add(total, term)
+        factors = [m.components[i * n + p[i]] for i in range(n)]
+        if ZERO not in factors:
+            total = add(total, mul(integer(_perm_sign(p)), *factors))
     return total
 
 
@@ -110,7 +113,9 @@ def hodge(a, g_lower: TensorValue, g_upper: TensorValue):
     (*A)_{i_{k+1}..i_n} = sqrt|det g| ε_{i_1..i_n} A_{j_1..j_k} g^{i_1 j_1}..g^{i_k j_k}
 
     summed over repeated indices, with no 1/k! factor.  Marked axes of A pass
-    through unchanged, so matrix-valued forms star componentwise.
+    through unchanged, so matrix-valued forms star componentwise.  Products
+    with a structurally zero factor (a form component or metric entry with no
+    terms) are skipped, as in `det`.
     """
     for g in (g_lower, g_upper):
         if not isinstance(g, TensorValue) or g.rank != 2 or g.shape[0] != g.shape[1]:
@@ -145,11 +150,10 @@ def hodge(a, g_lower: TensorValue, g_upper: TensorValue):
                     continue
                 e = integer(sign)
                 for js, c in zip(itertools.product(range(n), repeat=k), block):
-                    term = mul(e, c)
-                    for im, jm in zip(is_, js):
-                        term = mul(term, gup[im][jm])
-                    total = add(total, term)
-            out.append(mul(scale, total))
+                    factors = [c, *(gup[im][jm] for im, jm in zip(is_, js))]
+                    if ZERO not in factors:
+                        total = add(total, mul(e, *factors))
+            out.append(mul(scale, total) if total.terms else ZERO)
     out_shape = marked_shape + (n,) * (n - k)
     if not out_shape:
         return out[0]

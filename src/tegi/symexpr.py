@@ -9,6 +9,11 @@ usable directly as expected values in tests.
 
 No trig identities or radical simplification are applied; only rational
 constants fold.
+
+Nodes (expressions and atoms) are immutable, so each computes its hash and
+its order key once, on first use, and keeps them.  The memoised values are
+not dataclass fields: equality, repr and the canonical term order are those
+of the structure alone.
 """
 
 from __future__ import annotations
@@ -46,34 +51,66 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Sym:
+class _Node:
+    """Hash and order key of an immutable node, each computed on first use.
+
+    Subclasses are frozen dataclasses and restate `__hash__ = _Node.__hash__`:
+    without that line the dataclass decorator generates its own, uncached hash.
+    """
+
+    __slots__ = ("_hash", "_order")
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.key())  # the key is a function of the structure
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def key(self):
+        try:
+            return self._order
+        except AttributeError:
+            k = self._order_key()
+            object.__setattr__(self, "_order", k)
+            return k
+
+
+@dataclass(frozen=True, slots=True)
+class Sym(_Node):
     """A named symbol; uid > 0 marks a generated (scope-fresh) symbol."""
 
     name: str
     uid: int = 0
 
-    def key(self):
+    __hash__ = _Node.__hash__
+
+    def _order_key(self):
         return (0, self.name, self.uid)
 
 
-@dataclass(frozen=True)
-class Fun:
+@dataclass(frozen=True, slots=True)
+class Fun(_Node):
     tag: str  # "sin" | "cos" | "sqrt" | "abs"
     arg: "Expr"
 
-    def key(self):
-        return (1, self.tag, self.arg._key())
+    __hash__ = _Node.__hash__
+
+    def _order_key(self):
+        return (1, self.tag, self.arg.key())
 
 
-@dataclass(frozen=True)
-class Inv:
+@dataclass(frozen=True, slots=True)
+class Inv(_Node):
     """Opaque 1/arg for a multi-term denominator (arg scaled monic-first)."""
 
     arg: "Expr"
 
-    def key(self):
-        return (2, "inv", self.arg._key())
+    __hash__ = _Node.__hash__
+
+    def _order_key(self):
+        return (2, "inv", self.arg.key())
 
 
 Atom = Union[Sym, Fun, Inv]
@@ -82,11 +119,13 @@ Mono = tuple[tuple[Atom, int], ...]
 Term = tuple[Fraction, Mono]
 
 
-@dataclass(frozen=True)
-class Expr:
+@dataclass(frozen=True, slots=True)
+class Expr(_Node):
     terms: tuple[Term, ...] = ()
 
-    def _key(self):
+    __hash__ = _Node.__hash__
+
+    def _order_key(self):
         return tuple((_mono_key(m), (c.numerator, c.denominator)) for c, m in self.terms)
 
     def __str__(self) -> str:
@@ -195,8 +234,10 @@ def _mul2(a: Expr, b: Expr) -> Expr:
 
 
 def mul(*es: Expr) -> Expr:
-    out = ONE
-    for e in es:
+    if not es:
+        return ONE
+    out = _coerce(es[0])
+    for e in es[1:]:
         out = _mul2(out, _coerce(e))
     return out
 

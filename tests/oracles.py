@@ -7,7 +7,9 @@ the output coordinates and computes one row-major source offset per
 component, with no shared gather helper.  `apply_with_kinds_ref` lifts a
 function by nesting single-tensor maps, so it calls the function on the
 whole outer product of the lifted arguments and reduction then keeps the
-diagonal.
+diagonal.  `det_ref` and `hodge_ref` multiply out every product, zero
+factors included.  `order_key_ref` recomputes the canonical order key of an
+expression from scratch, with nothing memoised.
 """
 
 from __future__ import annotations
@@ -31,8 +33,20 @@ from tegi.errors import (
     ShapeMismatchError,
     TegiTypeError,
 )
-from tegi.forms import _perm_sign, det, levi_civita
-from tegi.symexpr import ZERO, Expr, abs_, add, as_symbol, differentiate, integer, mul, sqrt
+from tegi.forms import _perm_sign, levi_civita
+from tegi.symexpr import (
+    ZERO,
+    Expr,
+    Fun,
+    Sym,
+    abs_,
+    add,
+    as_symbol,
+    differentiate,
+    integer,
+    mul,
+    sqrt,
+)
 from tegi.tensor import (
     SUPERSUBSCRIPT,
     IndexMark,
@@ -131,6 +145,17 @@ def df_normalize_ref(v):
     return TensorValue(v.shape, tuple(comps), v.indices)
 
 
+def det_ref(m: TensorValue) -> Expr:
+    n = m.shape[0]
+    total = ZERO
+    for p in itertools.permutations(range(n)):
+        term = integer(_perm_sign(p))
+        for i in range(n):
+            term = mul(term, m.components[i * n + p[i]])
+        total = add(total, term)
+    return total
+
+
 def hodge_ref(a, g_lower: TensorValue, g_upper: TensorValue):
     n = g_lower.shape[0]
     if isinstance(a, Expr):
@@ -142,7 +167,7 @@ def hodge_ref(a, g_lower: TensorValue, g_upper: TensorValue):
         comps = a.components
     if k > n:
         raise FormDegreeError("form degree exceeds the metric dimension")
-    scale = sqrt(abs_(det(g_lower)))
+    scale = sqrt(abs_(det_ref(g_lower)))
     eps = levi_civita(n)
     eps_strides = _strides(eps.shape)
     src_strides = _strides(marked_shape + form_shape)
@@ -165,6 +190,26 @@ def hodge_ref(a, g_lower: TensorValue, g_upper: TensorValue):
     if not out_shape:
         return out[0]
     return TensorValue(out_shape, tuple(out), marks)
+
+
+# ---------------------------------------------------------------- symexpr
+
+
+def atom_key_ref(atom):
+    if isinstance(atom, Sym):
+        return (0, atom.name, atom.uid)
+    if isinstance(atom, Fun):
+        return (1, atom.tag, order_key_ref(atom.arg))
+    return (2, "inv", order_key_ref(atom.arg))
+
+
+def mono_key_ref(mono):
+    return tuple((atom_key_ref(a), p) for a, p in mono)
+
+
+def order_key_ref(e: Expr):
+    """Sort key of an expression: terms descend by it, atoms ascend by theirs."""
+    return tuple((mono_key_ref(m), (c.numerator, c.denominator)) for c, m in e.terms)
 
 
 # ---------------------------------------------------------------- tensor

@@ -57,6 +57,33 @@ class TestRun:
         assert r.returncode != 0
         assert r.stdout == "3\n"
 
+    def test_runtime_error_is_located(self, tmp_path):
+        f = tmp_path / "s.tegi"
+        f.write_text("(define $x 1)\n\n\n(/ 1 0)\n", encoding="utf-8")
+        r = tegi("run", str(f))
+        assert r.returncode == 1
+        assert r.stderr == "error: line 4, col 1: division by zero\n"
+
+    def test_innermost_application_locates_the_error(self, tmp_path):
+        f = tmp_path / "s.tegi"
+        f.write_text("(+ 1\n   (* 2 (/ 1 0)))\n", encoding="utf-8")
+        r = tegi("run", str(f))
+        assert r.returncode == 1
+        assert r.stderr == "error: line 2, col 9: division by zero\n"
+
+    def test_deep_recursion_is_a_located_error(self, tmp_path):
+        f = tmp_path / "s.tegi"
+        f.write_text(
+            "(define $f (lambda [$n] (if (less-than? n 1) 0 (+ 1 (f (- n 1))))))\n"
+            "(f 20)\n"
+            "(f 3000)\n",
+            encoding="utf-8",
+        )
+        r = tegi("run", str(f))
+        assert r.returncode == 1
+        assert r.stdout == "20\n"
+        assert r.stderr == "error: line 3, col 1: recursion too deep\n"
+
     def test_dump_desugared(self, tmp_path):
         f = tmp_path / "s.tegi"
         f.write_text("(define $T_i_j [|[|1 2|] [|3 4|]|])\nT_2_1\n", encoding="utf-8")

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from tegi import forms
 from tegi.errors import (
     DomainError,
     FormDegreeError,
@@ -12,6 +13,7 @@ from tegi.errors import (
     TegiTypeError,
 )
 from tegi.symexpr import (
+    ZERO,
     Sym,
     add,
     cos,
@@ -26,7 +28,7 @@ from tegi.symexpr import (
 from tegi.tensor import TensorValue, attach_indices, down, tensor, to_nested, up
 from tegi.forms import det, df_normalize, df_order, hodge, levi_civita
 
-from oracles import exterior_d, wedge
+from oracles import det_ref, exterior_d, hodge_ref, wedge
 
 I, J, K = Sym("i"), Sym("j"), Sym("k")
 R, TH, PH = symbol("r"), symbol("θ"), symbol("φ")
@@ -79,6 +81,24 @@ class TestLeviCivita:
             levi_civita(0)
 
 
+def record_mul(monkeypatch):
+    """Route forms.mul through a recorder; returns the list of factor tuples."""
+    calls = []
+    real = forms.mul
+
+    def recording(*factors):
+        calls.append(factors)
+        return real(*factors)
+
+    monkeypatch.setattr(forms, "mul", recording)
+    return calls
+
+
+def diagonal(entries):
+    n = len(entries)
+    return tensor([[entries[i] if i == j else integer(0) for j in range(n)] for i in range(n)])
+
+
 class TestDet:
     def test_2x2_symbolic(self):
         # [TRIVIAL] ad - bc
@@ -105,6 +125,14 @@ class TestDet:
         for _ in range(50):
             rows = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
             assert det(tensor(rows)) == integer(cofactor(rows))
+
+    def test_diagonal_4x4_never_multiplies_by_zero(self, monkeypatch):
+        # [DERIVED: Leibniz] only the identity permutation avoids a zero entry
+        m = diagonal([A_, B_, C_, D_])
+        calls = record_mul(monkeypatch)
+        got = det(m)
+        assert calls == [(integer(1), A_, B_, C_, D_)]
+        assert got == mul(A_, B_, C_, D_) == det_ref(m)
 
     def test_non_square(self):
         with pytest.raises(ShapeMismatchError):
@@ -281,6 +309,19 @@ class TestHodge:
         t = TensorValue((2, 2, 2), tuple(integer(v) for v in range(8)), ())
         with pytest.raises(FormDegreeError):
             hodge(t, DELTA, DELTA)
+
+    def test_diagonal_metric_never_multiplies_by_zero(self, monkeypatch):
+        # *A of a 1-form on diag(a^2, b^2, c^2): one product for det g, then
+        # for each of the 6 output slots with distinct indices one ε term and
+        # one sqrt|det g| scaling; the 3 repeated-index slots multiply nothing
+        sq = [int_pow(v, 2) for v in (A_, B_, C_)]
+        g, ginv = diagonal(sq), diagonal([integer(1) / s for s in sq])
+        form = tensor([R, TH, PH])
+        calls = record_mul(monkeypatch)
+        got = hodge(form, g, ginv)
+        assert not any(ZERO in factors for factors in calls)
+        assert len(calls) == 1 + 6 * 2
+        assert got == hodge_ref(form, g, ginv)
 
     def test_metric_scale(self):
         # [DERIVED by hand] *1 with g = diag(4, 4) is sqrt(16) ε = 4 ε

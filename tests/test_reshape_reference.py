@@ -6,13 +6,14 @@ gathered from the wrong offset changes the result.
 """
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tegi.errors import TegiError
-from tegi.forms import df_normalize, hodge
-from tegi.symexpr import Sym, integer, sub, symbol
+from tegi.forms import det, df_normalize, hodge
+from tegi.symexpr import ZERO, Sym, integer, sub, symbol
 from tegi.tensor import (
     SUBSCRIPT,
     SUPERSCRIPT,
@@ -30,6 +31,7 @@ from tegi.tensor import (
 from oracles import (
     attach_indices_ref,
     contract_ref,
+    det_ref,
     diag_ref,
     df_normalize_ref,
     hodge_ref,
@@ -144,31 +146,55 @@ def test_df_normalize_matches_loops(t):
     assert df_normalize(t) == df_normalize_ref(t)
 
 
+def with_zeros(draw, comps, pattern):
+    """Keep comps, or make some of them literal zeros: the diagonal of a
+    square matrix only, or a drawn subset."""
+    if pattern == "diagonal":
+        n = math.isqrt(len(comps))
+        return tuple(c if i // n == i % n else ZERO for i, c in enumerate(comps))
+    if pattern == "sparse":
+        keep = draw(st.lists(st.booleans(), min_size=len(comps), max_size=len(comps)))
+        return tuple(c if kp else ZERO for c, kp in zip(comps, keep))
+    return comps
+
+
+PATTERNS = st.sampled_from(["dense", "diagonal", "sparse"])
+
+
 @st.composite
 def hodge_cases(draw):
     """A k-form in n <= 3 dimensions with marked leading axes, and two metrics.
 
     The lower metric is diagonal and invertible, so the sqrt|det g| factor is
-    never zero.
+    never zero.  The inverse metric is dense, diagonal or sparse, and some
+    form components may be literal zeros, so the zero-skipping path runs.
     """
     n = draw(st.integers(1, 3))
     k = draw(st.integers(0, n))
     marked = tuple(draw(st.integers(1, 3)) for _ in range(draw(st.integers(0, min(2, 4 - k)))))
     shape = marked + (n,) * k
+    form_zeros = draw(st.sampled_from(["dense", "sparse"]))
     if shape:
         marks = tuple(IndexMark(SUBSCRIPT, Dummy(fresh_uid())) for _ in marked)
-        a = TensorValue(shape, symbolic(shape), marks)
+        a = TensorValue(shape, with_zeros(draw, symbolic(shape), form_zeros), marks)
     else:
-        a = symbol("c0")
+        a = with_zeros(draw, (symbol("c0"),), form_zeros)[0]
     diagonal = [draw(st.sampled_from([-2, -1, 1, 3])) for _ in range(n)]
     g_lower = TensorValue(
         (n, n), tuple(integer(diagonal[i] if i == j else 0) for i in range(n) for j in range(n))
     )
-    g_upper = TensorValue((n, n), symbolic((n, n), prefix="u"))
+    g_upper = TensorValue((n, n), with_zeros(draw, symbolic((n, n), prefix="u"), draw(PATTERNS)))
     return a, g_lower, g_upper
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(hodge_cases())
 def test_hodge_matches_loops(case):
     assert hodge(*case) == hodge_ref(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), PATTERNS, st.data())
+def test_det_matches_loops(n, pattern, data):
+    m = TensorValue((n, n), with_zeros(data.draw, symbolic((n, n), prefix="m"), pattern))
+    assert det(m) == det_ref(m)

@@ -6,6 +6,7 @@ Expected values tagged in comments:
   [TRIVIAL] immediate from the definition
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -13,8 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from tegi.errors import EvalError, TegiArithmeticError, TegiTypeError
 from tegi.symexpr import (
+    ONE,
+    Expr,
+    Fun,
+    Inv,
     abs_,
     add,
+    as_fraction,
     as_int,
     canonicalize,
     cos,
@@ -32,6 +38,8 @@ from tegi.symexpr import (
     sub,
     symbol,
 )
+
+from oracles import atom_key_ref, mono_key_ref, order_key_ref
 
 R = symbol("r")
 TH = symbol("θ")
@@ -311,3 +319,84 @@ def test_property_derivative_matches_finite_difference(e, pt):
 @given(exprs())
 def test_property_canonicalize_idempotent(e):
     assert canonicalize(e) == e
+
+
+# memoised hashes and order keys: nested atoms against the uncached key
+
+
+def nested_exprs(depth=3):
+    """Sums, products and quotients over x, y and rationals, with sin, cos,
+    sqrt, abs and multi-term inverse atoms nested up to `depth` deep."""
+    if depth == 0:
+        return st.one_of(
+            st.fractions(min_value=-3, max_value=3, max_denominator=4).map(
+                lambda f: rational(f.numerator, f.denominator)
+            ),
+            st.sampled_from([X, Y]),
+        )
+    inner = nested_exprs(depth - 1)
+    pairs = st.tuples(inner, inner)
+    return st.one_of(
+        inner,
+        pairs.map(lambda p: add(*p)),
+        pairs.map(lambda p: mul(*p)),
+        inner.map(sin),
+        inner.map(cos),
+        inner.map(abs_),
+        inner.filter(lambda e: (as_fraction(e) or 0) >= 0).map(sqrt),
+        pairs.filter(lambda p: add(Y, p[1]).terms).map(lambda p: div(p[0], add(Y, p[1]))),
+    )
+
+
+def nodes(e):
+    """e and every expression nested inside its atoms."""
+    yield e
+    for _, mono in e.terms:
+        for atom, _ in mono:
+            if isinstance(atom, (Fun, Inv)):
+                yield from nodes(atom.arg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nested_exprs(), nested_exprs())
+def test_cached_order_keys_match_the_uncached_key(a, b):
+    for e in (add(a, b), mul(a, b), sub(a, b)):
+        for node in nodes(e):
+            keys = [mono_key_ref(m) for _, m in node.terms]
+            assert keys == sorted(keys, reverse=True)
+            for _, mono in node.terms:
+                atom_keys = [atom_key_ref(atom) for atom, _ in mono]
+                assert atom_keys == sorted(atom_keys)
+            assert node.key() == order_key_ref(node)
+        assert canonicalize(e) == e
+
+
+@settings(max_examples=150, deadline=None)
+@given(nested_exprs(), nested_exprs(), nested_exprs())
+def test_equal_values_hash_alike_by_any_route(a, b, c):
+    routes = [
+        (add(a, b), add(b, a)),
+        (mul(a, mul(b, c)), mul(mul(a, b), c)),
+        (mul(c, a, b), mul(b, c, a)),
+        (sin(add(a, b)), sin(add(b, a))),
+        (mul(sin(add(a, b)), sin(add(b, a))), int_pow(sin(add(a, b)), 2)),
+    ]
+    for x, y in routes:
+        assert x == y and hash(x) == hash(y)
+        assert {x: "found"}[y] == "found"
+
+
+class TestMemoisedNodes:
+    def test_mul_identity(self):
+        e = add(mul(X, sin(Y)), rational(1, 3))
+        assert mul() == ONE
+        assert mul(e) == e
+
+    def test_memos_are_not_fields(self):
+        e = sqrt(add(X, div(1, add(X, Y))))
+        before = repr(e)
+        hash(e), e.key()
+        assert repr(e) == before
+        assert [f.name for f in dataclasses.fields(Expr)] == ["terms"]
+        assert [f.name for f in dataclasses.fields(Fun)] == ["tag", "arg"]
+        assert e == Expr(e.terms)
