@@ -9,8 +9,7 @@ the plain name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib import resources
+import os
 from typing import Callable, Optional
 
 from . import lang
@@ -31,6 +30,7 @@ from .errors import (
     UnboundVariableError,
 )
 from .forms import det, df_normalize, df_order, hodge, levi_civita
+from .record import Record
 from .symexpr import (
     Expr,
     Sym,
@@ -100,19 +100,33 @@ class Environment:
         self.bindings[key] = value
 
 
-@dataclass
-class Closure:
-    params: tuple[tuple[ParamKind, str], ...]
-    body: lang.Node
-    env: Environment
+class Closure(Record):
+    __slots__ = ("params", "body", "env")
+    __hash__ = None
+
+    def __init__(
+        self, params: tuple[tuple[ParamKind, str], ...], body: lang.Node, env: Environment
+    ):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "env", env)
 
 
-@dataclass
-class Builtin:
-    name: str
-    kinds: Optional[tuple[ParamKind, ...]]  # None means variadic scalar
-    fn: Callable
-    min_args: int = 1
+class Builtin(Record):
+    __slots__ = ("name", "kinds", "fn", "min_args")
+    __hash__ = None
+
+    def __init__(
+        self,
+        name: str,
+        kinds: Optional[tuple[ParamKind, ...]],  # None means variadic scalar
+        fn: Callable,
+        min_args: int = 1,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "min_args", min_args)
 
 
 def format_value(v) -> str:
@@ -147,8 +161,9 @@ _PRELUDE_CACHE: str | None = None
 def _prelude_source() -> str:
     global _PRELUDE_CACHE
     if _PRELUDE_CACHE is None:
-        path = resources.files("tegi").joinpath("prelude.tegi")
-        _PRELUDE_CACHE = path.read_text(encoding="utf-8")
+        path = os.path.join(os.path.dirname(__file__), "prelude.tegi")
+        with open(path, encoding="utf-8") as f:
+            _PRELUDE_CACHE = f.read()
     return _PRELUDE_CACHE
 
 

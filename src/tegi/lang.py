@@ -7,10 +7,10 @@ onto the expression before them, and parameter sigils (`$`, `%`, `*$`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import DesugarError, LexError, ParseError
+from .record import Record
 
 __all__ = [
     "Apply",
@@ -43,13 +43,17 @@ PUNCT = {"(", ")", "[", "]", "{", "}", "[|", "|]", "_", "~", "~_", "!", "$", "%"
 _DELIMS = set(" \t\r\n()[]{}|~_$%#!^;\"")
 
 
-@dataclass(frozen=True)
-class Token:
-    type: str  # one of PUNCT, or "int" | "sym" | "str" | "eof"
-    value: object
-    line: int
-    col: int
-    glued: bool  # no whitespace or comment separates this token from the last
+class Token(Record):
+    __slots__ = ("type", "value", "line", "col", "glued")
+
+    def __init__(self, type: str, value: object, line: int, col: int, glued: bool):
+        # type is one of PUNCT, or "int" | "sym" | "str" | "eof"
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "col", col)
+        # glued: no whitespace or comment separates this token from the last
+        object.__setattr__(self, "glued", glued)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -138,102 +142,148 @@ def tokenize(text: str) -> list[Token]:
 Label = Union[str, int]  # symbol name, 1-based component, or "#" for a dummy
 
 
-@dataclass(frozen=True)
-class MarkAst:
-    variance: int  # 1 superscript, -1 subscript, 0 supersubscript
-    label: Label | None  # None only in define signatures
+class MarkAst(Record):
+    __slots__ = ("variance", "label")
+
+    def __init__(self, variance: int, label: Label | None):
+        # variance is 1 superscript, -1 subscript, 0 supersubscript
+        object.__setattr__(self, "variance", variance)
+        object.__setattr__(self, "label", label)  # None only in define signatures
 
 
-def _loc_field():
-    return field(default=None, compare=False, repr=False)
+class IntLit(Record):
+    __slots__ = ("value", "loc")
+
+    def __init__(self, value: int, loc: tuple | None = None):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "loc", loc)
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
-    loc: tuple | None = _loc_field()
+class StrLit(Record):
+    __slots__ = ("value", "loc")
+
+    def __init__(self, value: str, loc: tuple | None = None):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "loc", loc)
 
 
-@dataclass(frozen=True)
-class StrLit:
-    value: str
-    loc: tuple | None = _loc_field()
+class SymbolRef(Record):
+    __slots__ = ("name", "loc")
+
+    def __init__(self, name: str, loc: tuple | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "loc", loc)
 
 
-@dataclass(frozen=True)
-class SymbolRef:
-    name: str
-    loc: tuple | None = _loc_field()
+class IndexedRef(Record):
+    __slots__ = ("base", "marks", "loc")
+
+    def __init__(
+        self,
+        base: Node,
+        marks: tuple[MarkAst, ...],
+        loc: tuple | None = None,
+    ):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "marks", marks)
+        object.__setattr__(self, "loc", loc)
 
 
-@dataclass(frozen=True)
-class IndexedRef:
-    base: "Node"
-    marks: tuple[MarkAst, ...]
-    loc: tuple | None = _loc_field()
+class TensorLit(Record):
+    __slots__ = ("elements", "loc")
+
+    def __init__(self, elements: tuple, loc: tuple | None = None):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "loc", loc)
 
 
-@dataclass(frozen=True)
-class TensorLit:
-    elements: tuple
-    loc: tuple | None = _loc_field()
+class Braces(Record):
+    __slots__ = ("items", "loc")
+
+    def __init__(self, items: tuple, loc: tuple | None = None):
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "loc", loc)
 
 
-@dataclass(frozen=True)
-class Braces:
-    items: tuple
-    loc: tuple | None = _loc_field()
+class Apply(Record):
+    __slots__ = ("fn", "args", "loc")
+
+    def __init__(self, fn: Node, args: tuple, loc: tuple | None = None):
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "loc", loc)
 
 
-@dataclass(frozen=True)
-class Apply:
-    fn: "Node"
-    args: tuple
-    loc: tuple | None = _loc_field()
+class BangApply(Record):
+    __slots__ = ("fn", "args", "loc")
+
+    def __init__(self, fn: Node, args: tuple, loc: tuple | None = None):
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "loc", loc)
 
 
-@dataclass(frozen=True)
-class BangApply:
-    fn: "Node"
-    args: tuple
-    loc: tuple | None = _loc_field()
+class Lambda(Record):
+    __slots__ = ("params", "body", "loc")
+
+    def __init__(
+        self,
+        params: tuple[tuple[str, str], ...],  # (sigil, name)
+        body: Node,
+        loc: tuple | None = None,
+    ):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "loc", loc)
 
 
-@dataclass(frozen=True)
-class Lambda:
-    params: tuple[tuple[str, str], ...]  # (sigil, name)
-    body: "Node"
-    loc: tuple | None = _loc_field()
+class Define(Record):
+    __slots__ = ("name", "signature", "body", "loc")
+
+    def __init__(
+        self,
+        name: str,
+        signature: tuple[MarkAst, ...],
+        body: Node,
+        loc: tuple | None = None,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "loc", loc)
 
 
-@dataclass(frozen=True)
-class Define:
-    name: str
-    signature: tuple[MarkAst, ...]
-    body: "Node"
-    loc: tuple | None = _loc_field()
+class WithSymbols(Record):
+    __slots__ = ("names", "body", "loc")
+
+    def __init__(self, names: tuple[str, ...], body: Node, loc: tuple | None = None):
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "loc", loc)
 
 
-@dataclass(frozen=True)
-class WithSymbols:
-    names: tuple[str, ...]
-    body: "Node"
-    loc: tuple | None = _loc_field()
+class Let(Record):
+    __slots__ = ("bindings", "body", "loc")
+
+    def __init__(
+        self,
+        bindings: tuple[tuple[str, Node], ...],
+        body: Node,
+        loc: tuple | None = None,
+    ):
+        object.__setattr__(self, "bindings", bindings)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "loc", loc)
 
 
-@dataclass(frozen=True)
-class Let:
-    bindings: tuple[tuple[str, "Node"], ...]
-    body: "Node"
-    loc: tuple | None = _loc_field()
+class If(Record):
+    __slots__ = ("cond", "then", "other", "loc")
 
-
-@dataclass(frozen=True)
-class If:
-    cond: "Node"
-    then: "Node"
-    other: "Node"
-    loc: tuple | None = _loc_field()
+    def __init__(self, cond: Node, then: Node, other: Node, loc: tuple | None = None):
+        object.__setattr__(self, "cond", cond)
+        object.__setattr__(self, "then", then)
+        object.__setattr__(self, "other", other)
+        object.__setattr__(self, "loc", loc)
 
 
 Node = Union[
@@ -436,11 +486,19 @@ class _Parser:
 
 
 def parse_program(text: str) -> list[Node]:
-    """Parse source text into a list of (desugared) top-level forms."""
+    """Parse source text into a list of (desugared) top-level forms.
+
+    A form nested too deeply for the Python stack is a ParseError located at
+    the start of that top-level form; the recursion limit is left alone.
+    """
     p = _Parser(tokenize(text))
     forms = []
     while p.peek().type != "eof":
-        forms.append(p.expression())
+        start = p.peek()
+        try:
+            forms.append(p.expression())
+        except RecursionError:
+            raise ParseError("nesting too deep", p.loc(start)) from None
     return forms
 
 

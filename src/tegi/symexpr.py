@@ -10,20 +10,20 @@ usable directly as expected values in tests.
 No trig identities or radical simplification are applied; only rational
 constants fold.
 
-Nodes (expressions and atoms) are immutable, so each computes its hash and
-its order key once, on first use, and keeps them.  The memoised values are
-not dataclass fields: equality, repr and the canonical term order are those
-of the structure alone.
+Nodes (expressions and atoms) are immutable records, so each computes its
+hash and its order key once, on first use, and keeps them.  The memoised
+values live in slots that are not record fields: equality, repr and the
+canonical term order are those of the structure alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import EvalError, TegiArithmeticError, TegiTypeError
+from .record import Record
 
 __all__ = [
     "Expr",
@@ -51,11 +51,10 @@ __all__ = [
 ]
 
 
-class _Node:
+class _Node(Record):
     """Hash and order key of an immutable node, each computed on first use.
 
-    Subclasses are frozen dataclasses and restate `__hash__ = _Node.__hash__`:
-    without that line the dataclass decorator generates its own, uncached hash.
+    The memo slots start with `_`, so they are not record fields.
     """
 
     __slots__ = ("_hash", "_order")
@@ -77,37 +76,37 @@ class _Node:
             return k
 
 
-@dataclass(frozen=True, slots=True)
 class Sym(_Node):
     """A named symbol; uid > 0 marks a generated (scope-fresh) symbol."""
 
-    name: str
-    uid: int = 0
+    __slots__ = ("name", "uid")
 
-    __hash__ = _Node.__hash__
+    def __init__(self, name: str, uid: int = 0):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "uid", uid)
 
     def _order_key(self):
         return (0, self.name, self.uid)
 
 
-@dataclass(frozen=True, slots=True)
 class Fun(_Node):
-    tag: str  # "sin" | "cos" | "sqrt" | "abs"
-    arg: "Expr"
+    __slots__ = ("tag", "arg")
 
-    __hash__ = _Node.__hash__
+    def __init__(self, tag: str, arg: Expr):
+        object.__setattr__(self, "tag", tag)  # "sin" | "cos" | "sqrt" | "abs"
+        object.__setattr__(self, "arg", arg)
 
     def _order_key(self):
         return (1, self.tag, self.arg.key())
 
 
-@dataclass(frozen=True, slots=True)
 class Inv(_Node):
     """Opaque 1/arg for a multi-term denominator (arg scaled monic-first)."""
 
-    arg: "Expr"
+    __slots__ = ("arg",)
 
-    __hash__ = _Node.__hash__
+    def __init__(self, arg: Expr):
+        object.__setattr__(self, "arg", arg)
 
     def _order_key(self):
         return (2, "inv", self.arg.key())
@@ -119,11 +118,11 @@ Mono = tuple[tuple[Atom, int], ...]
 Term = tuple[Fraction, Mono]
 
 
-@dataclass(frozen=True, slots=True)
 class Expr(_Node):
-    terms: tuple[Term, ...] = ()
+    __slots__ = ("terms",)
 
-    __hash__ = _Node.__hash__
+    def __init__(self, terms: tuple[Term, ...] = ()):
+        object.__setattr__(self, "terms", terms)
 
     def _order_key(self):
         return tuple((_mono_key(m), (c.numerator, c.denominator)) for c, m in self.terms)

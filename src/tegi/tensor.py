@@ -9,7 +9,6 @@ scalars), so everything here is plain Python data manipulation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Sequence, Union
 
@@ -19,6 +18,7 @@ from .errors import (
     IndexLabelError,
     ShapeMismatchError,
 )
+from .record import Record
 from .symexpr import Expr, Sym, as_int, integer
 
 __all__ = [
@@ -54,11 +54,17 @@ def fresh_uid() -> int:
     return next(_uid_counter)
 
 
-@dataclass(frozen=True)
-class Dummy:
-    """An anonymous index label; never equal to any label, itself included."""
+class Dummy(Record):
+    """An anonymous index label.
 
-    uid: int
+    Two dummies with the same uid are equal values, but `labels_equal` never
+    matches a dummy with any label, itself included.
+    """
+
+    __slots__ = ("uid",)
+
+    def __init__(self, uid: int):
+        object.__setattr__(self, "uid", uid)
 
 
 Label = Union[Sym, int, Dummy]
@@ -68,10 +74,13 @@ SUBSCRIPT = -1
 SUPERSUBSCRIPT = 0
 
 
-@dataclass(frozen=True)
-class IndexMark:
-    variance: int  # SUPERSCRIPT, SUBSCRIPT, or SUPERSUBSCRIPT
-    label: Label
+class IndexMark(Record):
+    __slots__ = ("variance", "label")
+
+    def __init__(self, variance: int, label: Label):
+        # SUPERSCRIPT, SUBSCRIPT, or SUPERSUBSCRIPT
+        object.__setattr__(self, "variance", variance)
+        object.__setattr__(self, "label", label)
 
 
 def up(label: Label) -> IndexMark:
@@ -92,13 +101,23 @@ def labels_equal(a: Label, b: Label) -> bool:
     return a == b
 
 
-@dataclass(frozen=True)
-class TensorValue:
-    shape: tuple[int, ...]
-    components: tuple  # row-major
-    indices: tuple[IndexMark, ...] = ()
+class TensorValue(Record):
+    __slots__ = ("shape", "components", "indices")
+
+    def __init__(
+        self, shape: tuple[int, ...], components: tuple, indices: tuple[IndexMark, ...] = ()
+    ):
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "components", components)  # row-major
+        object.__setattr__(self, "indices", indices)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Check the component count, then the number of marks.
+
+        A method of its own, called once per construction, so that
+        `bench/tracer.py` can count the components of every tensor built.
+        """
         size = 1
         for d in self.shape:
             size *= d

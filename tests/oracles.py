@@ -9,11 +9,13 @@ function by nesting single-tensor maps, so it calls the function on the
 whole outer product of the lifted arguments and reduction then keeps the
 diagonal.  `det_ref` and `hodge_ref` multiply out every product, zero
 factors included.  `order_key_ref` recomputes the canonical order key of an
-expression from scratch, with nothing memoised.
+expression from scratch, with nothing memoised.  `DATACLASS_TWINS` rebuilds
+every value class of the engine as the dataclass it used to be.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -361,3 +363,74 @@ def apply_with_kinds_ref(kernel, kinds, args):
         return tensor_map_ref(lambda c: rec(i + 1, bound + [c]), a)
 
     return rec(0, [])
+
+
+# ---------------------------------------------------------------- records
+
+_TWIN_FIELDS = {
+    # lang
+    "Token": "type value line col glued",
+    "MarkAst": "variance label",
+    "IntLit": "value loc",
+    "StrLit": "value loc",
+    "SymbolRef": "name loc",
+    "IndexedRef": "base marks loc",
+    "TensorLit": "elements loc",
+    "Braces": "items loc",
+    "Apply": "fn args loc",
+    "BangApply": "fn args loc",
+    "Lambda": "params body loc",
+    "Define": "name signature body loc",
+    "WithSymbols": "names body loc",
+    "Let": "bindings body loc",
+    "If": "cond then other loc",
+    # tensor
+    "Dummy": "uid",
+    "IndexMark": "variance label",
+    "TensorValue": "shape components indices",
+    # symexpr
+    "Sym": "name uid",
+    "Fun": "tag arg",
+    "Inv": "arg",
+    "Expr": "terms",
+    # evaluator
+    "Closure": "params body env",
+    "Builtin": "name kinds fn min_args",
+}
+_TWIN_DEFAULTS = {
+    ("Sym", "uid"): 0,
+    ("Expr", "terms"): (),
+    ("TensorValue", "indices"): (),
+    ("Builtin", "min_args"): 1,
+}
+_MUTABLE = {"Closure", "Builtin"}  # `@dataclass` with eq=True: no hash
+
+
+def _tensor_checks(self):
+    size = 1
+    for d in self.shape:
+        size *= d
+    if len(self.components) != size:
+        raise ShapeMismatchError(f"{len(self.components)} components for shape {self.shape}")
+    if len(self.indices) > len(self.shape):
+        raise IndexArityError("more index marks than axes")
+
+
+def _twin(name):
+    specs = []
+    for f in _TWIN_FIELDS[name].split():
+        if f == "loc":
+            specs.append((f, object, dataclasses.field(default=None, compare=False, repr=False)))
+        elif (name, f) in _TWIN_DEFAULTS:
+            specs.append((f, object, dataclasses.field(default=_TWIN_DEFAULTS[name, f])))
+        else:
+            specs.append((f, object))
+    namespace = {"__post_init__": _tensor_checks} if name == "TensorValue" else {}
+    return dataclasses.make_dataclass(
+        name, specs, frozen=name not in _MUTABLE, namespace=namespace
+    )
+
+
+# The symexpr twins hash their fields; the engine's nodes hash their order
+# key, so only "equal values hash alike" carries over to them.
+DATACLASS_TWINS = {name: _twin(name) for name in _TWIN_FIELDS}

@@ -84,6 +84,14 @@ class TestRun:
         assert r.stdout == "20\n"
         assert r.stderr == "error: line 3, col 1: recursion too deep\n"
 
+    def test_deep_nesting_is_a_located_parse_error(self, tmp_path):
+        f = tmp_path / "s.tegi"
+        f.write_text("(+ 1 2)\n" + "(+ 1 " * 1000 + "0" + ")" * 1000 + "\n", encoding="utf-8")
+        r = tegi("run", str(f))
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == "error: line 2, col 1: nesting too deep\n"
+
     def test_dump_desugared(self, tmp_path):
         f = tmp_path / "s.tegi"
         f.write_text("(define $T_i_j [|[|1 2|] [|3 4|]|])\nT_2_1\n", encoding="utf-8")

@@ -6,7 +6,6 @@ Expected values tagged in comments:
   [TRIVIAL] immediate from the definition
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -397,6 +396,6 @@ class TestMemoisedNodes:
         before = repr(e)
         hash(e), e.key()
         assert repr(e) == before
-        assert [f.name for f in dataclasses.fields(Expr)] == ["terms"]
-        assert [f.name for f in dataclasses.fields(Fun)] == ["tag", "arg"]
+        assert Expr._fields == ("terms",)
+        assert Fun._fields == ("tag", "arg")
         assert e == Expr(e.terms)
