@@ -17,7 +17,7 @@ marks afterwards, turning their axes back into trailing form axes.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import CompletionMismatchError
 from .symexpr import Sym

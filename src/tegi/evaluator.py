@@ -10,7 +10,7 @@ the plain name.
 from __future__ import annotations
 
 import os
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from . import lang
 from .application import (
@@ -119,7 +119,7 @@ class Builtin(Record):
     def __init__(
         self,
         name: str,
-        kinds: Optional[tuple[ParamKind, ...]],  # None means variadic scalar
+        kinds: tuple[ParamKind, ...] | None,  # None means variadic scalar
         fn: Callable,
         min_args: int = 1,
     ):
@@ -285,17 +285,22 @@ class Interpreter:
     # -- indexed references --------------------------------------------------
 
     def _indexed(self, node: lang.IndexedRef, env: Environment):
-        marks = [self._mark(m, env) for m in node.marks]
-        base = node.base
-        if isinstance(base, lang.SymbolRef):
-            value = self._lookup_indexed(base.name, [m.variance for m in node.marks], env)
-            if value is _MISSING:
-                raise UnboundVariableError(
-                    f"unbound indexed variable: {base.name}", base.loc
-                )
-        else:
-            value = self.eval(base, env)
-        return attach_indices(value, marks)
+        try:
+            marks = [self._mark(m, env) for m in node.marks]
+            base = node.base
+            if isinstance(base, lang.SymbolRef):
+                value = self._lookup_indexed(base.name, [m.variance for m in node.marks], env)
+                if value is _MISSING:
+                    raise UnboundVariableError(
+                        f"unbound indexed variable: {base.name}", base.loc
+                    )
+            else:
+                value = self.eval(base, env)
+            return attach_indices(value, marks)
+        except TegiError as exc:
+            if exc.location is None:  # as in `eval`: the innermost node wins
+                exc.location = node.loc
+            raise
 
     def _lookup_indexed(self, name: str, variances: list, env: Environment):
         frame = env

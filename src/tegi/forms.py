@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from .errors import (
     DomainError,
@@ -18,7 +17,7 @@ from .errors import (
     ShapeMismatchError,
     TegiTypeError,
 )
-from .symexpr import ZERO, Expr, abs_, add, integer, mul, sqrt
+from .symexpr import ZERO, Expr, abs_, add, integer, mul, rational, sqrt
 from .tensor import TensorValue, _strides, _view
 
 __all__ = [
@@ -89,7 +88,7 @@ def df_normalize(v):
     dims = set(v.shape[m:])
     if len(dims) != 1:
         raise ShapeMismatchError("alternation needs form axes of equal dimension")
-    scale = Fraction(1, math.factorial(k))
+    scale = rational(1, math.factorial(k))
     perms = list(itertools.permutations(range(k)))
     signs = [integer(_perm_sign(p)) for p in perms]
     # Output form axis p[q] reads source form axis q.

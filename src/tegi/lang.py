@@ -7,8 +7,6 @@ onto the expression before them, and parameter sigils (`$`, `%`, `*$`).
 
 from __future__ import annotations
 
-from typing import Union
-
 from .errors import DesugarError, LexError, ParseError
 from .record import Record
 
@@ -139,7 +137,7 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # abstract syntax
 
-Label = Union[str, int]  # symbol name, 1-based component, or "#" for a dummy
+Label = str | int  # symbol name, 1-based component, or "#" for a dummy
 
 
 class MarkAst(Record):
@@ -286,10 +284,10 @@ class If(Record):
         object.__setattr__(self, "loc", loc)
 
 
-Node = Union[
-    IntLit, StrLit, SymbolRef, IndexedRef, TensorLit, Braces,
-    Apply, BangApply, Lambda, Define, WithSymbols, Let, If,
-]
+Node = (
+    IntLit | StrLit | SymbolRef | IndexedRef | TensorLit | Braces
+    | Apply | BangApply | Lambda | Define | WithSymbols | Let | If
+)
 
 _MARK_TOKENS = {"_": -1, "~": 1, "~_": 0}
 _SIGILS = {"$", "%", "*$"}

@@ -4,8 +4,12 @@ An expression is kept in a canonical sum-of-products form: a sorted tuple of
 terms, each a rational coefficient times a monomial over atoms.  Atoms are
 plain symbols, the function applications sin/cos/sqrt/abs, and an opaque
 inverse atom for denominators that cannot be folded into negative powers.
-Equality of canonical forms is structural equality, which makes expressions
-usable directly as expected values in tests.
+A coefficient is an `int` when it is integral, and a `Fraction` only when
+its denominator is greater than 1, so the common integer case never pays
+for `Fraction` arithmetic.  An `int` and the equal `Fraction` compare and
+hash alike, so equality, hashes and term order do not depend on which one
+is stored.  Equality of canonical forms is structural equality, which
+makes expressions usable directly as expected values in tests.
 
 No trig identities or radical simplification are applied; only rational
 constants fold.
@@ -19,8 +23,8 @@ canonical term order are those of the structure alone.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping, Union
 
 from .errors import EvalError, TegiArithmeticError, TegiTypeError
 from .record import Record
@@ -112,10 +116,11 @@ class Inv(_Node):
         return (2, "inv", self.arg.key())
 
 
-Atom = Union[Sym, Fun, Inv]
+Atom = Sym | Fun | Inv
 # a monomial maps atoms to nonzero integer powers, stored sorted by atom key
 Mono = tuple[tuple[Atom, int], ...]
-Term = tuple[Fraction, Mono]
+Coeff = int | Fraction  # an int when integral, else a Fraction
+Term = tuple[Coeff, Mono]
 
 
 class Expr(_Node):
@@ -160,7 +165,12 @@ class Expr(_Node):
 
 
 ZERO = Expr(())
-ONE = Expr(((Fraction(1), ()),))
+ONE = Expr(((1, ()),))
+
+
+def _norm(c: Coeff) -> Coeff:
+    """The stored form of a coefficient: an int unless its denominator is > 1."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
 def _coerce(v) -> Expr:
@@ -169,7 +179,7 @@ def _coerce(v) -> Expr:
     if isinstance(v, int) and not isinstance(v, bool):
         return integer(v)
     if isinstance(v, Fraction):
-        return Expr(((v, ()),)) if v else ZERO
+        return Expr(((_norm(v), ()),)) if v else ZERO
     raise TegiTypeError(f"not a scalar: {v!r}")
 
 
@@ -177,30 +187,31 @@ def _mono_key(mono: Mono):
     return tuple((a.key(), p) for a, p in mono)
 
 
-def _mk(termmap: dict[Mono, Fraction]) -> Expr:
-    terms = [(c, m) for m, c in termmap.items() if c != 0]
-    terms.sort(key=lambda t: _mono_key(t[1]), reverse=True)
+def _mk(termmap: dict[Mono, Coeff]) -> Expr:
+    terms = [(_norm(c), m) for m, c in termmap.items() if c]
+    if len(terms) > 1:
+        terms.sort(key=lambda t: _mono_key(t[1]), reverse=True)
     return Expr(tuple(terms))
 
 
 def integer(n: int) -> Expr:
-    return Expr(((Fraction(n), ()),)) if n else ZERO
+    return Expr(((n, ()),)) if n else ZERO
 
 
 def rational(p: int, q: int) -> Expr:
     c = Fraction(p, q)
-    return Expr(((c, ()),)) if c else ZERO
+    return Expr(((_norm(c), ()),)) if c else ZERO
 
 
 def symbol(name: str, uid: int = 0) -> Expr:
-    return Expr(((Fraction(1), ((Sym(name, uid), 1),)),))
+    return Expr(((1, ((Sym(name, uid), 1),)),))
 
 
 def add(*es: Expr) -> Expr:
-    termmap: dict[Mono, Fraction] = {}
+    termmap: dict[Mono, Coeff] = {}
     for e in es:
         for c, m in _coerce(e).terms:
-            termmap[m] = termmap.get(m, Fraction(0)) + c
+            termmap[m] = termmap.get(m, 0) + c
     return _mk(termmap)
 
 
@@ -223,12 +234,23 @@ def _mul_monos(m1: Mono, m2: Mono) -> Mono:
     return tuple(sorted(powers.items(), key=lambda ap: ap[0].key()))
 
 
+def _scale(c: Coeff, e: Expr) -> Expr:
+    """c * e for a nonzero constant c: same monomials, same term order."""
+    if c == 1:
+        return e
+    return Expr(tuple((_norm(c * c1), m) for c1, m in e.terms))
+
+
 def _mul2(a: Expr, b: Expr) -> Expr:
-    termmap: dict[Mono, Fraction] = {}
+    if len(b.terms) == 1 and not b.terms[0][1]:
+        return _scale(b.terms[0][0], a)
+    if len(a.terms) == 1 and not a.terms[0][1]:
+        return _scale(a.terms[0][0], b)
+    termmap: dict[Mono, Coeff] = {}
     for c1, m1 in a.terms:
         for c2, m2 in b.terms:
             m = _mul_monos(m1, m2)
-            termmap[m] = termmap.get(m, Fraction(0)) + c1 * c2
+            termmap[m] = termmap.get(m, 0) + c1 * c2
     return _mk(termmap)
 
 
@@ -241,7 +263,7 @@ def mul(*es: Expr) -> Expr:
     return out
 
 
-def _term_expr(c: Fraction, mono: Mono) -> Expr:
+def _term_expr(c: Coeff, mono: Mono) -> Expr:
     """Rebuild a term, expanding any inverse atom raised to a negative power."""
     plain = []
     expand = ONE
@@ -258,13 +280,13 @@ def div(a: Expr, b: Expr) -> Expr:
     a, b = _coerce(a), _coerce(b)
     if not b.terms:
         raise TegiArithmeticError("division by zero")
+    lead, mono = b.terms[0]
+    recip = _norm(Fraction(1, lead))  # 1 / lead would be a float for an int
     if len(b.terms) == 1:
-        c, mono = b.terms[0]
         inv_mono = tuple((atom, -p) for atom, p in mono)
-        return _mul2(a, _term_expr(1 / c, inv_mono))
-    lead = b.terms[0][0]
-    monic = _mul2(Expr(((1 / lead, ()),)), b)
-    inv = Expr(((1 / lead, ((Inv(monic), 1),)),))
+        return _mul2(a, _term_expr(recip, inv_mono))
+    monic = _mul2(Expr(((recip, ()),)), b)
+    inv = Expr(((recip, ((Inv(monic), 1),)),))
     return _mul2(a, inv)
 
 
@@ -287,7 +309,7 @@ def as_fraction(e: Expr) -> Fraction | None:
     if not e.terms:
         return Fraction(0)
     if len(e.terms) == 1 and e.terms[0][1] == ():
-        return e.terms[0][0]
+        return Fraction(e.terms[0][0])
     return None
 
 
@@ -316,7 +338,7 @@ def as_symbol(e: Expr) -> Sym | None:
 
 
 def _fun(tag: str, e: Expr) -> Expr:
-    return Expr(((Fraction(1), ((Fun(tag, e), 1),)),))
+    return Expr(((1, ((Fun(tag, e), 1),)),))
 
 
 def sin(e: Expr) -> Expr:
@@ -341,7 +363,7 @@ def sqrt(e: Expr) -> Expr:
             raise TegiArithmeticError("sqrt of a negative constant")
         pn, qd = math.isqrt(c.numerator), math.isqrt(c.denominator)
         if pn * pn == c.numerator and qd * qd == c.denominator:
-            return Expr(((Fraction(pn, qd), ()),)) if pn else ZERO
+            return Expr(((_norm(Fraction(pn, qd)), ()),)) if pn else ZERO
     return _fun("sqrt", e)
 
 
@@ -349,7 +371,7 @@ def abs_(e: Expr) -> Expr:
     e = _coerce(e)
     c = as_fraction(e)
     if c is not None:
-        return Expr(((abs(c), ()),)) if c else ZERO
+        return Expr(((_norm(abs(c)), ()),)) if c else ZERO
     return _fun("abs", e)
 
 
@@ -381,7 +403,7 @@ def _d_atom(atom: Atom, s: Sym) -> Expr:
         return ONE if atom == s else ZERO
     if isinstance(atom, Inv):
         inner = differentiate(atom.arg, symbol(s.name, s.uid))
-        self_expr = Expr(((Fraction(1), ((atom, 1),)),))
+        self_expr = Expr(((1, ((atom, 1),)),))
         return mul(integer(-1), int_pow(self_expr, 2), inner)
     inner = differentiate(atom.arg, symbol(s.name, s.uid))
     if atom.tag == "sin":
@@ -389,7 +411,7 @@ def _d_atom(atom: Atom, s: Sym) -> Expr:
     if atom.tag == "cos":
         return mul(integer(-1), sin(atom.arg), inner)
     if atom.tag == "sqrt":
-        self_expr = Expr(((Fraction(1), ((atom, 1),)),))
+        self_expr = Expr(((1, ((atom, 1),)),))
         return mul(rational(1, 2), int_pow(self_expr, -1), inner)
     raise TegiTypeError("cannot differentiate abs")
 
@@ -405,7 +427,7 @@ def differentiate(e: Expr, by: Expr) -> Expr:
             da = _d_atom(atom, s)
             if not da.terms:
                 continue
-            rest = Expr(((c * p, tuple(ap for j, ap in enumerate(mono) if j != i)),))
+            rest = Expr(((_norm(c * p), tuple(ap for j, ap in enumerate(mono) if j != i)),))
             acc = add(acc, mul(rest, int_pow(_atom_as_expr(atom), p - 1), da))
     return acc
 
@@ -433,16 +455,23 @@ def _atom_value(atom: Atom, env: Mapping[str, float]) -> float:
 
 
 def evaluate_at(e: Expr, env: Mapping[str, float]) -> float:
-    """Numeric value of e with symbols bound by name."""
+    """Numeric value of e with symbols bound by name.
+
+    A coefficient or a power beyond the float range raises a
+    `TegiArithmeticError`, not Python's `OverflowError`.
+    """
     total = 0.0
-    for c, mono in _coerce(e).terms:
-        val = float(c)
-        for atom, p in mono:
-            base = _atom_value(atom, env)
-            if base == 0.0 and p < 0:
-                raise TegiArithmeticError("division by zero")
-            val *= base**p
-        total += val
+    try:
+        for c, mono in _coerce(e).terms:
+            val = float(c)
+            for atom, p in mono:
+                base = _atom_value(atom, env)
+                if base == 0.0 and p < 0:
+                    raise TegiArithmeticError("division by zero")
+                val *= base**p
+            total += val
+    except OverflowError:
+        raise TegiArithmeticError("numeric overflow") from None
     return total
 
 
@@ -470,7 +499,7 @@ def _atom_str(atom: Atom) -> str:
     return format_expr(atom.arg)
 
 
-def _term_str(c: Fraction, mono: Mono) -> str:
+def _term_str(c: Coeff, mono: Mono) -> str:
     num, den = [], []
     for atom, p in mono:
         if isinstance(atom, Inv):

@@ -9,8 +9,8 @@ scalars), so everything here is plain Python data manipulation.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Sequence
 from functools import reduce
-from typing import Callable, Sequence, Union
 
 from .errors import (
     IndexArityError,
@@ -67,7 +67,7 @@ class Dummy(Record):
         object.__setattr__(self, "uid", uid)
 
 
-Label = Union[Sym, int, Dummy]
+Label = Sym | int | Dummy
 
 SUPERSCRIPT = 1
 SUBSCRIPT = -1

@@ -9,7 +9,10 @@ function by nesting single-tensor maps, so it calls the function on the
 whole outer product of the lifted arguments and reduction then keeps the
 diagonal.  `det_ref` and `hodge_ref` multiply out every product, zero
 factors included.  `order_key_ref` recomputes the canonical order key of an
-expression from scratch, with nothing memoised.  `DATACLASS_TWINS` rebuilds
+expression from scratch, with nothing memoised.  `add_ref`, `mul_ref`,
+`div_ref` and `int_pow_ref` are the scalar kernel as it was with every
+coefficient a `Fraction`: no integer fast path and no constant-factor
+shortcut.  `DATACLASS_TWINS` rebuilds
 every value class of the engine as the dataclass it used to be.
 """
 
@@ -33,6 +36,7 @@ from tegi.errors import (
     IndexBoundsError,
     IndexLabelError,
     ShapeMismatchError,
+    TegiArithmeticError,
     TegiTypeError,
 )
 from tegi.forms import _perm_sign, levi_civita
@@ -40,6 +44,7 @@ from tegi.symexpr import (
     ZERO,
     Expr,
     Fun,
+    Inv,
     Sym,
     abs_,
     add,
@@ -212,6 +217,91 @@ def mono_key_ref(mono):
 def order_key_ref(e: Expr):
     """Sort key of an expression: terms descend by it, atoms ascend by theirs."""
     return tuple((mono_key_ref(m), (c.numerator, c.denominator)) for c, m in e.terms)
+
+
+ONE_REF = Expr(((Fraction(1), ()),))
+
+
+def _mk_ref(termmap):
+    terms = [(c, m) for m, c in termmap.items() if c != 0]
+    terms.sort(key=lambda t: mono_key_ref(t[1]), reverse=True)
+    return Expr(tuple(terms))
+
+
+def _mul_monos_ref(m1, m2):
+    powers = dict(m1)
+    for a, p in m2:
+        q = powers.get(a, 0) + p
+        if q:
+            powers[a] = q
+        elif a in powers:
+            del powers[a]
+    return tuple(sorted(powers.items(), key=lambda ap: atom_key_ref(ap[0])))
+
+
+def add_ref(*es: Expr) -> Expr:
+    termmap = {}
+    for e in es:
+        for c, m in e.terms:
+            termmap[m] = termmap.get(m, Fraction(0)) + c
+    return _mk_ref(termmap)
+
+
+def _mul2_ref(a: Expr, b: Expr) -> Expr:
+    termmap = {}
+    for c1, m1 in a.terms:
+        for c2, m2 in b.terms:
+            m = _mul_monos_ref(m1, m2)
+            termmap[m] = termmap.get(m, Fraction(0)) + c1 * c2
+    return _mk_ref(termmap)
+
+
+def mul_ref(*es: Expr) -> Expr:
+    if not es:
+        return ONE_REF
+    out = es[0]
+    for e in es[1:]:
+        out = _mul2_ref(out, e)
+    return out
+
+
+def _term_expr_ref(c: Fraction, mono) -> Expr:
+    plain = []
+    expand = ONE_REF
+    for a, p in mono:
+        if isinstance(a, Inv) and p < 0:
+            expand = mul_ref(expand, int_pow_ref(a.arg, -p))
+        else:
+            plain.append((a, p))
+    base = Expr(((c, tuple(plain)),))
+    return _mul2_ref(base, expand) if expand != ONE_REF else base
+
+
+def div_ref(a: Expr, b: Expr) -> Expr:
+    if not b.terms:
+        raise TegiArithmeticError("division by zero")
+    if len(b.terms) == 1:
+        c, mono = b.terms[0]
+        inv_mono = tuple((atom, -p) for atom, p in mono)
+        return _mul2_ref(a, _term_expr_ref(1 / Fraction(c), inv_mono))
+    lead = Fraction(b.terms[0][0])
+    monic = _mul2_ref(Expr(((1 / lead, ()),)), b)
+    inv = Expr(((1 / lead, ((Inv(monic), 1),)),))
+    return _mul2_ref(a, inv)
+
+
+def int_pow_ref(e: Expr, n: int) -> Expr:
+    if n == 0:
+        return ONE_REF
+    if n < 0:
+        return div_ref(ONE_REF, int_pow_ref(e, -n))
+    out, base = ONE_REF, e
+    while n:
+        if n & 1:
+            out = _mul2_ref(out, base)
+        base_next = _mul2_ref(base, base) if n > 1 else base
+        base, n = base_next, n >> 1
+    return out
 
 
 # ---------------------------------------------------------------- tensor

@@ -71,6 +71,23 @@ class TestRun:
         assert r.returncode == 1
         assert r.stderr == "error: line 2, col 9: division by zero\n"
 
+    def test_bare_indexed_reference_locates_the_error(self, tmp_path):
+        # the location is the first index mark of the reference
+        for line, col in [
+            ("A_3", 2),
+            ("(define $B A_3)", 13),
+            ("[|A_3 1|]", 4),
+            ("(let {[$y A_3]} y)", 12),
+            ("(+ A_3 1)", 5),
+        ]:
+            f = tmp_path / "s.tegi"
+            f.write_text(f"(define $A [|1 2|])\n{line}\n", encoding="utf-8")
+            r = tegi("run", str(f))
+            assert r.returncode == 1
+            assert r.stderr == (
+                f"error: line 2, col {col}: index 3 out of bounds for axis of dimension 2\n"
+            )
+
     def test_deep_recursion_is_a_located_error(self, tmp_path):
         f = tmp_path / "s.tegi"
         f.write_text(
@@ -123,6 +140,22 @@ class TestRun:
         r = tegi("run", "--bind", "r=3", str(f))
         assert r.returncode == 0
         assert r.stdout == "[|#t #f|]~i\n"
+
+    def test_bind_power_overflow_is_an_error(self, tmp_path):
+        f = tmp_path / "s.tegi"
+        f.write_text("x^2\n", encoding="utf-8")
+        r = tegi("run", "--bind", "x=1e200", str(f))
+        assert r.returncode == 1
+        assert r.stderr == "error: numeric overflow\n"
+        assert "Traceback" not in r.stderr
+
+    def test_bind_coefficient_overflow_is_an_error(self, tmp_path):
+        f = tmp_path / "s.tegi"
+        f.write_text("(* 10^400 x)\n", encoding="utf-8")
+        r = tegi("run", "--bind", "x=1", str(f))
+        assert r.returncode == 1
+        assert r.stderr == "error: numeric overflow\n"
+        assert "Traceback" not in r.stderr
 
     def test_bind_rejects_garbage(self, tmp_path):
         f = tmp_path / "s.tegi"

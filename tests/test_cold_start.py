@@ -23,4 +23,4 @@ def test_interpreter_loads_no_heavy_standard_modules():
     )
     loaded = set(r.stdout.split())
     assert "tegi.evaluator" in loaded
-    assert loaded.isdisjoint({"dataclasses", "inspect", "importlib.resources"})
+    assert loaded.isdisjoint({"dataclasses", "inspect", "importlib.resources", "typing"})

@@ -7,6 +7,7 @@ Expected values tagged in comments:
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from tegi.symexpr import (
     differentiate,
     div,
     evaluate_at,
+    format_expr,
     int_pow,
     integer,
     is_constant,
@@ -38,7 +40,15 @@ from tegi.symexpr import (
     symbol,
 )
 
-from oracles import atom_key_ref, mono_key_ref, order_key_ref
+from oracles import (
+    add_ref,
+    atom_key_ref,
+    div_ref,
+    int_pow_ref,
+    mono_key_ref,
+    mul_ref,
+    order_key_ref,
+)
 
 R = symbol("r")
 TH = symbol("θ")
@@ -383,6 +393,96 @@ def test_equal_values_hash_alike_by_any_route(a, b, c):
     for x, y in routes:
         assert x == y and hash(x) == hash(y)
         assert {x: "found"}[y] == "found"
+
+
+# integer coefficients: the kernel against its all-Fraction reference
+
+
+def coefficients_are_stored_exactly(e):
+    """Every coefficient, at every nesting level, is an int (not a bool) or a
+    Fraction whose denominator is greater than 1."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator > 1)
+        for node in nodes(e)
+        for c, _ in node.terms
+    )
+
+
+def assert_same_value(x, y):
+    assert x == y
+    assert hash(x) == hash(y)
+    assert x.key() == y.key() == order_key_ref(y)
+    assert format_expr(x) == format_expr(y)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except TegiArithmeticError as exc:
+        return exc
+
+
+@settings(max_examples=200, deadline=None)
+@given(nested_exprs(), nested_exprs(), nested_exprs(), st.integers(min_value=-2, max_value=3))
+def test_kernel_matches_the_fraction_reference(a, b, c, n):
+    minus_one = integer(-1)
+    pairs = [
+        (add(a, b), add_ref(a, b)),
+        (add(a, b, c), add_ref(a, b, c)),
+        (mul(a, b), mul_ref(a, b)),
+        (mul(a, b, c), mul_ref(a, b, c)),
+        (neg(a), mul_ref(minus_one, a)),
+        (sub(a, b), add_ref(a, mul_ref(minus_one, b))),
+        (mul(rational(3, 2), a), mul_ref(rational(3, 2), a)),
+        (outcome(div, a, b), outcome(div_ref, a, b)),
+        (outcome(int_pow, a, n), outcome(int_pow_ref, a, n)),
+    ]
+    for e in (a, b, c):
+        assert coefficients_are_stored_exactly(e)
+    for got, want in pairs:
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            continue
+        assert_same_value(got, want)
+        assert coefficients_are_stored_exactly(got)
+
+
+class TestIntegerCoefficients:
+    def test_integral_values_are_stored_as_ints(self):
+        half = rational(1, 2)
+        cases = [
+            rational(4, 2),
+            add(half, half),
+            mul(rational(2, 3), rational(3, 2), X),
+            div(X, half),
+            div(add(mul(rational(1, 2), X), Y), add(mul(rational(1, 2), X), Y)),
+            sqrt(rational(9, 4)),
+            sqrt(rational(16, 4)),
+            abs_(rational(-4, 2)),
+            differentiate(mul(half, int_pow(X, 2)), X),
+            X + Fraction(6, 3),
+            mul(Fraction(6, 3)),
+            div(1, add(X, Y)),
+            ONE,
+            symbol("x"),
+            sin(X),
+        ]
+        for e in cases:
+            assert coefficients_are_stored_exactly(e), repr(e)
+        assert rational(4, 2).terms == ((2, ()),)
+        assert type(sqrt(rational(9, 4)).terms[0][0]) is Fraction
+
+    def test_as_fraction_still_gives_a_fraction(self):
+        assert type(as_fraction(integer(3))) is Fraction
+        assert as_fraction(rational(1, 2)) == Fraction(1, 2)
+        assert type(as_fraction(add(X, neg(X)))) is Fraction
+
+    def test_constant_factor_keeps_term_order(self):
+        e = add(X, mul(rational(1, 3), Y), sin(X), 5)
+        for k in (integer(-1), integer(2), rational(-3, 2)):
+            assert [m for _, m in mul(k, e).terms] == [m for _, m in e.terms]
+            assert mul(k, e) == mul_ref(k, e)
+        assert mul(ONE, e) is e
 
 
 class TestMemoisedNodes:
