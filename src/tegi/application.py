@@ -37,7 +37,6 @@ __all__ = [
     "ParamKind",
     "SCALAR",
     "TENSOR",
-    "apply_scalar",
     "apply_with_kinds",
     "complete_omitted_indices",
     "fresh_symbol",
@@ -78,10 +77,6 @@ def apply_with_kinds(kernel: Callable, kinds: Sequence[ParamKind], args: Sequenc
         return kernel(*bound)
 
     return tensor_map(at, *(args[p] for p in spots))
-
-
-def apply_scalar(kernel: Callable, args: Sequence):
-    return apply_with_kinds(kernel, [SCALAR] * len(args), args)
 
 
 def complete_omitted_indices(args: Sequence, mode: str):

@@ -8,14 +8,14 @@ prints identically in both.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from . import __version__, lang
 from .errors import LexError, TegiError
 from .evaluator import Interpreter, format_value
-from .symexpr import Expr, evaluate_at
-from .tensor import TensorValue, format_tensor
+from .symexpr import evaluate_at
 
 PROMPT = "tegi> "
 
@@ -33,24 +33,9 @@ def _force_utf8() -> None:
 # ---------------------------------------------------------------- rendering
 
 
-def _num_str(x: float, precision: int) -> str:
-    return f"{x:.{precision}g}"
-
-
-def _render_numeric(v, binds: dict, precision: int) -> str:
-    if isinstance(v, Expr):
-        return _num_str(evaluate_at(v, binds), precision)
-    if isinstance(v, TensorValue):
-        return format_tensor(v, fmt=lambda e: _render_numeric(e, binds, precision))
-    if isinstance(v, tuple):
-        return "{" + " ".join(_render_numeric(x, binds, precision) for x in v) + "}"
-    return format_value(v)
-
-
-def _render(v, binds: dict | None, precision: int) -> str:
-    if binds is None:
-        return format_value(v)
-    return _render_numeric(v, binds, precision)
+def _numeric(binds: dict, precision: int):
+    """A scalar printer: the value at the bound symbols, to `precision` digits."""
+    return lambda e: f"{evaluate_at(e, binds):.{precision}g}"
 
 
 def _parse_bindings(pairs: list[str], parser: argparse.ArgumentParser) -> dict | None:
@@ -62,19 +47,22 @@ def _parse_bindings(pairs: list[str], parser: argparse.ArgumentParser) -> dict |
         if not sep or not name:
             parser.error(f"--bind expects SYM=VALUE, got {pair!r}")
         try:
-            binds[name] = float(value)
+            x = float(value)
         except ValueError:
             parser.error(f"--bind {pair!r}: {value!r} is not a number")
+        if not math.isfinite(x):
+            parser.error(f"--bind {pair!r}: {value!r} is not a finite number")
+        binds[name] = x
     return binds
 
 
 # ---------------------------------------------------------------- run mode
 
 
-def _eval_and_print(interp: Interpreter, text: str, binds, precision: int) -> None:
+def _eval_and_print(interp: Interpreter, text: str, scalar=None) -> None:
     """Evaluate top-level forms eagerly, printing each non-define value."""
     for value in interp.iter_source(text):
-        print(_render(value, binds, precision))
+        print(format_value(value, scalar))
 
 
 def run_script(path: str, dump: bool, binds, precision: int) -> int:
@@ -88,7 +76,8 @@ def run_script(path: str, dump: bool, binds, precision: int) -> int:
             for node in lang.parse_program(text):
                 print(lang.unparse(node))
             return 0
-        _eval_and_print(Interpreter(), text, binds, precision)
+        scalar = None if binds is None else _numeric(binds, precision)
+        _eval_and_print(Interpreter(), text, scalar)
     except TegiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -149,7 +138,7 @@ def repl() -> int:
                 path = rest.strip()
                 try:
                     text = Path(path).read_text(encoding="utf-8")
-                    _eval_and_print(interp, text, None, 12)
+                    _eval_and_print(interp, text)
                 except (OSError, TegiError) as exc:
                     print(f"error: {exc}", file=sys.stderr)
             else:
@@ -159,7 +148,7 @@ def repl() -> int:
         if not buffer.strip() or _incomplete(buffer):
             continue
         try:
-            _eval_and_print(interp, buffer, None, 12)
+            _eval_and_print(interp, buffer)
         except TegiError as exc:
             print(f"error: {exc}", file=sys.stderr)
         buffer = ""

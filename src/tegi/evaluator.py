@@ -101,47 +101,33 @@ class Environment:
 
 
 class Closure(Record):
-    __slots__ = ("params", "body", "env")
+    __slots__ = ("params", "body", "env")  # params: tuple of (ParamKind, name)
     __hash__ = None
-
-    def __init__(
-        self, params: tuple[tuple[ParamKind, str], ...], body: lang.Node, env: Environment
-    ):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "env", env)
 
 
 class Builtin(Record):
-    __slots__ = ("name", "kinds", "fn", "min_args")
+    __slots__ = ("name", "kinds", "fn", "min_args")  # kinds None means variadic scalar
     __hash__ = None
-
-    def __init__(
-        self,
-        name: str,
-        kinds: tuple[ParamKind, ...] | None,  # None means variadic scalar
-        fn: Callable,
-        min_args: int = 1,
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "kinds", kinds)
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "min_args", min_args)
+    _defaults = {"min_args": 1}
 
 
-def format_value(v) -> str:
-    """Canonical printed form of any runtime value."""
+def format_value(v, scalar: Callable[[Expr], str] | None = None) -> str:
+    """Canonical printed form of any runtime value.
+
+    `scalar` prints each scalar, inside tensors and `{…}` tuples too; the
+    default is `format_expr`, looked up at each call.
+    """
     if isinstance(v, bool):
         return "#t" if v else "#f"
     if isinstance(v, Expr):
-        return format_expr(v)
+        return format_expr(v) if scalar is None else scalar(v)
     if isinstance(v, TensorValue):
-        return format_tensor(v, format_value)
+        return format_tensor(v, lambda c: format_value(c, scalar))
     if isinstance(v, str):
         escaped = v.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
     if isinstance(v, tuple):
-        return "{" + " ".join(format_value(x) for x in v) + "}"
+        return "{" + " ".join(format_value(x, scalar) for x in v) + "}"
     if isinstance(v, Builtin):
         return f"#<function {v.name}>"
     if isinstance(v, Closure):
@@ -168,12 +154,11 @@ def _prelude_source() -> str:
 
 
 class Interpreter:
-    def __init__(self, prelude: bool = True):
+    def __init__(self):
         self.global_env = Environment()
         for b in self._builtins():
             self.global_env.define(b.name, b)
-        if prelude:
-            self.eval_source(_prelude_source())
+        self.eval_source(_prelude_source())
 
     # -- entry points --------------------------------------------------------
 

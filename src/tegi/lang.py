@@ -42,16 +42,13 @@ _DELIMS = set(" \t\r\n()[]{}|~_$%#!^;\"")
 
 
 class Token(Record):
-    __slots__ = ("type", "value", "line", "col", "glued")
+    """A lexeme and the position where it starts.
 
-    def __init__(self, type: str, value: object, line: int, col: int, glued: bool):
-        # type is one of PUNCT, or "int" | "sym" | "str" | "eof"
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "col", col)
-        # glued: no whitespace or comment separates this token from the last
-        object.__setattr__(self, "glued", glued)
+    `type` is one of PUNCT, or "int" | "sym" | "str" | "eof"; `glued` is
+    true when no whitespace or comment separates it from the last token.
+    """
+
+    __slots__ = ("type", "value", "line", "col", "glued")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -141,147 +138,68 @@ Label = str | int  # symbol name, 1-based component, or "#" for a dummy
 
 
 class MarkAst(Record):
+    """An index mark in the source.
+
+    `variance` is 1 superscript, -1 subscript, 0 supersubscript; `label` is
+    a Label, or None only in define signatures.
+    """
+
     __slots__ = ("variance", "label")
 
-    def __init__(self, variance: int, label: Label | None):
-        # variance is 1 superscript, -1 subscript, 0 supersubscript
-        object.__setattr__(self, "variance", variance)
-        object.__setattr__(self, "label", label)  # None only in define signatures
+
+# A node's `loc` is its source (line, col), or None.
 
 
 class IntLit(Record):
     __slots__ = ("value", "loc")
 
-    def __init__(self, value: int, loc: tuple | None = None):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "loc", loc)
-
 
 class StrLit(Record):
     __slots__ = ("value", "loc")
-
-    def __init__(self, value: str, loc: tuple | None = None):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "loc", loc)
 
 
 class SymbolRef(Record):
     __slots__ = ("name", "loc")
 
-    def __init__(self, name: str, loc: tuple | None = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "loc", loc)
-
 
 class IndexedRef(Record):
-    __slots__ = ("base", "marks", "loc")
-
-    def __init__(
-        self,
-        base: Node,
-        marks: tuple[MarkAst, ...],
-        loc: tuple | None = None,
-    ):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "marks", marks)
-        object.__setattr__(self, "loc", loc)
+    __slots__ = ("base", "marks", "loc")  # marks: tuple of MarkAst
 
 
 class TensorLit(Record):
     __slots__ = ("elements", "loc")
 
-    def __init__(self, elements: tuple, loc: tuple | None = None):
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "loc", loc)
-
 
 class Braces(Record):
     __slots__ = ("items", "loc")
-
-    def __init__(self, items: tuple, loc: tuple | None = None):
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "loc", loc)
 
 
 class Apply(Record):
     __slots__ = ("fn", "args", "loc")
 
-    def __init__(self, fn: Node, args: tuple, loc: tuple | None = None):
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "loc", loc)
-
 
 class BangApply(Record):
     __slots__ = ("fn", "args", "loc")
 
-    def __init__(self, fn: Node, args: tuple, loc: tuple | None = None):
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "loc", loc)
-
 
 class Lambda(Record):
-    __slots__ = ("params", "body", "loc")
-
-    def __init__(
-        self,
-        params: tuple[tuple[str, str], ...],  # (sigil, name)
-        body: Node,
-        loc: tuple | None = None,
-    ):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "loc", loc)
+    __slots__ = ("params", "body", "loc")  # params: tuple of (sigil, name)
 
 
 class Define(Record):
-    __slots__ = ("name", "signature", "body", "loc")
-
-    def __init__(
-        self,
-        name: str,
-        signature: tuple[MarkAst, ...],
-        body: Node,
-        loc: tuple | None = None,
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "loc", loc)
+    __slots__ = ("name", "signature", "body", "loc")  # signature: tuple of MarkAst
 
 
 class WithSymbols(Record):
     __slots__ = ("names", "body", "loc")
 
-    def __init__(self, names: tuple[str, ...], body: Node, loc: tuple | None = None):
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "loc", loc)
-
 
 class Let(Record):
-    __slots__ = ("bindings", "body", "loc")
-
-    def __init__(
-        self,
-        bindings: tuple[tuple[str, Node], ...],
-        body: Node,
-        loc: tuple | None = None,
-    ):
-        object.__setattr__(self, "bindings", bindings)
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "loc", loc)
+    __slots__ = ("bindings", "body", "loc")  # bindings: tuple of (name, Node)
 
 
 class If(Record):
     __slots__ = ("cond", "then", "other", "loc")
-
-    def __init__(self, cond: Node, then: Node, other: Node, loc: tuple | None = None):
-        object.__setattr__(self, "cond", cond)
-        object.__setattr__(self, "then", then)
-        object.__setattr__(self, "other", other)
-        object.__setattr__(self, "loc", loc)
 
 
 Node = (

@@ -1,9 +1,18 @@
 """Immutable value records: what a frozen dataclass gives, from `__slots__`.
 
-A record class lists its slots and sets each one in its own `__init__` with
-`object.__setattr__`.  Its fields are its slots, root class first, except a
-slot named `loc` (a source location, kept but not part of the value) and
-slots named `_...` (memos).  From the fields the base derives:
+A record class states its fields once, in `__slots__`.  Its slots, root
+class first, are the parameters of its constructor, which the base compiles
+for each class: `__init__(self, <slots>)` sets each slot and then, if the
+class has a `__post_init__`, calls `self.__post_init__()`, looked up on the
+instance at each call so that a method rebound on the class takes effect.
+A record class defines no `__init__` of its own.  Slots named `_...` (memos)
+are not parameters.  A parameter named `loc` defaults to `None`; any other
+default is declared once, in the class's `_defaults` dict, because a class
+attribute cannot share a slot's name.  As in any `def`, a parameter with a
+default cannot precede one without.
+
+The fields are the parameters except `loc` (a source location, kept but not
+part of the value).  From the fields the base derives:
 
 - `==`: true between instances of the same class with equal fields; an
   operand of any other class gets `NotImplemented`;
@@ -27,6 +36,20 @@ def _getter(names):
     return attrgetter(*names) if names else lambda r: ()
 
 
+def _make_init(cls, names):
+    """Compile `cls.__init__` with one parameter per name, in order."""
+    defaults = {"loc": None, **getattr(cls, "_defaults", {})}
+    params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names)
+    body = [f"    _set(self, {n!r}, {n})" for n in names]
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    namespace = {"_set": object.__setattr__, "_defaults": defaults}
+    exec(f"def __init__(self, {params}):\n" + ("\n".join(body) or "    pass"), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 class Record:
     __slots__ = ()
 
@@ -37,6 +60,7 @@ class Record:
         cls._fields = tuple(s for s in args if s != "loc")
         cls._values = staticmethod(_getter(cls._fields))
         cls._args = staticmethod(_getter(args))
+        cls.__init__ = _make_init(cls, args)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

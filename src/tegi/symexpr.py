@@ -44,7 +44,6 @@ __all__ = [
     "evaluate_at",
     "int_pow",
     "integer",
-    "is_constant",
     "mul",
     "neg",
     "rational",
@@ -84,21 +83,14 @@ class Sym(_Node):
     """A named symbol; uid > 0 marks a generated (scope-fresh) symbol."""
 
     __slots__ = ("name", "uid")
-
-    def __init__(self, name: str, uid: int = 0):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "uid", uid)
+    _defaults = {"uid": 0}
 
     def _order_key(self):
         return (0, self.name, self.uid)
 
 
 class Fun(_Node):
-    __slots__ = ("tag", "arg")
-
-    def __init__(self, tag: str, arg: Expr):
-        object.__setattr__(self, "tag", tag)  # "sin" | "cos" | "sqrt" | "abs"
-        object.__setattr__(self, "arg", arg)
+    __slots__ = ("tag", "arg")  # tag: "sin" | "cos" | "sqrt" | "abs"
 
     def _order_key(self):
         return (1, self.tag, self.arg.key())
@@ -108,9 +100,6 @@ class Inv(_Node):
     """Opaque 1/arg for a multi-term denominator (arg scaled monic-first)."""
 
     __slots__ = ("arg",)
-
-    def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
 
     def _order_key(self):
         return (2, "inv", self.arg.key())
@@ -124,10 +113,8 @@ Term = tuple[Coeff, Mono]
 
 
 class Expr(_Node):
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple[Term, ...] = ()):
-        object.__setattr__(self, "terms", terms)
+    __slots__ = ("terms",)  # a tuple of Terms
+    _defaults = {"terms": ()}
 
     def _order_key(self):
         return tuple((_mono_key(m), (c.numerator, c.denominator)) for c, m in self.terms)
@@ -313,10 +300,6 @@ def as_fraction(e: Expr) -> Fraction | None:
     return None
 
 
-def is_constant(e: Expr) -> bool:
-    return as_fraction(e) is not None
-
-
 def as_int(e: Expr) -> int | None:
     c = as_fraction(e)
     if c is not None and c.denominator == 1:
@@ -457,8 +440,10 @@ def _atom_value(atom: Atom, env: Mapping[str, float]) -> float:
 def evaluate_at(e: Expr, env: Mapping[str, float]) -> float:
     """Numeric value of e with symbols bound by name.
 
-    A coefficient or a power beyond the float range raises a
-    `TegiArithmeticError`, not Python's `OverflowError`.
+    A coefficient, a power or a value beyond the float range raises a
+    `TegiArithmeticError`, not Python's `OverflowError`, and never comes
+    back as `inf` or `nan`; the check on each argument of a function atom
+    keeps an infinite value away from `math.sin` and the others.
     """
     total = 0.0
     try:
@@ -472,6 +457,8 @@ def evaluate_at(e: Expr, env: Mapping[str, float]) -> float:
             total += val
     except OverflowError:
         raise TegiArithmeticError("numeric overflow") from None
+    if not math.isfinite(total):
+        raise TegiArithmeticError("numeric overflow")
     return total
 
 

@@ -19,7 +19,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .record import Record
-from .symexpr import Expr, Sym, as_int, integer
+from .symexpr import Sym, integer
 
 __all__ = [
     "Dummy",
@@ -30,7 +30,6 @@ __all__ = [
     "TensorValue",
     "attach_indices",
     "contract",
-    "diag",
     "down",
     "find_identical_pairs",
     "flip_indices",
@@ -40,7 +39,6 @@ __all__ = [
     "reduce_indices",
     "tensor",
     "tensor_map",
-    "to_nested",
     "transpose",
     "up",
     "updown",
@@ -63,9 +61,6 @@ class Dummy(Record):
 
     __slots__ = ("uid",)
 
-    def __init__(self, uid: int):
-        object.__setattr__(self, "uid", uid)
-
 
 Label = Sym | int | Dummy
 
@@ -75,12 +70,9 @@ SUPERSUBSCRIPT = 0
 
 
 class IndexMark(Record):
-    __slots__ = ("variance", "label")
+    """A Label with its variance: SUPERSCRIPT, SUBSCRIPT or SUPERSUBSCRIPT."""
 
-    def __init__(self, variance: int, label: Label):
-        # SUPERSCRIPT, SUBSCRIPT, or SUPERSUBSCRIPT
-        object.__setattr__(self, "variance", variance)
-        object.__setattr__(self, "label", label)
+    __slots__ = ("variance", "label")
 
 
 def up(label: Label) -> IndexMark:
@@ -102,21 +94,15 @@ def labels_equal(a: Label, b: Label) -> bool:
 
 
 class TensorValue(Record):
-    __slots__ = ("shape", "components", "indices")
-
-    def __init__(
-        self, shape: tuple[int, ...], components: tuple, indices: tuple[IndexMark, ...] = ()
-    ):
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "components", components)  # row-major
-        object.__setattr__(self, "indices", indices)
-        self.__post_init__()
+    __slots__ = ("shape", "components", "indices")  # components are row-major
+    _defaults = {"indices": ()}
 
     def __post_init__(self):
         """Check the component count, then the number of marks.
 
-        A method of its own, called once per construction, so that
-        `bench/tracer.py` can count the components of every tensor built.
+        The generated constructor calls this once per construction, looked up
+        on the instance, so a method rebound on the class runs for every
+        tensor built: `bench/tracer.py` counts components that way.
         """
         size = 1
         for d in self.shape:
@@ -137,7 +123,7 @@ class TensorValue(Record):
         return len(self.shape) - len(self.indices)
 
     def __str__(self) -> str:
-        return format_tensor(self)
+        return format_tensor(self, str)
 
 
 def _strides(shape: Sequence[int]) -> tuple[int, ...]:
@@ -183,23 +169,6 @@ def tensor(data):
         raise ShapeMismatchError("tensor components must not carry index marks")
     comps = tuple(c for s in elems for c in s.components)
     return TensorValue((len(elems),) + first.shape, comps)
-
-
-def to_nested(t):
-    """Inverse of tensor(); integer scalars come back as plain ints."""
-    if isinstance(t, TensorValue):
-        if t.rank == 0:
-            return to_nested(t.components[0])
-        stride = _strides(t.shape)[0]
-        sub = TensorValue
-        return [
-            to_nested(sub(t.shape[1:], t.components[i * stride : (i + 1) * stride]))
-            for i in range(t.shape[0])
-        ]
-    if isinstance(t, Expr):
-        n = as_int(t)
-        return t if n is None else n
-    return t
 
 
 def find_identical_pairs(marks: Sequence[IndexMark]) -> list[tuple[int, int]]:
@@ -268,15 +237,6 @@ def _nest(shape: tuple, marks: tuple, inner_shape: tuple, inner_marks: tuple, st
     if inner_marks and len(shape) > len(marks):
         raise IndexLabelError("cannot hoist marked results over unmarked axes")
     return _collapse(marks + inner_marks, shape + inner_shape, strides)
-
-
-def diag(k: int, j: int, t: TensorValue) -> TensorValue:
-    """Extract the diagonal of axes k and j (1-based, k < j); axis j is removed."""
-    if not 1 <= k < j <= t.rank:
-        raise IndexLabelError(f"diag axes ({k}, {j}) out of range for rank {t.rank}")
-    shape, (strides,) = _diagonal(k - 1, j - 1, t.shape, [_strides(t.shape)])
-    marks = _remove_at(j, t.indices) if j <= len(t.indices) else t.indices
-    return TensorValue(shape, _view(t.components, shape, strides), marks)
 
 
 def reduce_indices(t):
@@ -439,7 +399,7 @@ def _mark_str(m: IndexMark) -> str:
     return head + str(m.label)
 
 
-def format_tensor(t: TensorValue, fmt: Callable[[object], str] = str) -> str:
+def format_tensor(t: TensorValue, fmt: Callable[[object], str]) -> str:
     def body(shape, comps):
         if not shape:
             return fmt(comps[0])

@@ -8,7 +8,8 @@ component, with no shared gather helper.  `apply_with_kinds_ref` lifts a
 function by nesting single-tensor maps, so it calls the function on the
 whole outer product of the lifted arguments and reduction then keeps the
 diagonal.  `det_ref` and `hodge_ref` multiply out every product, zero
-factors included.  `order_key_ref` recomputes the canonical order key of an
+factors included.  `to_nested` turns a tensor into nested lists, the inverse of
+`tegi.tensor.tensor`.  `order_key_ref` recomputes the canonical order key of an
 expression from scratch, with nothing memoised.  `add_ref`, `mul_ref`,
 `div_ref` and `int_pow_ref` are the scalar kernel as it was with every
 coefficient a `Fraction`: no integer fast path and no constant-factor
@@ -25,8 +26,9 @@ from fractions import Fraction
 
 from tegi.application import (
     INVERTED,
+    SCALAR,
     TENSOR,
-    apply_scalar,
+    apply_with_kinds,
     complete_omitted_indices,
     with_symbols_scope,
 )
@@ -48,6 +50,7 @@ from tegi.symexpr import (
     Sym,
     abs_,
     add,
+    as_int,
     as_symbol,
     differentiate,
     integer,
@@ -80,6 +83,22 @@ def _coords(shape):
     return itertools.product(*(range(d) for d in shape))
 
 
+def to_nested(t):
+    """Inverse of tensor(); integer scalars come back as plain ints."""
+    if isinstance(t, TensorValue):
+        if t.rank == 0:
+            return to_nested(t.components[0])
+        stride = _strides(t.shape)[0]
+        return [
+            to_nested(TensorValue(t.shape[1:], t.components[i * stride : (i + 1) * stride]))
+            for i in range(t.shape[0])
+        ]
+    if isinstance(t, Expr):
+        n = as_int(t)
+        return t if n is None else n
+    return t
+
+
 # ---------------------------------------------------------------- forms
 
 
@@ -91,7 +110,7 @@ def wedge(a, b):
     axes scope back out in order as the form axes of the result.
     """
     args, gens = complete_omitted_indices([a, b], "distinct")
-    prod = contract(add, apply_scalar(mul, args))
+    prod = contract(add, apply_with_kinds(mul, [SCALAR] * len(args), args))
     return with_symbols_scope(gens, prod)
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
-from tegi.application import apply_scalar
+from tegi.application import SCALAR, apply_with_kinds
 from tegi.errors import (
     IndexArityError,
     ShapeMismatchError,
@@ -392,7 +392,7 @@ class TestProperties:
             a, b = rand_tensor(rng, d, 1), rand_tensor(rng, d, 1)
             am = attach_indices(a, [IndexMark(-1, Sym("i"))])
             bm = attach_indices(b, [IndexMark(-1, Sym("i"))])
-            got = apply_scalar(mul, [am, bm])
+            got = apply_with_kinds(mul, [SCALAR, SCALAR], [am, bm])
             want = tuple(mul(a.components[c], b.components[c]) for c in range(d))
             assert got.shape == (d,) and got.components == want
 
@@ -404,7 +404,7 @@ class TestProperties:
             a, b = rand_tensor(rng, da, 1), rand_tensor(rng, db, 1)
             am = attach_indices(a, [IndexMark(-1, Sym("i"))])
             bm = attach_indices(b, [IndexMark(-1, Sym("j"))])
-            got = apply_scalar(mul, [am, bm])
+            got = apply_with_kinds(mul, [SCALAR, SCALAR], [am, bm])
             want = tuple(
                 mul(a.components[p], b.components[q])
                 for p in range(da)

@@ -4,17 +4,18 @@ import pytest
 
 from tegi.errors import CompletionMismatchError
 from tegi.symexpr import Sym, add, as_int, cos, differentiate, integer, mul, neg, sin, symbol
-from tegi.tensor import TensorValue, attach_indices, down, tensor, to_nested, up
+from tegi.tensor import TensorValue, attach_indices, down, tensor, up
 from tegi.application import (
     INVERTED,
     SCALAR,
     TENSOR,
-    apply_scalar,
     apply_with_kinds,
     complete_omitted_indices,
     fresh_symbol,
     with_symbols_scope,
 )
+
+from oracles import to_nested
 
 I, J = Sym("i"), Sym("j")
 R, TH, PH = symbol("r"), symbol("θ"), symbol("φ")
@@ -27,13 +28,14 @@ def kernel_min(a, b):
 class TestApplyScalar:
     def test_plain_scalars(self):
         # [TRIVIAL] rank-0 arguments mean plain application
-        assert apply_scalar(kernel_min, [integer(2), integer(5)]) == integer(2)
+        got = apply_with_kinds(kernel_min, [SCALAR, SCALAR], [integer(2), integer(5)])
+        assert got == integer(2)
 
     def test_min_distinct_labels(self):
         # [PAPER] (min [|1 2 3|]_i [|10 20 30|]_j)
         a = attach_indices(tensor([1, 2, 3]), [down(I)])
         b = attach_indices(tensor([10, 20, 30]), [down(J)])
-        got = apply_scalar(kernel_min, [a, b])
+        got = apply_with_kinds(kernel_min, [SCALAR, SCALAR], [a, b])
         assert got.indices == (down(I), down(J))
         assert to_nested(got) == [[1, 1, 1], [2, 2, 2], [3, 3, 3]]
 
@@ -41,20 +43,20 @@ class TestApplyScalar:
         # [PAPER] (min [|1 2 3|]_i [|10 20 30|]_i)
         a = attach_indices(tensor([1, 2, 3]), [down(I)])
         b = attach_indices(tensor([10, 20, 30]), [down(I)])
-        got = apply_scalar(kernel_min, [a, b])
+        got = apply_with_kinds(kernel_min, [SCALAR, SCALAR], [a, b])
         assert got == attach_indices(tensor([1, 2, 3]), [down(I)])
 
     def test_mixed_variance_product(self):
         # [PAPER: dot-figure route] u~i * v_i -> [|10 40 90|]~_i
         u = attach_indices(tensor([1, 2, 3]), [up(I)])
         v = attach_indices(tensor([10, 20, 30]), [down(I)])
-        got = apply_scalar(mul, [u, v])
+        got = apply_with_kinds(mul, [SCALAR, SCALAR], [u, v])
         assert to_nested(got) == [10, 40, 90]
         assert got.indices[0].variance == 0
 
     def test_scalar_tensor_mix(self):
         t = attach_indices(tensor([1, 2]), [down(I)])
-        got = apply_scalar(mul, [integer(10), t])
+        got = apply_with_kinds(mul, [SCALAR, SCALAR], [integer(10), t])
         assert to_nested(got) == [10, 20]
 
     def test_shared_labels_call_the_kernel_once_per_component(self):
@@ -72,7 +74,7 @@ class TestApplyScalar:
             calls.append((x, y))
             return add(x, y)
 
-        got = apply_scalar(counted_add, [a, b])
+        got = apply_with_kinds(counted_add, [SCALAR, SCALAR], [a, b])
         assert len(calls) == 81
         assert got.indices == tuple(marks)
         assert got.components == tuple(add(x, y) for x, y in zip(a.components, b.components))

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 CORPUS = Path(__file__).parent / "corpus"
 
 
@@ -155,6 +157,27 @@ class TestRun:
         r = tegi("run", "--bind", "x=1", str(f))
         assert r.returncode == 1
         assert r.stderr == "error: numeric overflow\n"
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize(
+        "program, binds, last_line",
+        [
+            ("(sin x)", ["x=1e400"],
+             "tegi: error: --bind 'x=1e400': '1e400' is not a finite number"),
+            ("(sin (* x y))", ["x=1e200", "y=1e200"], "error: numeric overflow"),
+            ("(* x y)", ["x=1e200", "y=1e200"], "error: numeric overflow"),
+            ("(+ x (* -1 y))", ["x=1e400", "y=1e400"],
+             "tegi: error: --bind 'x=1e400': '1e400' is not a finite number"),
+        ],
+        ids=["infinite-bind", "infinite-argument", "infinite-product", "infinite-difference"],
+    )
+    def test_bind_non_finite_is_an_error(self, tmp_path, program, binds, last_line):
+        f = tmp_path / "s.tegi"
+        f.write_text(program + "\n", encoding="utf-8")
+        r = tegi("run", *(arg for b in binds for arg in ("--bind", b)), str(f))
+        assert r.returncode != 0
+        assert r.stdout == ""
+        assert r.stderr.splitlines()[-1] == last_line
         assert "Traceback" not in r.stderr
 
     def test_bind_rejects_garbage(self, tmp_path):

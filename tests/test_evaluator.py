@@ -15,9 +15,9 @@ from tegi.errors import (
 )
 from tegi.evaluator import Interpreter, format_value
 from tegi.symexpr import Sym, as_int, int_pow, mul, rational, sin, symbol
-from tegi.tensor import TensorValue, attach_indices, down, to_nested, up
+from tegi.tensor import TensorValue, attach_indices, down, up
 
-from oracles import exterior_d
+from oracles import exterior_d, to_nested
 
 
 def ev(src):

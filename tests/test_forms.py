@@ -25,10 +25,10 @@ from tegi.symexpr import (
     sub,
     symbol,
 )
-from tegi.tensor import TensorValue, attach_indices, down, tensor, to_nested, up
+from tegi.tensor import TensorValue, attach_indices, down, tensor, up
 from tegi.forms import det, df_normalize, df_order, hodge, levi_civita
 
-from oracles import det_ref, exterior_d, hodge_ref, wedge
+from oracles import det_ref, exterior_d, hodge_ref, to_nested, wedge
 
 I, J, K = Sym("i"), Sym("j"), Sym("k")
 R, TH, PH = symbol("r"), symbol("θ"), symbol("φ")

@@ -2,8 +2,9 @@
 they replace (`DATACLASS_TWINS` in `tests/oracles.py`).
 
 Both sides are built from the same arguments and compared on equality,
-hashing, repr, the ignored `loc`, immutability, pickling and the
-TensorValue construction errors.
+hashing, repr, the ignored `loc`, immutability, pickling and construction
+errors: the TensorValue checks, and the `TypeError` of a wrong argument
+count or an unknown keyword.
 """
 
 import dataclasses
@@ -80,6 +81,17 @@ def both(name, args):
     return ENGINE[name](*args), DATACLASS_TWINS[name](*args)
 
 
+def construction(name, args, kwargs=None):
+    """What building the engine record and its twin gives: a repr or an error."""
+    out = []
+    for cls in (ENGINE[name], DATACLASS_TWINS[name]):
+        try:
+            out.append(repr(cls(*args, **(kwargs or {}))))
+        except (TypeError, TegiError) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
 @settings(max_examples=400, deadline=None)
 @given(instance_pair())
 def test_equality_hash_and_repr_match_the_dataclasses(pair):
@@ -105,18 +117,32 @@ def test_keywords_build_the_same_record(case):
     record = ENGINE[name](**kwargs)
     assert record == ENGINE[name](*args)
     assert repr(record) == repr(DATACLASS_TWINS[name](**kwargs))
+    for bad_args, bad_kwargs in [
+        ((), {**kwargs, "no_such_field": 0}),  # an unknown keyword
+        (args[:1], kwargs),  # the first field twice
+        (args + (0,), {}),  # one argument too many
+    ]:
+        engine, twin = construction(name, bad_args, bad_kwargs)
+        assert engine == twin and isinstance(twin, tuple)
 
 
 @pytest.mark.parametrize(
     "name, args",
     [("Sym", ("x",)), ("Expr", ()), ("TensorValue", ((1,), (ONE,))),
-     ("Builtin", ("f", None, len)), ("IntLit", (3,)), ("Apply", (1, ()))],
+     ("Builtin", ("f", None, len)), ("IntLit", (3,)), ("Apply", (1, ())),
+     # wrong argument counts
+     ("Sym", ()), ("Sym", ("x", 1, 2)), ("Expr", ((), 1)), ("Dummy", ()),
+     ("TensorValue", ((1,),)), ("Builtin", ("f", None)), ("Builtin", ("f", None, len, 1, 2)),
+     ("IntLit", ()), ("IntLit", (3, None, 0)), ("Apply", (1,)), ("Token", ("int", 1, 1, 1))],
 )
 def test_defaults_match(name, args):
-    record, twin = both(name, args)
-    assert repr(record) == repr(twin)
-    defaults = [f.default for f in dataclasses.fields(twin)[len(args):]]
-    assert record == ENGINE[name](*args, *defaults)
+    engine, twin = construction(name, args)
+    assert engine == twin
+    if isinstance(twin, tuple):
+        assert twin[0] is TypeError
+        return
+    defaults = [f.default for f in dataclasses.fields(DATACLASS_TWINS[name])[len(args):]]
+    assert ENGINE[name](*args) == ENGINE[name](*args, *defaults)
 
 
 @settings(max_examples=100, deadline=None)
@@ -187,6 +213,24 @@ def test_tensor_value_errors_match(shape, n_components, n_marks):
         except TegiError as exc:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
+
+
+def test_post_init_rebound_on_the_class_runs_at_each_construction(monkeypatch):
+    # a layer tracer counts the components of every tensor built this way
+    cls = ENGINE["TensorValue"]
+    checks = cls.__post_init__
+    built = []
+
+    def counting(value):
+        built.append(len(value.components))
+        checks(value)
+
+    monkeypatch.setattr(cls, "__post_init__", counting)
+    cls((2,), (ONE, ONE))
+    tensor.tensor([[1, 2], [3, 4]])
+    with pytest.raises(TegiError):
+        cls((2,), (ONE,))
+    assert built == [2, 2, 2, 4, 1]
 
 
 @settings(max_examples=100, deadline=None)

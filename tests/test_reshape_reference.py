@@ -5,7 +5,6 @@ loop versions it replaced.  Components are distinct symbols, so a component
 gathered from the wrong offset changes the result.
 """
 
-import itertools
 import math
 
 import pytest
@@ -23,7 +22,6 @@ from tegi.tensor import (
     TensorValue,
     attach_indices,
     contract,
-    diag,
     fresh_uid,
     permute_marked_axes,
 )
@@ -32,7 +30,6 @@ from oracles import (
     attach_indices_ref,
     contract_ref,
     det_ref,
-    diag_ref,
     df_normalize_ref,
     hodge_ref,
     permute_marked_axes_ref,
@@ -100,20 +97,6 @@ def test_attach_indices_matches_loops(case):
             attach_indices(t, marks)
         return
     assert attach_indices(t, marks) == want
-
-
-@settings(max_examples=100, deadline=None)
-@given(tensors(), st.data())
-def test_diag_matches_loops(t, data):
-    pairs = [
-        (k, j)
-        for k, j in itertools.combinations(range(1, t.rank + 1), 2)
-        if t.shape[k - 1] == t.shape[j - 1]
-    ]
-    if not pairs:
-        return
-    k, j = data.draw(st.sampled_from(pairs))
-    assert diag(k, j, t) == diag_ref(k, j, t)
 
 
 @settings(max_examples=150, deadline=None)

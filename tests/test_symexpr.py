@@ -30,7 +30,6 @@ from tegi.symexpr import (
     format_expr,
     int_pow,
     integer,
-    is_constant,
     mul,
     neg,
     rational,
@@ -95,8 +94,8 @@ class TestCanonicalForm:
         assert as_int(integer(7)) == 7
         assert as_int(rational(1, 2)) is None
         assert as_int(X) is None
-        assert is_constant(rational(3, 4))
-        assert not is_constant(mul(R, R))
+        assert as_fraction(rational(3, 4)) is not None
+        assert as_fraction(mul(R, R)) is None
 
 
 class TestConstantFolding:
@@ -112,7 +111,7 @@ class TestConstantFolding:
 
     def test_sqrt_symbolic_stays(self):
         e = sqrt(integer(2))
-        assert not is_constant(e)  # kept as an exact atom
+        assert as_fraction(e) is None  # kept as an exact atom
         assert abs(evaluate_at(e, {}) - math.sqrt(2)) < 1e-12
 
     def test_abs_folding(self):

@@ -22,19 +22,19 @@ from tegi.tensor import (
     TensorValue,
     attach_indices,
     contract,
-    diag,
     down,
     find_identical_pairs,
     flip_indices,
     reduce_indices,
     tensor,
     tensor_map,
-    to_nested,
     transpose,
     up,
     updown,
 )
 from tegi.tensor import _remove_at, _update_at, _variance_at
+
+from oracles import to_nested
 
 I, J, K = Sym("i"), Sym("j"), Sym("k")
 
@@ -176,6 +176,13 @@ class TestHelpers:
     def test_update_at(self):
         # [PAPER] update(2, 0, [{i,1},{j,-1}]) = [{i,1},{j,0}]
         assert _update_at(2, 0, (up(I), down(J))) == (up(I), updown(J))
+
+
+def diag(k, j, t):
+    """The paper's diag(k, j, t), through index reduction: axes k and j share a label."""
+    marks = [up(Sym(f"a{n}")) for n in range(t.rank)]
+    marks[j - 1] = marks[k - 1]
+    return reduce_indices(TensorValue(t.shape, t.components, tuple(marks)))
 
 
 class TestDiag:
