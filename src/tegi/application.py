@@ -65,10 +65,13 @@ def apply_with_kinds(kernel: Callable, kinds: Sequence[ParamKind], args: Sequenc
     Inverted positions flip their argument's marks first; tensor positions
     pass whole to every call.  tensor_map aligns the lifted arguments' labels
     before kernel first runs, so a diagonal that index reduction would
-    discard is never computed.
+    discard is never computed.  With no tensor to lift, kernel runs once on
+    args as they are.
     """
-    args = [flip_indices(a) if k is INVERTED else a for k, a in zip(kinds, args)]
     spots = [p for p, k in enumerate(kinds) if k is not TENSOR]
+    if not any(isinstance(args[p], TensorValue) for p in spots):
+        return kernel(*args)
+    args = [flip_indices(a) if k is INVERTED else a for k, a in zip(kinds, args)]
     bound = list(args)
 
     def at(*vals):

@@ -247,6 +247,8 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     if args.mode == "run":
+        if args.precision < 0:
+            parser.error(f"--precision must be 0 or more, got {args.precision}")
         binds = _parse_bindings(args.bind, parser)
         return run_script(args.file, args.dump_desugared, binds, args.precision)
     if args.mode == "repl":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
+from functools import reduce
 
 from . import lang
 from .application import (
@@ -189,9 +190,14 @@ class Interpreter:
         if isinstance(node, lang.IndexedRef):
             return self._indexed(node, env)
         if isinstance(node, lang.TensorLit):
-            elems = [self.eval(e, env) for e in node.elements]
-            # Check leaves first: tensor() would stack a {…} element as an axis.
-            return tensor([e if isinstance(e, TensorValue) else _scalar(e) for e in elems])
+            try:
+                elems = [self.eval(e, env) for e in node.elements]
+                # Check leaves first: tensor() would stack a {…} element as an axis.
+                return tensor([e if isinstance(e, TensorValue) else _scalar(e) for e in elems])
+            except TegiError as exc:
+                if exc.location is None:  # as for applications: the innermost node wins
+                    exc.location = node.loc
+                raise
         if isinstance(node, lang.Braces):
             return tuple(self.eval(e, env) for e in node.items)
         if isinstance(node, (lang.Apply, lang.BangApply)):
@@ -256,6 +262,8 @@ class Interpreter:
         else:
             raise TegiTypeError(f"not a function: {format_value(fnv)}", loc)
 
+        if not any(isinstance(a, TensorValue) for a in args):
+            return apply_with_kinds(kernel, kinds, args)  # nothing to complete or lift
         if distinct:
             args, gens = complete_omitted_indices(args, "distinct")
         else:
@@ -356,6 +364,23 @@ class Interpreter:
 
             return fn
 
+        def plus_fn(*xs):
+            return add(*[_scalar(x) for x in xs])
+
+        def times_fn(*xs):
+            vals = [_scalar(x) for x in xs]
+            for v in vals:
+                if not v.terms:  # a zero factor is the product
+                    return v
+            return mul(*vals)
+
+        plus = Builtin("+", None, plus_fn)
+
+        def contract_fn(f, t):
+            if f is plus:
+                return contract(plus_fn, t)
+            return contract(lambda *run: reduce(lambda a, b: self.call(f, [a, b]), run), t)
+
         def less_than(a, b):
             fa, fb = as_fraction(_scalar(a)), as_fraction(_scalar(b))
             if fa is None or fb is None:
@@ -408,9 +433,9 @@ class Interpreter:
             return hodge(a, g_lower, g_upper)
 
         return [
-            Builtin("+", None, fold(add)),
+            plus,
             Builtin("-", None, fold(sub, unary=neg)),
-            Builtin("*", None, fold(mul)),
+            Builtin("*", None, times_fn),
             Builtin("/", None, fold(div), min_args=2),
             Builtin("^", (S, S), power),
             Builtin("less-than?", (S, S), less_than),
@@ -419,7 +444,7 @@ class Interpreter:
             Builtin("sqrt", (S,), lambda x: sqrt(_scalar(x))),
             Builtin("abs", (S,), lambda x: abs_(_scalar(x))),
             Builtin("derivative", (S, S), lambda f, x: differentiate(_scalar(f), _scalar(x))),
-            Builtin("contract", (T, T), lambda f, t: contract(lambda a, b: self.call(f, [a, b]), t)),
+            Builtin("contract", (T, T), contract_fn),
             Builtin("tensor-map", (T, T), lambda f, t: tensor_map(lambda c: self.call(f, [c]), t)),
             Builtin("flip-indices", (T,), flip_indices),
             Builtin("transpose", (T, T), transpose_by),

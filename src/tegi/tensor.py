@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Sequence
-from functools import reduce
 
 from .errors import (
     IndexArityError,
@@ -290,7 +289,12 @@ def attach_indices(t, marks: Sequence[IndexMark]):
 
 
 def contract(f: Callable, t):
-    """Fold each supersubscript axis with the binary function f, left to right."""
+    """Sum each supersubscript axis with f, called once on each run of components.
+
+    A run holds the n components that differ only along the summed axis, in
+    axis order; f(*run) gives the result component.  A run of one component
+    is that component, with no call.
+    """
     if not isinstance(t, TensorValue):
         return t
     while True:
@@ -302,11 +306,11 @@ def contract(f: Callable, t):
         n = t.shape[axis]
         new_shape = t.shape[:axis] + t.shape[axis + 1 :]
         strides = _strides(t.shape)
-        # The summed axis goes last, so each run of n components is one fold.
+        # The summed axis goes last, so each run of n components is adjacent.
         runs = _view(
             t.components, new_shape + (n,), strides[:axis] + strides[axis + 1 :] + (strides[axis],)
         )
-        comps = [reduce(f, runs[i : i + n]) for i in range(0, len(runs), n)]
+        comps = runs if n == 1 else [f(*runs[i : i + n]) for i in range(0, len(runs), n)]
         marks = _remove_at(axis + 1, t.indices)
         if not new_shape:
             return comps[0]

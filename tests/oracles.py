@@ -13,8 +13,11 @@ factors included.  `to_nested` turns a tensor into nested lists, the inverse of
 expression from scratch, with nothing memoised.  `add_ref`, `mul_ref`,
 `div_ref` and `int_pow_ref` are the scalar kernel as it was with every
 coefficient a `Fraction`: no integer fast path and no constant-factor
-shortcut.  `DATACLASS_TWINS` rebuilds
-every value class of the engine as the dataclass it used to be.
+shortcut.  `DenseInterpreter` is the evaluator before calls with nothing to
+lift ran directly: every call completes omitted indices and lifts, `+` and
+`*` fold pairwise with zero factors multiplied out, and `contract` folds each
+run through `call`.  `DATACLASS_TWINS` rebuilds every value class of the
+engine as the dataclass it used to be.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from tegi.application import (
     with_symbols_scope,
 )
 from tegi.errors import (
+    ArityError,
     FormDegreeError,
     IndexArityError,
     IndexBoundsError,
@@ -41,6 +45,7 @@ from tegi.errors import (
     TegiArithmeticError,
     TegiTypeError,
 )
+from tegi.evaluator import Builtin, Closure, Environment, Interpreter, _scalar, format_value
 from tegi.forms import _perm_sign, levi_civita
 from tegi.symexpr import (
     ZERO,
@@ -64,6 +69,7 @@ from tegi.tensor import (
     contract,
     find_identical_pairs,
     flip_indices,
+    tensor_map,
 )
 
 
@@ -472,6 +478,91 @@ def apply_with_kinds_ref(kernel, kinds, args):
         return tensor_map_ref(lambda c: rec(i + 1, bound + [c]), a)
 
     return rec(0, [])
+
+
+# ---------------------------------------------------------------- dense evaluator
+
+
+def apply_with_kinds_dense(kernel, kinds, args):
+    """apply_with_kinds with no shortcut: tensor_map always runs."""
+    args = [flip_indices(a) if k is INVERTED else a for k, a in zip(kinds, args)]
+    spots = [p for p, k in enumerate(kinds) if k is not TENSOR]
+    bound = list(args)
+
+    def at(*vals):
+        for p, v in zip(spots, vals):
+            bound[p] = v
+        return kernel(*bound)
+
+    return tensor_map(at, *(args[p] for p in spots))
+
+
+class DenseInterpreter(Interpreter):
+    """Every call completes and lifts; `+`, `*` and `contract` fold pairwise."""
+
+    def call(self, fnv, args: list, distinct: bool = False, loc=None):
+        if isinstance(fnv, Closure):
+            if len(args) != len(fnv.params):
+                raise ArityError(
+                    f"expected {len(fnv.params)} arguments, got {len(args)}", loc
+                )
+            kinds = [k for k, _ in fnv.params]
+            names = [n for _, n in fnv.params]
+
+            def kernel(*vals):
+                return self.eval(fnv.body, Environment(dict(zip(names, vals)), fnv.env))
+
+        elif isinstance(fnv, Builtin):
+            if fnv.kinds is None:
+                if len(args) < fnv.min_args:
+                    raise ArityError(
+                        f"{fnv.name} needs at least {fnv.min_args} argument(s)", loc
+                    )
+                kinds = [SCALAR] * len(args)
+            else:
+                if len(args) != len(fnv.kinds):
+                    raise ArityError(
+                        f"{fnv.name} expected {len(fnv.kinds)} arguments, got {len(args)}",
+                        loc,
+                    )
+                kinds = list(fnv.kinds)
+            kernel = fnv.fn
+        else:
+            raise TegiTypeError(f"not a function: {format_value(fnv)}", loc)
+
+        if distinct:
+            args, gens = complete_omitted_indices(args, "distinct")
+        else:
+            spots = [i for i, k in enumerate(kinds) if k is not TENSOR]
+            sub, gens = complete_omitted_indices([args[i] for i in spots], "shared")
+            args = list(args)
+            for i, v in zip(spots, sub):
+                args[i] = v
+        result = apply_with_kinds_dense(kernel, kinds, args)
+        return with_symbols_scope(gens, result)
+
+    def _builtins(self):
+        def fold(op, unary=None):
+            def fn(*xs):
+                vals = [_scalar(x) for x in xs]
+                if len(vals) == 1 and unary is not None:
+                    return unary(vals[0])
+                acc = vals[0]
+                for x in vals[1:]:
+                    acc = op(acc, x)
+                return acc
+
+            return fn
+
+        dense = {
+            "+": fold(add),
+            "*": fold(mul),
+            "contract": lambda f, t: contract_ref(lambda a, b: self.call(f, [a, b]), t),
+        }
+        return [
+            Builtin(b.name, b.kinds, dense.get(b.name, b.fn), b.min_args)
+            for b in super()._builtins()
+        ]
 
 
 # ---------------------------------------------------------------- records

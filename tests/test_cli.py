@@ -90,6 +90,24 @@ class TestRun:
                 f"error: line 2, col {col}: index 3 out of bounds for axis of dimension 2\n"
             )
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[|(less-than? 1 2) 1|]", "col 1: expected a scalar, got #t"),
+            ("[|[|1 2|] [|1|]|]", "col 1: ragged tensor literal"),
+            ("(define $a [|[|1 2|] 3|])", "col 12: mixed scalar and tensor components"),
+            # the literal is the innermost node, not the application around it
+            ("(+ 1 [|(less-than? 1 2) 1|])", "col 6: expected a scalar, got #t"),
+        ],
+    )
+    def test_tensor_literal_error_is_located(self, tmp_path, line, message):
+        f = tmp_path / "s.tegi"
+        f.write_text(f"1\n{line}\n", encoding="utf-8")
+        r = tegi("run", str(f))
+        assert r.returncode == 1
+        assert r.stdout == "1\n"
+        assert r.stderr == f"error: line 2, {message}\n"
+
     def test_deep_recursion_is_a_located_error(self, tmp_path):
         f = tmp_path / "s.tegi"
         f.write_text(
@@ -135,6 +153,15 @@ class TestRun:
         r = tegi("run", "--bind", "r=3", "--bind", "θ=0.7", "--precision", "3", str(f))
         assert r.returncode == 0
         assert r.stdout == "[|3 6|]_i\n0.644\n"
+
+    def test_negative_precision_is_a_usage_error(self, tmp_path):
+        f = tmp_path / "s.tegi"
+        f.write_text("x\n", encoding="utf-8")
+        r = tegi("run", "--bind", "x=1", "--precision", "-1", str(f))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.splitlines()[-1] == "tegi: error: --precision must be 0 or more, got -1"
+        assert "Traceback" not in r.stderr
 
     def test_bind_booleans_inside_tensors(self, tmp_path):
         f = tmp_path / "s.tegi"
