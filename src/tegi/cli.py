@@ -105,7 +105,7 @@ def _incomplete(src: str) -> bool:
 def _signature_name(key) -> str:
     if isinstance(key, tuple):
         name, sig = key
-        return name + "".join("~" if v == 1 else "_" for v in sig)
+        return name + "".join(lang.VARIANCE_STR[v] for v in sig)
     return key
 
 

@@ -142,6 +142,14 @@ def _scalar(v) -> Expr:
     raise TegiTypeError(f"expected a scalar, got {format_value(v)}")
 
 
+def _index_label(v) -> Sym | int | None:
+    """The index label a value stands for: a symbol, else an integer, else None."""
+    if not isinstance(v, Expr):
+        return None
+    s = as_symbol(v)
+    return s if s is not None else as_int(v)
+
+
 _PRELUDE_CACHE: str | None = None
 
 
@@ -313,14 +321,10 @@ class Interpreter:
         v = env.get(m.label, _MISSING)
         if v is _MISSING:
             return IndexMark(m.variance, Sym(m.label))
-        if isinstance(v, Expr):
-            s = as_symbol(v)
-            if s is not None:
-                return IndexMark(m.variance, s)
-            n = as_int(v)
-            if n is not None:
-                return IndexMark(m.variance, n)
-        raise IndexLabelError(f"index label {m.label!r} is not a symbol or integer")
+        label = _index_label(v)
+        if label is None:
+            raise IndexLabelError(f"index label {m.label!r} is not a symbol or integer")
+        return IndexMark(m.variance, label)
 
     # -- defines ---------------------------------------------------------------
 
@@ -410,14 +414,10 @@ class Interpreter:
                 raise IndexLabelError("transpose needs a {…} collection of labels")
             labels = []
             for item in order:
-                lab = None
-                if isinstance(item, Expr):
-                    lab = as_symbol(item)
-                    if lab is None:
-                        lab = as_int(item)
-                if lab is None:
+                label = _index_label(item)
+                if label is None:
                     raise IndexLabelError("transpose labels must be symbols or integers")
-                labels.append(lab)
+                labels.append(label)
             return transpose(labels, t)
 
         def map_fn(f, coll):

@@ -102,7 +102,7 @@ def df_normalize(v):
         total = ZERO
         for sign, c in zip(signs, column):
             total = add(total, mul(sign, c))
-        comps.append(total * scale)
+        comps.append(mul(total, scale))
     return TensorValue(v.shape, tuple(comps), v.indices)
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "SymbolRef",
     "TensorLit",
     "Token",
+    "VARIANCE_STR",
     "WithSymbols",
     "desugar_define_indices",
     "parse_program",
@@ -445,10 +446,14 @@ def desugar_define_indices(node: Define) -> Define:
         raise DesugarError(
             f"define name {node.name!r} repeats an index symbol", node.loc
         )
-    refs = Braces(tuple(SymbolRef(s) for s in labels))
+    # The generated nodes carry the define's location, so an error raised
+    # inside them (say, by the transpose) is reported where the define is.
+    loc = node.loc
+    refs = Braces(tuple(SymbolRef(s, loc) for s in labels), loc)
     body = WithSymbols(
         tuple(labels),
-        Apply(SymbolRef("transpose"), (refs, node.body)),
+        Apply(SymbolRef("transpose", loc), (refs, node.body), loc),
+        loc,
     )
     signature = tuple(MarkAst(m.variance, None) for m in node.signature)
     return Define(node.name, signature, body, node.loc)
@@ -457,11 +462,12 @@ def desugar_define_indices(node: Define) -> Define:
 # ---------------------------------------------------------------------------
 # unparser
 
-_VARIANCE_STR = {1: "~", -1: "_", 0: "~_"}
+# How each variance is spelled, in source and in everything printed.
+VARIANCE_STR = {1: "~", -1: "_", 0: "~_"}
 
 
 def _mark_str(m: MarkAst) -> str:
-    return _VARIANCE_STR[m.variance] + ("" if m.label is None else str(m.label))
+    return VARIANCE_STR[m.variance] + ("" if m.label is None else str(m.label))
 
 
 def unparse(node: Node) -> str:

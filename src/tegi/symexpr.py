@@ -14,6 +14,12 @@ makes expressions usable directly as expected values in tests.
 No trig identities or radical simplification are applied; only rational
 constants fold.
 
+Values are built by the functions below (`add`, `mul`, `div`, `sin`, ...);
+`Expr` has no arithmetic operators.  Inside the module, a single-term value
+comes from one of two constructors: `_const` for a constant and `_atom` for
+an atom to the first power.  A constructed value is canonical, so
+`differentiate` uses the atoms it meets as they are, without rebuilding them.
+
 Nodes (expressions and atoms) are immutable records, so each computes its
 hash and its order key once, on first use, and keeps them.  The memoised
 values live in slots that are not record fields: equality, repr and the
@@ -37,7 +43,6 @@ __all__ = [
     "as_fraction",
     "as_int",
     "as_symbol",
-    "canonicalize",
     "cos",
     "differentiate",
     "div",
@@ -122,34 +127,6 @@ class Expr(_Node):
     def __str__(self) -> str:
         return format_expr(self)
 
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __pow__(self, n: int):
-        return int_pow(self, n)
-
-    def __neg__(self):
-        return neg(self)
-
 
 ZERO = Expr(())
 ONE = Expr(((1, ()),))
@@ -160,13 +137,21 @@ def _norm(c: Coeff) -> Coeff:
     return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
+def _const(c: Coeff) -> Expr:
+    """The constant c, its coefficient normalised, or ZERO."""
+    return Expr(((_norm(c), ()),)) if c else ZERO
+
+
+def _atom(a: Atom) -> Expr:
+    """The atom a to the first power."""
+    return Expr(((1, ((a, 1),)),))
+
+
 def _coerce(v) -> Expr:
     if isinstance(v, Expr):
         return v
-    if isinstance(v, int) and not isinstance(v, bool):
-        return integer(v)
-    if isinstance(v, Fraction):
-        return Expr(((_norm(v), ()),)) if v else ZERO
+    if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
+        return _const(v)
     raise TegiTypeError(f"not a scalar: {v!r}")
 
 
@@ -182,16 +167,15 @@ def _mk(termmap: dict[Mono, Coeff]) -> Expr:
 
 
 def integer(n: int) -> Expr:
-    return Expr(((n, ()),)) if n else ZERO
+    return _const(n)
 
 
 def rational(p: int, q: int) -> Expr:
-    c = Fraction(p, q)
-    return Expr(((_norm(c), ()),)) if c else ZERO
+    return _const(Fraction(p, q))
 
 
 def symbol(name: str, uid: int = 0) -> Expr:
-    return Expr(((1, ((Sym(name, uid), 1),)),))
+    return _atom(Sym(name, uid))
 
 
 def add(*es: Expr) -> Expr:
@@ -272,7 +256,7 @@ def div(a: Expr, b: Expr) -> Expr:
     if len(b.terms) == 1:
         inv_mono = tuple((atom, -p) for atom, p in mono)
         return _mul2(a, _term_expr(recip, inv_mono))
-    monic = _mul2(Expr(((recip, ()),)), b)
+    monic = _mul2(_const(recip), b)
     inv = Expr(((recip, ((Inv(monic), 1),)),))
     return _mul2(a, inv)
 
@@ -321,7 +305,7 @@ def as_symbol(e: Expr) -> Sym | None:
 
 
 def _fun(tag: str, e: Expr) -> Expr:
-    return Expr(((1, ((Fun(tag, e), 1),)),))
+    return _atom(Fun(tag, e))
 
 
 def sin(e: Expr) -> Expr:
@@ -346,7 +330,7 @@ def sqrt(e: Expr) -> Expr:
             raise TegiArithmeticError("sqrt of a negative constant")
         pn, qd = math.isqrt(c.numerator), math.isqrt(c.denominator)
         if pn * pn == c.numerator and qd * qd == c.denominator:
-            return Expr(((_norm(Fraction(pn, qd)), ()),)) if pn else ZERO
+            return _const(Fraction(pn, qd))
     return _fun("sqrt", e)
 
 
@@ -354,65 +338,43 @@ def abs_(e: Expr) -> Expr:
     e = _coerce(e)
     c = as_fraction(e)
     if c is not None:
-        return Expr(((_norm(abs(c)), ()),)) if c else ZERO
+        return _const(abs(c))
     return _fun("abs", e)
-
-
-_FUN_CONSTRUCTORS = {"sin": sin, "cos": cos, "sqrt": sqrt, "abs": abs_}
-
-
-def _atom_as_expr(atom: Atom) -> Expr:
-    if isinstance(atom, Sym):
-        return symbol(atom.name, atom.uid)
-    if isinstance(atom, Fun):
-        return _FUN_CONSTRUCTORS[atom.tag](canonicalize(atom.arg))
-    return div(ONE, canonicalize(atom.arg))
-
-
-def canonicalize(e: Expr) -> Expr:
-    """Rebuild an expression bottom-up; idempotent on constructed values."""
-    e = _coerce(e)
-    acc = ZERO
-    for c, mono in e.terms:
-        t = Expr(((c, ()),))
-        for atom, p in mono:
-            t = _mul2(t, int_pow(_atom_as_expr(atom), p))
-        acc = add(acc, t)
-    return acc
 
 
 def _d_atom(atom: Atom, s: Sym) -> Expr:
     if isinstance(atom, Sym):
         return ONE if atom == s else ZERO
+    inner = _d_expr(atom.arg, s)
     if isinstance(atom, Inv):
-        inner = differentiate(atom.arg, symbol(s.name, s.uid))
-        self_expr = Expr(((1, ((atom, 1),)),))
-        return mul(integer(-1), int_pow(self_expr, 2), inner)
-    inner = differentiate(atom.arg, symbol(s.name, s.uid))
+        return mul(integer(-1), int_pow(_atom(atom), 2), inner)
     if atom.tag == "sin":
         return mul(cos(atom.arg), inner)
     if atom.tag == "cos":
         return mul(integer(-1), sin(atom.arg), inner)
     if atom.tag == "sqrt":
-        self_expr = Expr(((1, ((atom, 1),)),))
-        return mul(rational(1, 2), int_pow(self_expr, -1), inner)
+        return mul(rational(1, 2), int_pow(_atom(atom), -1), inner)
     raise TegiTypeError("cannot differentiate abs")
 
 
-def differentiate(e: Expr, by: Expr) -> Expr:
-    s = as_symbol(_coerce(by))
-    if s is None:
-        raise TegiTypeError(f"cannot differentiate by non-symbol: {by}")
-    e = _coerce(e)
+def _d_expr(e: Expr, s: Sym) -> Expr:
+    """d e / d s, term by term with the product rule; atoms are used as they are."""
     acc = ZERO
     for c, mono in e.terms:
         for i, (atom, p) in enumerate(mono):
             da = _d_atom(atom, s)
             if not da.terms:
                 continue
-            rest = Expr(((_norm(c * p), tuple(ap for j, ap in enumerate(mono) if j != i)),))
-            acc = add(acc, mul(rest, int_pow(_atom_as_expr(atom), p - 1), da))
+            rest = Expr(((_norm(c * p), mono[:i] + mono[i + 1 :]),))
+            acc = add(acc, mul(rest, int_pow(_atom(atom), p - 1), da))
     return acc
+
+
+def differentiate(e: Expr, by: Expr) -> Expr:
+    s = as_symbol(_coerce(by))
+    if s is None:
+        raise TegiTypeError(f"cannot differentiate by non-symbol: {by}")
+    return _d_expr(_coerce(e), s)
 
 
 def _atom_value(atom: Atom, env: Mapping[str, float]) -> float:

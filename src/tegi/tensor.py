@@ -17,6 +17,7 @@ from .errors import (
     IndexLabelError,
     ShapeMismatchError,
 )
+from .lang import VARIANCE_STR
 from .record import Record
 from .symexpr import Sym, integer
 
@@ -30,7 +31,6 @@ __all__ = [
     "attach_indices",
     "contract",
     "down",
-    "find_identical_pairs",
     "flip_indices",
     "format_tensor",
     "fresh_uid",
@@ -170,29 +170,6 @@ def tensor(data):
     return TensorValue((len(elems),) + first.shape, comps)
 
 
-def find_identical_pairs(marks: Sequence[IndexMark]) -> list[tuple[int, int]]:
-    """All 1-based (k, j) with k < j and equal labels, leftmost first."""
-    pairs = []
-    for k in range(len(marks)):
-        for j in range(k + 1, len(marks)):
-            if labels_equal(marks[k].label, marks[j].label):
-                pairs.append((k + 1, j + 1))
-    return pairs
-
-
-def _variance_at(k: int, marks: tuple[IndexMark, ...]) -> int:
-    return marks[k - 1].variance
-
-
-def _remove_at(k: int, marks: tuple[IndexMark, ...]) -> tuple[IndexMark, ...]:
-    return marks[: k - 1] + marks[k:]
-
-
-def _update_at(k: int, variance: int, marks: tuple[IndexMark, ...]) -> tuple[IndexMark, ...]:
-    m = marks[k - 1]
-    return marks[: k - 1] + (IndexMark(variance, m.label),) + marks[k:]
-
-
 def _diagonal(k: int, j: int, shape: tuple, strides: list) -> tuple[tuple, list]:
     """Merge axis j into axis k (0-based, k < j) of a strided layout.
 
@@ -212,18 +189,24 @@ def _collapse(marks: tuple, shape: tuple, strides: list) -> tuple[tuple, tuple, 
     """Collapse repeated labels of a strided layout pairwise, leftmost pair first.
 
     The first mark of a pair keeps its position, and becomes a supersubscript
-    when the two variances differ; dummies never pair.  Returns the new
-    (marks, shape, strides).
+    when the two variances differ; dummies never pair.  A merge never gives
+    an earlier mark a new partner, so one left-to-right pass that merges each
+    mark with its next later match until it has none takes the pairs in that
+    order.  Returns the new (marks, shape, strides).
     """
-    while True:
-        pairs = find_identical_pairs(marks)
-        if not pairs:
-            return marks, shape, strides
-        k, j = pairs[0]
-        shape, strides = _diagonal(k - 1, j - 1, shape, strides)
-        if _variance_at(k, marks) != _variance_at(j, marks):
-            marks = _update_at(k, SUPERSUBSCRIPT, marks)
-        marks = _remove_at(j, marks)
+    marks = list(marks)
+    k = 0
+    while k < len(marks):
+        label = marks[k].label
+        j = next((j for j in range(k + 1, len(marks)) if labels_equal(label, marks[j].label)), None)
+        if j is None:
+            k += 1
+            continue
+        shape, strides = _diagonal(k, j, shape, strides)
+        if marks[k].variance != marks[j].variance:
+            marks[k] = IndexMark(SUPERSUBSCRIPT, label)
+        del marks[j]
+    return tuple(marks), shape, strides
 
 
 def _nest(shape: tuple, marks: tuple, inner_shape: tuple, inner_marks: tuple, strides: list):
@@ -311,7 +294,7 @@ def contract(f: Callable, t):
             t.components, new_shape + (n,), strides[:axis] + strides[axis + 1 :] + (strides[axis],)
         )
         comps = runs if n == 1 else [f(*runs[i : i + n]) for i in range(0, len(runs), n)]
-        marks = _remove_at(axis + 1, t.indices)
+        marks = t.indices[:axis] + t.indices[axis + 1 :]
         if not new_shape:
             return comps[0]
         t = TensorValue(new_shape, tuple(comps), marks)
@@ -395,7 +378,7 @@ def tensor_map(f: Callable, *ts):
 
 
 def _mark_str(m: IndexMark) -> str:
-    head = {SUPERSCRIPT: "~", SUBSCRIPT: "_", SUPERSUBSCRIPT: "~_"}[m.variance]
+    head = VARIANCE_STR[m.variance]
     if isinstance(m.label, Dummy):
         return head + "#"
     if isinstance(m.label, Sym):

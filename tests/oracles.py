@@ -13,10 +13,14 @@ factors included.  `to_nested` turns a tensor into nested lists, the inverse of
 expression from scratch, with nothing memoised.  `add_ref`, `mul_ref`,
 `div_ref` and `int_pow_ref` are the scalar kernel as it was with every
 coefficient a `Fraction`: no integer fast path and no constant-factor
-shortcut.  `DenseInterpreter` is the evaluator before calls with nothing to
-lift ran directly: every call completes omitted indices and lifts, `+` and
-`*` fold pairwise with zero factors multiplied out, and `contract` folds each
-run through `call`.  `DATACLASS_TWINS` rebuilds every value class of the
+shortcut.  `canonicalize` rebuilds an expression bottom-up through the
+public constructors, and `differentiate_ref` is differentiation as it was
+when it rebuilt every atom it met that way.  `find_identical_pairs` lists
+the 1-based label pairs that `reduce_indices_ref` collapses one at a time.
+`DenseInterpreter` is the evaluator before calls with nothing to lift ran
+directly: every call completes omitted indices and lifts, `+` and `*` fold
+pairwise with zero factors multiplied out, and `contract` folds each run
+through `call`.  `DATACLASS_TWINS` rebuilds every value class of the
 engine as the dataclass it used to be.
 """
 
@@ -48,27 +52,35 @@ from tegi.errors import (
 from tegi.evaluator import Builtin, Closure, Environment, Interpreter, _scalar, format_value
 from tegi.forms import _perm_sign, levi_civita
 from tegi.symexpr import (
+    ONE,
     ZERO,
     Expr,
     Fun,
     Inv,
     Sym,
+    _norm,
     abs_,
     add,
     as_int,
     as_symbol,
+    cos,
     differentiate,
+    div,
+    int_pow,
     integer,
     mul,
+    rational,
+    sin,
     sqrt,
+    symbol,
 )
 from tegi.tensor import (
     SUPERSUBSCRIPT,
     IndexMark,
     TensorValue,
     contract,
-    find_identical_pairs,
     flip_indices,
+    labels_equal,
     tensor_map,
 )
 
@@ -173,7 +185,7 @@ def df_normalize_ref(v):
                 total,
                 mul(integer(_perm_sign(p)), v.components[_offset(src, strides)]),
             )
-        comps.append(total * scale)
+        comps.append(mul(total, scale))
     return TensorValue(v.shape, tuple(comps), v.indices)
 
 
@@ -329,6 +341,61 @@ def int_pow_ref(e: Expr, n: int) -> Expr:
     return out
 
 
+_FUN_CONSTRUCTORS = {"sin": sin, "cos": cos, "sqrt": sqrt, "abs": abs_}
+
+
+def _atom_as_expr(atom) -> Expr:
+    if isinstance(atom, Sym):
+        return symbol(atom.name, atom.uid)
+    if isinstance(atom, Fun):
+        return _FUN_CONSTRUCTORS[atom.tag](canonicalize(atom.arg))
+    return div(ONE, canonicalize(atom.arg))
+
+
+def canonicalize(e: Expr) -> Expr:
+    """Rebuild an expression bottom-up; idempotent on constructed values."""
+    acc = ZERO
+    for c, mono in e.terms:
+        t = Expr(((c, ()),))
+        for atom, p in mono:
+            t = mul(t, int_pow(_atom_as_expr(atom), p))
+        acc = add(acc, t)
+    return acc
+
+
+def _d_atom_ref(atom, s: Sym) -> Expr:
+    if isinstance(atom, Sym):
+        return ONE if atom == s else ZERO
+    if isinstance(atom, Inv):
+        inner = differentiate_ref(atom.arg, symbol(s.name, s.uid))
+        self_expr = Expr(((1, ((atom, 1),)),))
+        return mul(integer(-1), int_pow(self_expr, 2), inner)
+    inner = differentiate_ref(atom.arg, symbol(s.name, s.uid))
+    if atom.tag == "sin":
+        return mul(cos(atom.arg), inner)
+    if atom.tag == "cos":
+        return mul(integer(-1), sin(atom.arg), inner)
+    if atom.tag == "sqrt":
+        self_expr = Expr(((1, ((atom, 1),)),))
+        return mul(rational(1, 2), int_pow(self_expr, -1), inner)
+    raise TegiTypeError("cannot differentiate abs")
+
+
+def differentiate_ref(e: Expr, by: Expr) -> Expr:
+    s = as_symbol(by)
+    if s is None:
+        raise TegiTypeError(f"cannot differentiate by non-symbol: {by}")
+    acc = ZERO
+    for c, mono in e.terms:
+        for i, (atom, p) in enumerate(mono):
+            da = _d_atom_ref(atom, s)
+            if not da.terms:
+                continue
+            rest = Expr(((_norm(c * p), tuple(ap for j, ap in enumerate(mono) if j != i)),))
+            acc = add(acc, mul(rest, int_pow(_atom_as_expr(atom), p - 1), da))
+    return acc
+
+
 # ---------------------------------------------------------------- tensor
 
 
@@ -344,6 +411,16 @@ def diag_ref(k: int, j: int, t: TensorValue) -> TensorValue:
         comps.append(t.components[_offset(src, strides)])
     marks = t.indices[:j0] + t.indices[j0 + 1 :] if j <= len(t.indices) else t.indices
     return TensorValue(new_shape, tuple(comps), marks)
+
+
+def find_identical_pairs(marks) -> list[tuple[int, int]]:
+    """All 1-based (k, j) with k < j and equal labels, leftmost first."""
+    pairs = []
+    for k in range(len(marks)):
+        for j in range(k + 1, len(marks)):
+            if labels_equal(marks[k].label, marks[j].label):
+                pairs.append((k + 1, j + 1))
+    return pairs
 
 
 def reduce_indices_ref(t):

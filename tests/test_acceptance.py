@@ -24,7 +24,7 @@ from tegi.errors import (
 )
 from tegi.evaluator import Interpreter, format_value
 from tegi.forms import df_normalize
-from tegi.symexpr import cos, evaluate_at, integer, mul, sin, symbol
+from tegi.symexpr import add, cos, evaluate_at, integer, mul, sin, symbol
 from tegi.tensor import (
     IndexMark,
     Sym,
@@ -429,7 +429,7 @@ class TestProperties:
                 term = integer(rng.randint(-5, 5))
                 for _ in range(rng.randint(0, 2)):
                     term = mul(term, rng.choice((th, ph, sin(th), cos(ph))))
-                f = f + term
+                f = add(f, term)
             dd = df_normalize(exterior_d(exterior_d(f, coords), coords))
             assert all(not c.terms for c in dd.components)
 

@@ -108,6 +108,17 @@ class TestRun:
         assert r.stdout == "1\n"
         assert r.stderr == f"error: line 2, {message}\n"
 
+    def test_define_with_named_indices_locates_the_error(self, tmp_path):
+        # the transpose the define desugars to fails: one label for two axes
+        f = tmp_path / "s.tegi"
+        f.write_text("1\n  (define $T_i_j [|1 2|])\n", encoding="utf-8")
+        r = tegi("run", str(f))
+        assert r.returncode == 1
+        assert r.stdout == "1\n"
+        assert r.stderr == (
+            "error: line 2, col 3: transpose order is not a permutation of the tensor's labels\n"
+        )
+
     def test_deep_recursion_is_a_located_error(self, tmp_path):
         f = tmp_path / "s.tegi"
         f.write_text(
@@ -246,6 +257,10 @@ class TestRepl:
         lines = r.stdout.splitlines()
         assert "v = [|1 2|]" in lines
         assert "contract = #<function contract>" in lines
+
+    def test_env_spells_a_supersubscript_signature(self):
+        r = tegi("repl", stdin="(define $T~_i [|1 2|]~_i)\n:env\n")
+        assert "T~_ = [|1 2|]" in r.stdout.splitlines()
 
     def test_load_file(self, tmp_path):
         f = tmp_path / "lib.tegi"

@@ -22,7 +22,6 @@ from tegi.symexpr import (
     add,
     as_fraction,
     as_int,
-    canonicalize,
     cos,
     differentiate,
     div,
@@ -42,6 +41,8 @@ from tegi.symexpr import (
 from oracles import (
     add_ref,
     atom_key_ref,
+    canonicalize,
+    differentiate_ref,
     div_ref,
     int_pow_ref,
     mono_key_ref,
@@ -199,6 +200,13 @@ class TestDifferentiate:
     def test_abs_rejected(self):
         with pytest.raises(TegiTypeError):
             differentiate(abs_(X), X)
+
+    def test_generated_symbol_is_its_own_variable(self):
+        # x and a scope-fresh x are different variables at every depth  [TRIVIAL]
+        fresh = symbol("x", 1)
+        inner = add(X, mul(fresh, Y))
+        assert differentiate(sin(inner), fresh) == mul(Y, cos(inner))
+        assert differentiate(sqrt(add(X, Y)), fresh) == integer(0)
 
     def test_by_non_symbol(self):
         with pytest.raises(TegiTypeError):
@@ -446,6 +454,21 @@ def test_kernel_matches_the_fraction_reference(a, b, c, n):
         assert coefficients_are_stored_exactly(got)
 
 
+@settings(max_examples=200, deadline=None)
+@given(nested_exprs(), st.sampled_from([X, Y, symbol("x", 1)]))
+def test_differentiate_matches_the_rebuilding_reference(e, by):
+    try:
+        want = differentiate_ref(e, by)
+    except TegiTypeError as exc:  # abs has no derivative
+        with pytest.raises(TegiTypeError) as got:
+            differentiate(e, by)
+        assert str(got.value) == str(exc)
+        return
+    got = differentiate(e, by)
+    assert_same_value(got, want)
+    assert coefficients_are_stored_exactly(got)
+
+
 class TestIntegerCoefficients:
     def test_integral_values_are_stored_as_ints(self):
         half = rational(1, 2)
@@ -459,7 +482,7 @@ class TestIntegerCoefficients:
             sqrt(rational(16, 4)),
             abs_(rational(-4, 2)),
             differentiate(mul(half, int_pow(X, 2)), X),
-            X + Fraction(6, 3),
+            add(X, Fraction(6, 3)),
             mul(Fraction(6, 3)),
             div(1, add(X, Y)),
             ONE,

@@ -23,7 +23,6 @@ from tegi.tensor import (
     attach_indices,
     contract,
     down,
-    find_identical_pairs,
     flip_indices,
     reduce_indices,
     tensor,
@@ -32,9 +31,7 @@ from tegi.tensor import (
     up,
     updown,
 )
-from tegi.tensor import _remove_at, _update_at, _variance_at
-
-from oracles import to_nested
+from oracles import find_identical_pairs, to_nested
 
 I, J, K = Sym("i"), Sym("j"), Sym("k")
 
@@ -164,18 +161,6 @@ class TestHelpers:
 
     def test_pairs_dummies(self):
         assert find_identical_pairs([down(Dummy(5)), down(Dummy(5))]) == []
-
-    def test_variance_at(self):
-        # [PAPER] p(2, [{i,1},{j,-1}]) = -1
-        assert _variance_at(2, (up(I), down(J))) == -1
-
-    def test_remove_at(self):
-        # [PAPER] remove(2, [{i,1},{j,-1}]) = [{i,1}]
-        assert _remove_at(2, (up(I), down(J))) == (up(I),)
-
-    def test_update_at(self):
-        # [PAPER] update(2, 0, [{i,1},{j,-1}]) = [{i,1},{j,0}]
-        assert _update_at(2, 0, (up(I), down(J))) == (up(I), updown(J))
 
 
 def diag(k, j, t):

@@ -8,10 +8,12 @@ other test noticing.  The tracer is imported from its file, read only.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from tegi.evaluator import Interpreter, format_value
 
 ROOT = Path(__file__).resolve().parent.parent
-PROGRAM = ROOT / "tests" / "corpus" / "riemann_s2.tegi"
+CORPUS = ROOT / "tests" / "corpus"
 
 
 def load_tracer():
@@ -29,8 +31,15 @@ def printed(text: str, on_ready=None) -> list[str]:
     return [format_value(v) for v in interp.eval_source(text)]
 
 
-def test_traced_runs_print_the_same_and_count_the_same():
-    text = PROGRAM.read_text(encoding="utf-8")
+# The 2-sphere program lifts through `apply_with_kinds`; the forms program
+# also reaches `forms`, whose functions the tracer wraps too.
+@pytest.mark.parametrize(
+    "program, counted",
+    [("riemann_s2.tegi", "application.kernel_calls"), ("forms_s3.tegi", "forms.calls")],
+    ids=["riemann_s2", "forms_s3"],
+)
+def test_traced_runs_print_the_same_and_count_the_same(program, counted):
+    text = (CORPUS / program).read_text(encoding="utf-8")
     untraced = printed(text)
     tracer = load_tracer()
     tracer.install()
@@ -44,4 +53,5 @@ def test_traced_runs_print_the_same_and_count_the_same():
     assert first == second == untraced
     assert counts == again
     assert counts["application.kernel_calls"] > 0
+    assert counts[counted] > 0
     assert printed(text) == untraced  # uninstalled cleanly
