@@ -1,17 +1,19 @@
 """Parameter application semantics.
 
-Scalar parameters lift a scalar function over tensor arguments with one
-many-tensor tensor_map: the arguments' marks are concatenated in argument
-order and repeated labels collapsed, as index reduction would collapse them
-in the outer product, before the function runs once per result component.
-Shared labels thus align and distinct ones multiply out.  Inverted scalar
-parameters flip the argument's marks first.  Tensor parameters receive
-values untouched.
+Every function, builtin or lambda, reaches this module the same way: as a
+Python callable with one ParamKind per argument.  Scalar parameters lift a
+scalar function over tensor arguments with one many-tensor tensor_map: the
+arguments' marks are concatenated in argument order and repeated labels
+collapsed, as index reduction would collapse them in the outer product,
+before the function runs once per result component.  Shared labels thus
+align and distinct ones multiply out.  Inverted scalar parameters flip the
+argument's marks first.  Tensor parameters receive values untouched.
 
 Omitted-index completion appends fresh subscript marks over form axes before
-an application (one shared sequence for ordinary scalar application, a fresh
-sequence per argument under `!`), and with_symbols_scope removes generated
-marks afterwards, turning their axes back into trailing form axes.
+an application; `!` changes only how: one shared sequence for an ordinary
+application, a fresh sequence per argument under `!`.  with_symbols_scope
+removes generated marks afterwards, turning their axes back into trailing
+form axes.
 """
 
 from __future__ import annotations
@@ -85,35 +87,26 @@ def apply_with_kinds(kernel: Callable, kinds: Sequence[ParamKind], args: Sequenc
 def complete_omitted_indices(args: Sequence, mode: str):
     """Append fresh subscript marks over form axes.
 
-    Returns (new_args, generated_symbols).  "shared" reuses one symbol
-    sequence across arguments and requires equal form degrees; "distinct"
-    generates a fresh sequence per argument.
+    Returns (new_args, generated_symbols).  "shared" reuses the first
+    argument's symbol sequence for every argument and requires equal form
+    degrees; "distinct" generates a fresh sequence per argument.
     """
-    degrees = [
-        a.form_degree if isinstance(a, TensorValue) else 0 for a in args
-    ]
-    if mode == "shared":
-        wanted = {d for d in degrees if d}
-        if not wanted:
-            return list(args), []
-        if len(wanted) > 1:
-            raise CompletionMismatchError(
-                "shared index completion over arguments of differing form degree"
-            )
-        k = wanted.pop()
-        syms = [fresh_symbol(f"t{n + 1}") for n in range(k)]
-        out = [
-            attach_indices(a, [down(s) for s in syms]) if d else a
-            for a, d in zip(args, degrees)
-        ]
-        return out, syms
+    shared = mode == "shared"
     out, gens = [], []
-    for a, d in zip(args, degrees):
+    for a in args:
+        d = a.form_degree if isinstance(a, TensorValue) else 0
         if not d:
             out.append(a)
             continue
-        syms = [fresh_symbol(f"t{len(gens) + n + 1}") for n in range(d)]
-        gens.extend(syms)
+        if shared and gens:
+            if d != len(gens):
+                raise CompletionMismatchError(
+                    "shared index completion over arguments of differing form degree"
+                )
+            syms = gens
+        else:
+            syms = [fresh_symbol(f"t{len(gens) + n + 1}") for n in range(d)]
+            gens.extend(syms)
         out.append(attach_indices(a, [down(s) for s in syms]))
     return out, gens
 

@@ -1,10 +1,16 @@
-"""Tree-walking interpreter: environments, application semantics, builtins.
+"""Tree-walking interpreter: environments, function values, builtins.
 
 A single global frame holds the prelude and user definitions, so prelude
 functions like `d` can reference a coordinate frame `x` the user defines
 later.  Tensor-typed variables are stored under (name, variance-signature)
 keys; references try the longest matching signature prefix per frame, then
 the plain name.
+
+Every function is a `Function`: a name (None for a lambda), the kind of
+each parameter (None for a variadic scalar builtin) and a Python callable.
+A lambda evaluates once to a `Function` whose callable runs the body in a
+new frame; `Interpreter.call` checks the arity, completes omitted indices
+and hands the callable to `apply_with_kinds`, the same way for both.
 """
 
 from __future__ import annotations
@@ -67,10 +73,9 @@ from .tensor import (
     transpose,
 )
 
-__all__ = ["Builtin", "Closure", "Environment", "Interpreter", "format_value"]
+__all__ = ["Environment", "Function", "Interpreter", "format_value"]
 
-SCALAR, TENSOR, INVERTED = ParamKind.SCALAR, ParamKind.TENSOR, ParamKind.INVERTED
-_SIGIL_KIND = {"$": SCALAR, "%": TENSOR, "*$": INVERTED}
+SCALAR, TENSOR = ParamKind.SCALAR, ParamKind.TENSOR
 _MISSING = object()
 
 
@@ -83,31 +88,21 @@ class Environment:
         self.bindings = bindings if bindings is not None else {}
         self.parent = parent
 
-    def lookup(self, key):
+    def get(self, key, default=None):
         env = self
         while env is not None:
             if key in env.bindings:
                 return env.bindings[key]
             env = env.parent
-        raise KeyError(key)
-
-    def get(self, key, default=None):
-        try:
-            return self.lookup(key)
-        except KeyError:
-            return default
+        return default
 
     def define(self, key, value):
         self.bindings[key] = value
 
 
-class Closure(Record):
-    __slots__ = ("params", "body", "env")  # params: tuple of (ParamKind, name)
-    __hash__ = None
-
-
-class Builtin(Record):
-    __slots__ = ("name", "kinds", "fn", "min_args")  # kinds None means variadic scalar
+class Function(Record):
+    # name None is a lambda; kinds None is a variadic scalar builtin
+    __slots__ = ("name", "kinds", "fn", "min_args")
     __hash__ = None
     _defaults = {"min_args": 1}
 
@@ -129,10 +124,8 @@ def format_value(v, scalar: Callable[[Expr], str] | None = None) -> str:
         return f'"{escaped}"'
     if isinstance(v, tuple):
         return "{" + " ".join(format_value(x, scalar) for x in v) + "}"
-    if isinstance(v, Builtin):
-        return f"#<function {v.name}>"
-    if isinstance(v, Closure):
-        return "#<function>"
+    if isinstance(v, Function):
+        return "#<function>" if v.name is None else f"#<function {v.name}>"
     return repr(v)
 
 
@@ -208,19 +201,17 @@ class Interpreter:
                 raise
         if isinstance(node, lang.Braces):
             return tuple(self.eval(e, env) for e in node.items)
-        if isinstance(node, (lang.Apply, lang.BangApply)):
+        if isinstance(node, lang.Apply):
             try:
                 fn = self.eval(node.fn, env)
                 args = [self.eval(a, env) for a in node.args]
-                distinct = isinstance(node, lang.BangApply)
-                return self.call(fn, args, distinct=distinct, loc=node.loc)
+                return self.call(fn, args, distinct=node.distinct, loc=node.loc)
             except TegiError as exc:
                 if exc.location is None:  # the innermost application wins
                     exc.location = node.loc
                 raise
         if isinstance(node, lang.Lambda):
-            params = tuple((_SIGIL_KIND[s], n) for s, n in node.params)
-            return Closure(params, node.body, env)
+            return self._lambda(node, env)
         if isinstance(node, lang.Define):
             return self._define(node, env)
         if isinstance(node, lang.WithSymbols):
@@ -241,37 +232,19 @@ class Interpreter:
         raise TegiTypeError(f"cannot evaluate {node!r}")
 
     def call(self, fnv, args: list, distinct: bool = False, loc=None):
-        if isinstance(fnv, Closure):
-            if len(args) != len(fnv.params):
-                raise ArityError(
-                    f"expected {len(fnv.params)} arguments, got {len(args)}", loc
-                )
-            kinds = [k for k, _ in fnv.params]
-            names = [n for _, n in fnv.params]
-
-            def kernel(*vals):
-                return self.eval(fnv.body, Environment(dict(zip(names, vals)), fnv.env))
-
-        elif isinstance(fnv, Builtin):
-            if fnv.kinds is None:
-                if len(args) < fnv.min_args:
-                    raise ArityError(
-                        f"{fnv.name} needs at least {fnv.min_args} argument(s)", loc
-                    )
-                kinds = [SCALAR] * len(args)
-            else:
-                if len(args) != len(fnv.kinds):
-                    raise ArityError(
-                        f"{fnv.name} expected {len(fnv.kinds)} arguments, got {len(args)}",
-                        loc,
-                    )
-                kinds = list(fnv.kinds)
-            kernel = fnv.fn
-        else:
+        if not isinstance(fnv, Function):
             raise TegiTypeError(f"not a function: {format_value(fnv)}", loc)
+        kinds = fnv.kinds
+        if kinds is None:
+            if len(args) < fnv.min_args:
+                raise ArityError(f"{fnv.name} needs at least {fnv.min_args} argument(s)", loc)
+            kinds = (SCALAR,) * len(args)
+        elif len(args) != len(kinds):
+            who = "" if fnv.name is None else f"{fnv.name} "
+            raise ArityError(f"{who}expected {len(kinds)} arguments, got {len(args)}", loc)
 
         if not any(isinstance(a, TensorValue) for a in args):
-            return apply_with_kinds(kernel, kinds, args)  # nothing to complete or lift
+            return apply_with_kinds(fnv.fn, kinds, args)  # nothing to complete or lift
         if distinct:
             args, gens = complete_omitted_indices(args, "distinct")
         else:
@@ -280,8 +253,19 @@ class Interpreter:
             args = list(args)
             for i, v in zip(spots, sub):
                 args[i] = v
-        result = apply_with_kinds(kernel, kinds, args)
+        result = apply_with_kinds(fnv.fn, kinds, args)
         return with_symbols_scope(gens, result)
+
+    def _lambda(self, node: lang.Lambda, env: Environment) -> Function:
+        kinds = tuple(ParamKind(sigil) for sigil, _ in node.params)
+        names = tuple(name for _, name in node.params)
+        body = node.body
+
+        def kernel(*vals):
+            # `self.eval` is looked up at each call, so a rebound `eval` is used
+            return self.eval(body, Environment(dict(zip(names, vals)), env))
+
+        return Function(None, kinds, kernel)
 
     # -- indexed references --------------------------------------------------
 
@@ -353,7 +337,7 @@ class Interpreter:
 
     # -- builtins --------------------------------------------------------------
 
-    def _builtins(self) -> list[Builtin]:
+    def _builtins(self) -> list[Function]:
         S, T = SCALAR, TENSOR
 
         def fold(op, unary=None):
@@ -378,7 +362,7 @@ class Interpreter:
                     return v
             return mul(*vals)
 
-        plus = Builtin("+", None, plus_fn)
+        plus = Function("+", None, plus_fn)
 
         def contract_fn(f, t):
             if f is plus:
@@ -396,12 +380,6 @@ class Interpreter:
             if n is None:
                 raise TegiTypeError("'^' needs an integer exponent")
             return int_pow(_scalar(base), n)
-
-        def levi(n):
-            k = as_int(_scalar(n))
-            if k is None:
-                raise DomainError("levi-civita needs a positive integer dimension")
-            return levi_civita(k)
 
         def between(a, b):
             lo, hi = as_int(_scalar(a)), as_int(_scalar(b))
@@ -434,25 +412,25 @@ class Interpreter:
 
         return [
             plus,
-            Builtin("-", None, fold(sub, unary=neg)),
-            Builtin("*", None, times_fn),
-            Builtin("/", None, fold(div), min_args=2),
-            Builtin("^", (S, S), power),
-            Builtin("less-than?", (S, S), less_than),
-            Builtin("sin", (S,), lambda x: sin(_scalar(x))),
-            Builtin("cos", (S,), lambda x: cos(_scalar(x))),
-            Builtin("sqrt", (S,), lambda x: sqrt(_scalar(x))),
-            Builtin("abs", (S,), lambda x: abs_(_scalar(x))),
-            Builtin("derivative", (S, S), lambda f, x: differentiate(_scalar(f), _scalar(x))),
-            Builtin("contract", (T, T), contract_fn),
-            Builtin("tensor-map", (T, T), lambda f, t: tensor_map(lambda c: self.call(f, [c]), t)),
-            Builtin("flip-indices", (T,), flip_indices),
-            Builtin("transpose", (T, T), transpose_by),
-            Builtin("df-order", (T,), lambda v: integer(df_order(v))),
-            Builtin("df-normalize", (T,), df_normalize),
-            Builtin("M.det", (T,), det),
-            Builtin("levi-civita", (S,), levi),
-            Builtin("hodge", (T,), hodge_fn),
-            Builtin("map", (T, T), map_fn),
-            Builtin("between", (S, S), between),
+            Function("-", None, fold(sub, unary=neg)),
+            Function("*", None, times_fn),
+            Function("/", None, fold(div), min_args=2),
+            Function("^", (S, S), power),
+            Function("less-than?", (S, S), less_than),
+            Function("sin", (S,), lambda x: sin(_scalar(x))),
+            Function("cos", (S,), lambda x: cos(_scalar(x))),
+            Function("sqrt", (S,), lambda x: sqrt(_scalar(x))),
+            Function("abs", (S,), lambda x: abs_(_scalar(x))),
+            Function("derivative", (S, S), lambda f, x: differentiate(_scalar(f), _scalar(x))),
+            Function("contract", (T, T), contract_fn),
+            Function("tensor-map", (T, T), lambda f, t: tensor_map(lambda c: self.call(f, [c]), t)),
+            Function("flip-indices", (T,), flip_indices),
+            Function("transpose", (T, T), transpose_by),
+            Function("df-order", (T,), lambda v: integer(df_order(v))),
+            Function("df-normalize", (T,), df_normalize),
+            Function("M.det", (T,), det),
+            Function("levi-civita", (S,), lambda n: levi_civita(as_int(_scalar(n)))),
+            Function("hodge", (T,), hodge_fn),
+            Function("map", (T, T), map_fn),
+            Function("between", (S, S), between),
         ]

@@ -12,7 +12,6 @@ from .record import Record
 
 __all__ = [
     "Apply",
-    "BangApply",
     "Braces",
     "Define",
     "If",
@@ -176,11 +175,8 @@ class Braces(Record):
 
 
 class Apply(Record):
-    __slots__ = ("fn", "args", "loc")
-
-
-class BangApply(Record):
-    __slots__ = ("fn", "args", "loc")
+    __slots__ = ("fn", "args", "distinct", "loc")  # distinct: written with `!`
+    _defaults = {"distinct": False}
 
 
 class Lambda(Record):
@@ -205,7 +201,7 @@ class If(Record):
 
 Node = (
     IntLit | StrLit | SymbolRef | IndexedRef | TensorLit | Braces
-    | Apply | BangApply | Lambda | Define | WithSymbols | Let | If
+    | Apply | Lambda | Define | WithSymbols | Let | If
 )
 
 _MARK_TOKENS = {"_": -1, "~": 1, "~_": 0}
@@ -270,7 +266,7 @@ class _Parser:
             form = self.form(opener)
             if not isinstance(form, Apply):
                 raise ParseError("'!' must precede a function application", self.loc(t))
-            return BangApply(form.fn, form.args, self.loc(t))
+            return Apply(form.fn, form.args, True, self.loc(t))
         if t.type == "(":
             return self.form(t)
         raise ParseError(f"unexpected {t.value!r}", (t.line, t.col))
@@ -293,17 +289,25 @@ class _Parser:
                 base = Apply(
                     SymbolRef("^", self.loc(t)),
                     (base, IntLit(e.value, self.loc(e))),
-                    self.loc(t),
+                    loc=self.loc(t),
                 )
             else:
                 return base
 
-    def mark_label(self) -> Label:
+    def glued_label(self) -> Label | None:
+        """Read the label glued onto the mark just read, or None if there is none."""
         t = self.peek()
         if t.glued and t.type in ("sym", "int", "#"):
             self.next()
             return "#" if t.type == "#" else t.value
-        raise ParseError("index mark needs a label", (t.line, t.col))
+        return None
+
+    def mark_label(self) -> Label:
+        label = self.glued_label()
+        if label is None:
+            t = self.peek()
+            raise ParseError("index mark needs a label", (t.line, t.col))
+        return label
 
     # -- parenthesized forms -------------------------------------------------
 
@@ -327,7 +331,7 @@ class _Parser:
                 raise ParseError("unterminated '('", self.loc(opener))
             args.append(self.expression())
         self.next()
-        return Apply(fn, tuple(args), self.loc(opener))
+        return Apply(fn, tuple(args), loc=self.loc(opener))
 
     def define_form(self, opener: Token) -> Node:
         if self.peek().type == "$":
@@ -336,11 +340,7 @@ class _Parser:
         sig = []
         while self.peek().type in _MARK_TOKENS and self.peek().glued:
             mt = self.next()
-            label = None
-            t = self.peek()
-            if t.glued and t.type in ("sym", "int", "#"):
-                self.next()
-                label = "#" if t.type == "#" else t.value
+            label = self.glued_label()
             if mt.type == "~_" and label is None:
                 # a bare "~_" in a name is two marks, not a supersubscript
                 sig.append(MarkAst(1, None))
@@ -452,7 +452,7 @@ def desugar_define_indices(node: Define) -> Define:
     refs = Braces(tuple(SymbolRef(s, loc) for s in labels), loc)
     body = WithSymbols(
         tuple(labels),
-        Apply(SymbolRef("transpose", loc), (refs, node.body), loc),
+        Apply(SymbolRef("transpose", loc), (refs, node.body), loc=loc),
         loc,
     )
     signature = tuple(MarkAst(m.variance, None) for m in node.signature)
@@ -487,15 +487,15 @@ def unparse(node: Node) -> str:
         return "{" + " ".join(unparse(e) for e in node.items) + "}"
     if isinstance(node, Apply):
         if (
-            isinstance(node.fn, SymbolRef)
+            not node.distinct
+            and isinstance(node.fn, SymbolRef)
             and node.fn.name == "^"
             and len(node.args) == 2
             and isinstance(node.args[1], IntLit)
         ):
             return f"{unparse(node.args[0])}^{node.args[1].value}"
-        return "(" + " ".join(unparse(e) for e in (node.fn, *node.args)) + ")"
-    if isinstance(node, BangApply):
-        return "!(" + " ".join(unparse(e) for e in (node.fn, *node.args)) + ")"
+        opener = "!(" if node.distinct else "("
+        return opener + " ".join(unparse(e) for e in (node.fn, *node.args)) + ")"
     if isinstance(node, Lambda):
         params = " ".join(sigil + name for sigil, name in node.params)
         return f"(lambda [{params}] {unparse(node.body)})"

@@ -49,7 +49,7 @@ from tegi.errors import (
     TegiArithmeticError,
     TegiTypeError,
 )
-from tegi.evaluator import Builtin, Closure, Environment, Interpreter, _scalar, format_value
+from tegi.evaluator import Function, Interpreter, _scalar, format_value
 from tegi.forms import _perm_sign, levi_civita
 from tegi.symexpr import (
     ONE,
@@ -578,34 +578,16 @@ class DenseInterpreter(Interpreter):
     """Every call completes and lifts; `+`, `*` and `contract` fold pairwise."""
 
     def call(self, fnv, args: list, distinct: bool = False, loc=None):
-        if isinstance(fnv, Closure):
-            if len(args) != len(fnv.params):
-                raise ArityError(
-                    f"expected {len(fnv.params)} arguments, got {len(args)}", loc
-                )
-            kinds = [k for k, _ in fnv.params]
-            names = [n for _, n in fnv.params]
-
-            def kernel(*vals):
-                return self.eval(fnv.body, Environment(dict(zip(names, vals)), fnv.env))
-
-        elif isinstance(fnv, Builtin):
-            if fnv.kinds is None:
-                if len(args) < fnv.min_args:
-                    raise ArityError(
-                        f"{fnv.name} needs at least {fnv.min_args} argument(s)", loc
-                    )
-                kinds = [SCALAR] * len(args)
-            else:
-                if len(args) != len(fnv.kinds):
-                    raise ArityError(
-                        f"{fnv.name} expected {len(fnv.kinds)} arguments, got {len(args)}",
-                        loc,
-                    )
-                kinds = list(fnv.kinds)
-            kernel = fnv.fn
-        else:
+        if not isinstance(fnv, Function):
             raise TegiTypeError(f"not a function: {format_value(fnv)}", loc)
+        kinds = fnv.kinds
+        if kinds is None:
+            if len(args) < fnv.min_args:
+                raise ArityError(f"{fnv.name} needs at least {fnv.min_args} argument(s)", loc)
+            kinds = (SCALAR,) * len(args)
+        elif len(args) != len(kinds):
+            who = "" if fnv.name is None else f"{fnv.name} "
+            raise ArityError(f"{who}expected {len(kinds)} arguments, got {len(args)}", loc)
 
         if distinct:
             args, gens = complete_omitted_indices(args, "distinct")
@@ -615,7 +597,7 @@ class DenseInterpreter(Interpreter):
             args = list(args)
             for i, v in zip(spots, sub):
                 args[i] = v
-        result = apply_with_kinds_dense(kernel, kinds, args)
+        result = apply_with_kinds_dense(fnv.fn, kinds, args)
         return with_symbols_scope(gens, result)
 
     def _builtins(self):
@@ -637,7 +619,7 @@ class DenseInterpreter(Interpreter):
             "contract": lambda f, t: contract_ref(lambda a, b: self.call(f, [a, b]), t),
         }
         return [
-            Builtin(b.name, b.kinds, dense.get(b.name, b.fn), b.min_args)
+            Function(b.name, b.kinds, dense.get(b.name, b.fn), b.min_args)
             for b in super()._builtins()
         ]
 
@@ -654,8 +636,7 @@ _TWIN_FIELDS = {
     "IndexedRef": "base marks loc",
     "TensorLit": "elements loc",
     "Braces": "items loc",
-    "Apply": "fn args loc",
-    "BangApply": "fn args loc",
+    "Apply": "fn args distinct loc",
     "Lambda": "params body loc",
     "Define": "name signature body loc",
     "WithSymbols": "names body loc",
@@ -671,16 +652,16 @@ _TWIN_FIELDS = {
     "Inv": "arg",
     "Expr": "terms",
     # evaluator
-    "Closure": "params body env",
-    "Builtin": "name kinds fn min_args",
+    "Function": "name kinds fn min_args",
 }
 _TWIN_DEFAULTS = {
     ("Sym", "uid"): 0,
     ("Expr", "terms"): (),
     ("TensorValue", "indices"): (),
-    ("Builtin", "min_args"): 1,
+    ("Function", "min_args"): 1,
+    ("Apply", "distinct"): False,
 }
-_MUTABLE = {"Closure", "Builtin"}  # `@dataclass` with eq=True: no hash
+_MUTABLE = {"Function"}  # `@dataclass` with eq=True: no hash
 
 
 def _tensor_checks(self):

@@ -13,6 +13,7 @@ from tegi.errors import (
 )
 from tegi import evaluator
 from tegi.evaluator import Interpreter, format_value
+from tegi.lang import unparse
 from tegi.symexpr import Sym, as_int, int_pow, mul, rational, sin, symbol
 from tegi.tensor import TensorValue, attach_indices, down, up
 
@@ -216,6 +217,33 @@ class TestClosures:
         with pytest.raises(ArityError):
             ev("((lambda [$x] x) 1 2)")
 
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            ("((lambda [$x $y] x) 1)", "expected 2 arguments, got 1"),
+            ("(sin 1 2)", "sin expected 1 arguments, got 2"),
+            ("(/ 1)", "/ needs at least 2 argument(s)"),
+        ],
+    )
+    def test_arity_messages(self, src, message):
+        with pytest.raises(ArityError) as info:
+            ev(src)
+        assert info.value.message == message
+
+    def test_lambda_bodies_use_the_eval_bound_at_call_time(self, monkeypatch):
+        # a layer tracer may rebind `Interpreter.eval` after a lambda exists
+        interp = Interpreter()
+        interp.eval_source("(define $sq (lambda [$x] (* x x)))")
+        real, seen = Interpreter.eval, []
+
+        def recording(self, node, env):
+            seen.append(unparse(node))
+            return real(self, node, env)
+
+        monkeypatch.setattr(Interpreter, "eval", recording)
+        assert format_value(interp.eval_source("(sq 3)")[-1]) == "9"
+        assert "(* x x)" in seen
+
     def test_not_a_function(self):
         with pytest.raises(TegiTypeError):
             ev("(1 2)")
@@ -281,6 +309,12 @@ class TestBuiltins:
         assert show("(ε 2)") == "[|[|0 1|] [|-1 0|]|]"
         with pytest.raises(DomainError):
             ev("(levi-civita 0)")
+
+    @pytest.mark.parametrize("n", ["0", "-2", "(/ 1 2)", "θ"])
+    def test_levi_civita_needs_a_positive_integer(self, n):
+        with pytest.raises(DomainError) as info:
+            ev(f"(levi-civita {n})")
+        assert info.value.message == "levi-civita needs a positive integer dimension"
 
     def test_det_with_dummy_indices(self):
         src = "(define $g__ [|[|r^2 0|] [|0 (* r^2 (sin θ)^2)|]|]) (M.det g_#_#)"
@@ -409,7 +443,7 @@ class TestSphere:
 
     def test_d_agrees_with_direct_exterior_derivative(self, sphere):
         got = sphere.eval_source("(d ω~1_2)")[-1]
-        omega = sphere.global_env.lookup(("ω", (1, -1)))
+        omega = sphere.global_env.get(("ω", (1, -1)))
         coords = TensorValue((2,), (symbol("θ"), symbol("φ")))
         row = attach_indices(omega, [up(1), down(2)])
         want = exterior_d(row, coords)
@@ -441,7 +475,7 @@ class TestDirectCalls:
         src = "(with-symbols {i} (. [|1 2 3|]~i [|4 5 6|]_i))"
         for cls, steps in [(Interpreter, 0), (DenseInterpreter, 2)]:
             interp = cls()
-            plus = interp.global_env.lookup("+")
+            plus = interp.global_env.get("+")
             calls = self.record(monkeypatch, cls, "call")
             assert format_value(interp.eval_source(src)[-1]) == "32"
             assert sum(args[1] is plus for args in calls) == steps

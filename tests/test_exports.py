@@ -9,7 +9,7 @@ import importlib
 
 import pytest
 
-MODULES = ["lang", "application", "tensor", "symexpr", "forms"]
+MODULES = ["lang", "application", "tensor", "symexpr", "forms", "evaluator", "record"]
 
 
 @pytest.mark.parametrize("name", MODULES)

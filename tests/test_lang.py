@@ -5,7 +5,6 @@ import pytest
 from tegi.errors import DesugarError, LexError, ParseError
 from tegi.lang import (
     Apply,
-    BangApply,
     Braces,
     Define,
     If,
@@ -109,7 +108,11 @@ class TestParse:
     def test_bang_application(self):
         # [PAPER] !(. A B)
         got = parse1("!(. A B)")
-        assert got == BangApply(SymbolRef("."), (SymbolRef("A"), SymbolRef("B")))
+        assert got == Apply(SymbolRef("."), (SymbolRef("A"), SymbolRef("B")), distinct=True)
+
+    def test_bang_and_plain_applications_differ(self):
+        assert parse1("!(f x)") != parse1("(f x)")
+        assert parse1("(f x)").distinct is False
 
     def test_indexed_tensor_literal(self):
         # [PAPER] [|[|1 2|] [|3 4|]|]_j_i
@@ -265,6 +268,10 @@ class TestUnparse:
         assert unparse(parse1("g_#_#")) == "g_#_#"
         assert unparse(parse1("r^2")) == "r^2"
         assert unparse(parse1("!(. A B)")) == "!(. A B)"
+        assert unparse(parse1("!(f x)")) == "!(f x)"
+        # a distinct power keeps its `!`, so it never becomes `^` sugar
+        power = Apply(SymbolRef("^"), (SymbolRef("r"), IntLit(2)), distinct=True)
+        assert unparse(power) == "!(^ r 2)"
 
     def test_desugared_define(self):
         got = unparse(parse1("(define $Γ_i_j_k E)"))

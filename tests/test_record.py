@@ -16,17 +16,15 @@ from hypothesis import given, settings, strategies as st
 from oracles import DATACLASS_TWINS
 from tegi import evaluator, lang, symexpr, tensor
 from tegi.errors import TegiError
-from tegi.evaluator import Environment
 from tegi.symexpr import ONE, ZERO, add, div, sin, symbol
 
 NAMES = sorted(DATACLASS_TWINS)
 MODULES = (lang, tensor, symexpr, evaluator)
 ENGINE = {n: next(getattr(m, n) for m in MODULES if hasattr(m, n)) for n in NAMES}
 NODES = {"Sym", "Fun", "Inv", "Expr"}  # hashed by their memoised order key
-UNHASHABLE = {"Closure", "Builtin"}
+UNHASHABLE = {"Function"}
 # classes whose instances can hold the same field values
 SHARED_FIELDS = [
-    ("Apply", "BangApply"),
     ("IntLit", "StrLit", "SymbolRef", "TensorLit", "Braces"),
     ("MarkAst", "IndexMark"),
     ("Lambda", "WithSymbols", "Let"),
@@ -46,7 +44,6 @@ SPECIAL = {
     ("Fun", "arg"): st.sampled_from(EXPRS),
     ("Inv", "arg"): st.sampled_from(EXPRS),
     ("Expr", "terms"): st.sampled_from([e.terms for e in EXPRS]),
-    ("Closure", "env"): st.sampled_from([Environment(), None]),
 }
 
 
@@ -129,10 +126,10 @@ def test_keywords_build_the_same_record(case):
 @pytest.mark.parametrize(
     "name, args",
     [("Sym", ("x",)), ("Expr", ()), ("TensorValue", ((1,), (ONE,))),
-     ("Builtin", ("f", None, len)), ("IntLit", (3,)), ("Apply", (1, ())),
+     ("Function", ("f", None, len)), ("IntLit", (3,)), ("Apply", (1, ())),
      # wrong argument counts
      ("Sym", ()), ("Sym", ("x", 1, 2)), ("Expr", ((), 1)), ("Dummy", ()),
-     ("TensorValue", ((1,),)), ("Builtin", ("f", None)), ("Builtin", ("f", None, len, 1, 2)),
+     ("TensorValue", ((1,),)), ("Function", ("f", None)), ("Function", ("f", None, len, 1, 2)),
      ("IntLit", ()), ("IntLit", (3, None, 0)), ("Apply", (1,)), ("Token", ("int", 1, 1, 1))],
 )
 def test_defaults_match(name, args):
@@ -184,7 +181,7 @@ def test_fields_cannot_be_assigned_or_deleted(case):
             setattr(record, field, 0)
         with pytest.raises(AttributeError):
             delattr(record, field)
-        if name not in UNHASHABLE:  # the twins of Closure and Builtin are mutable
+        if name not in UNHASHABLE:  # the twin of Function is mutable
             with pytest.raises(AttributeError):
                 setattr(twin, field, 0)
     assert record == ENGINE[name](*args)
@@ -192,8 +189,7 @@ def test_fields_cannot_be_assigned_or_deleted(case):
 
 @pytest.mark.parametrize("name", sorted(UNHASHABLE))
 def test_closures_and_builtins_are_unhashable(name):
-    args = ((), lang.IntLit(1), Environment()) if name == "Closure" else ("f", None, len)
-    for value in both(name, args):
+    for value in both(name, ("f", None, len)):
         with pytest.raises(TypeError):
             hash(value)
 
@@ -234,7 +230,7 @@ def test_post_init_rebound_on_the_class_runs_at_each_construction(monkeypatch):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from([n for n in NAMES if n != "Closure"]).flatmap(
+@given(st.sampled_from(NAMES).flatmap(
     lambda n: st.tuples(st.just(n), args_for(n))))
 def test_pickle_round_trip(case):
     name, args = case
