@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import signal
 import sys
 from pathlib import Path
 
@@ -211,6 +212,8 @@ def check_corpus(directory: str) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     _force_utf8()
+    if hasattr(signal, "SIGPIPE"):  # a reader closing stdout ends tegi as it ends `cat`
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     parser = argparse.ArgumentParser(
         prog="tegi",
         description="Interpreter for tensor index notation with differential forms.",

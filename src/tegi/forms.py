@@ -11,12 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import (
-    DomainError,
-    FormDegreeError,
-    ShapeMismatchError,
-    TegiTypeError,
-)
+from .errors import DomainError, FormDegreeError, ShapeMismatchError, TegiTypeError
 from .symexpr import ZERO, Expr, abs_, add, integer, mul, rational, sqrt
 from .tensor import TensorValue, _strides, _view
 
@@ -38,43 +33,42 @@ def df_order(v) -> int:
     raise TegiTypeError("df-order expects a scalar or tensor value")
 
 
-def _perm_sign(p) -> int:
-    """Sign of a sequence as a permutation; 0 when entries repeat."""
-    sign = 1
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] == p[j]:
-                return 0
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
+def _signed_permutations(n: int) -> list:
+    """Each permutation of range(n), in lexicographic order, with its sign."""
+    out = []
+    for p in itertools.permutations(range(n)):
+        inversions = sum(a > b for a, b in itertools.combinations(p, 2))
+        out.append((p, integer(-1 if inversions % 2 else 1)))
+    return out
 
 
 def levi_civita(n: int) -> TensorValue:
     """The rank-n alternating symbol as an unmarked tensor."""
     if not isinstance(n, int) or n < 1:
         raise DomainError("levi-civita needs a positive integer dimension")
-    comps = tuple(
-        integer(_perm_sign(c)) for c in itertools.product(range(n), repeat=n)
-    )
-    return TensorValue((n,) * n, comps, ())
+    shape = (n,) * n
+    st = _strides(shape)
+    comps = [ZERO] * n**n
+    for p, sign in _signed_permutations(n):
+        comps[sum(i * s for i, s in zip(p, st))] = sign
+    return TensorValue(shape, tuple(comps), ())
 
 
 def det(m) -> Expr:
     """Leibniz-formula determinant of a square rank-2 tensor (marks ignored).
 
     Permutations that meet a structurally zero entry contribute nothing and
-    are skipped; the others are summed in permutation order.
+    are skipped; the others are summed in one addition.
     """
     if not isinstance(m, TensorValue) or m.rank != 2 or m.shape[0] != m.shape[1]:
         raise ShapeMismatchError("determinant needs a square matrix")
     n = m.shape[0]
-    total = ZERO
-    for p in itertools.permutations(range(n)):
-        factors = [m.components[i * n + p[i]] for i in range(n)]
+    terms = []
+    for p, sign in _signed_permutations(n):
+        factors = [m.components[i * n + j] for i, j in enumerate(p)]
         if ZERO not in factors:
-            total = add(total, mul(integer(_perm_sign(p)), *factors))
-    return total
+            terms.append(mul(sign, *factors))
+    return add(*terms)
 
 
 def df_normalize(v):
@@ -85,25 +79,19 @@ def df_normalize(v):
     if k <= 1:
         return v
     m = len(v.indices)
-    dims = set(v.shape[m:])
-    if len(dims) != 1:
+    if len(set(v.shape[m:])) != 1:
         raise ShapeMismatchError("alternation needs form axes of equal dimension")
     scale = rational(1, math.factorial(k))
-    perms = list(itertools.permutations(range(k)))
-    signs = [integer(_perm_sign(p)) for p in perms]
-    # Output form axis p[q] reads source form axis q.
+    signed = _signed_permutations(k)
+    # Output form axis r reads source form axis p[r]; p and its inverse have
+    # the same sign, so this sums the same terms as the textbook p^-1 form.
     st = _strides(v.shape)
-    views = [
-        _view(v.components, v.shape, st[:m] + tuple(st[m + p.index(r)] for r in range(k)))
-        for p in perms
-    ]
-    comps = []
-    for column in zip(*views):
-        total = ZERO
-        for sign, c in zip(signs, column):
-            total = add(total, mul(sign, c))
-        comps.append(mul(total, scale))
-    return TensorValue(v.shape, tuple(comps), v.indices)
+    views = [_view(v.components, v.shape, st[:m] + tuple(st[m + q] for q in p)) for p, _ in signed]
+    comps = tuple(
+        mul(add(*[mul(sign, c) for (_, sign), c in zip(signed, column)]), scale)
+        for column in zip(*views)
+    )
+    return TensorValue(v.shape, comps, v.indices)
 
 
 def hodge(a, g_lower: TensorValue, g_upper: TensorValue):
@@ -111,10 +99,12 @@ def hodge(a, g_lower: TensorValue, g_upper: TensorValue):
 
     (*A)_{i_{k+1}..i_n} = sqrt|det g| ε_{i_1..i_n} A_{j_1..j_k} g^{i_1 j_1}..g^{i_k j_k}
 
-    summed over repeated indices, with no 1/k! factor.  Marked axes of A pass
-    through unchanged, so matrix-valued forms star componentwise.  Products
-    with a structurally zero factor (a form component or metric entry with no
-    terms) are skipped, as in `det`.
+    summed over repeated indices, with no 1/k! factor.  Only the n! index
+    tuples where ε is nonzero are visited: for a permutation p, p[:k] raises
+    the form indices and p[k:] names the output component.  Marked axes of A
+    pass through unchanged, so matrix-valued forms star componentwise.
+    Products with a structurally zero factor (a form component or metric
+    entry with no terms) are skipped, as in `det`.
     """
     for g in (g_lower, g_upper):
         if not isinstance(g, TensorValue) or g.rank != 2 or g.shape[0] != g.shape[1]:
@@ -123,37 +113,34 @@ def hodge(a, g_lower: TensorValue, g_upper: TensorValue):
     if g_upper.shape[0] != n:
         raise ShapeMismatchError("metric and inverse metric disagree on dimension")
     if isinstance(a, Expr):
-        k, marks, marked_shape, form_shape, comps = 0, (), (), (), (a,)
+        shape, marks, comps = (), (), (a,)
     elif isinstance(a, TensorValue):
-        k = a.form_degree
-        m = len(a.indices)
-        marks, marked_shape, form_shape = a.indices, a.shape[:m], a.shape[m:]
-        comps = a.components
+        shape, marks, comps = a.shape, a.indices, a.components
     else:
         raise TegiTypeError("hodge star of a non-form value")
+    m = len(marks)
+    k = len(shape) - m
     if k > n:
         raise FormDegreeError("form degree exceeds the metric dimension")
-    if any(d != n for d in form_shape):
+    if any(d != n for d in shape[m:]):
         raise ShapeMismatchError("form axes must match the metric dimension")
     scale = sqrt(abs_(det(g_lower)))
-    gup = [[g_upper.components[i * n + j] for j in range(n)] for i in range(n)]
-    size = n**k  # form components per marked block, contiguous in row-major order
+    gu = g_upper.components
+    signed = _signed_permutations(n)
+    js_all = list(itertools.product(range(n), repeat=k))
+    out_st = _strides((n,) * (n - k))
     out = []
-    for b in range(0, len(comps), size):
-        block = comps[b : b + size]
-        for rest in itertools.product(range(n), repeat=n - k):
-            total = ZERO
-            for is_ in itertools.product(range(n), repeat=k):
-                sign = _perm_sign(is_ + rest)
-                if not sign:
-                    continue
-                e = integer(sign)
-                for js, c in zip(itertools.product(range(n), repeat=k), block):
-                    factors = [c, *(gup[im][jm] for im, jm in zip(is_, js))]
-                    if ZERO not in factors:
-                        total = add(total, mul(e, *factors))
+    for b in range(0, len(comps), n**k):  # each marked block is n**k form components
+        block = comps[b : b + n**k]
+        terms = [[] for _ in range(n ** (n - k))]
+        for p, sign in signed:
+            slot = terms[sum(i * s for i, s in zip(p[k:], out_st))]
+            for js, c in zip(js_all, block):
+                factors = [c, *(gu[i * n + j] for i, j in zip(p, js))]
+                if ZERO not in factors:
+                    slot.append(mul(sign, *factors))
+        for ts in terms:
+            total = add(*ts)
             out.append(mul(scale, total) if total.terms else ZERO)
-    out_shape = marked_shape + (n,) * (n - k)
-    if not out_shape:
-        return out[0]
-    return TensorValue(out_shape, tuple(out), marks)
+    out_shape = shape[:m] + (n,) * (n - k)
+    return TensorValue(out_shape, tuple(out), marks) if out_shape else out[0]

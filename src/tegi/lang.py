@@ -241,7 +241,7 @@ class _Parser:
             return IntLit(t.value, self.loc(t))
         if t.type == "str":
             return StrLit(t.value, self.loc(t))
-        if t.type == "sym":
+        if t.type in ("sym", "^"):  # an unglued `^` names the power function
             return SymbolRef(t.value, self.loc(t))
         if t.type == "[|":
             elems = []

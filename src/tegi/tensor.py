@@ -275,8 +275,7 @@ def contract(f: Callable, t):
     """Sum each supersubscript axis with f, called once on each run of components.
 
     A run holds the n components that differ only along the summed axis, in
-    axis order; f(*run) gives the result component.  A run of one component
-    is that component, with no call.
+    axis order; f(*run) gives the result component, for a run of one too.
     """
     if not isinstance(t, TensorValue):
         return t
@@ -293,7 +292,7 @@ def contract(f: Callable, t):
         runs = _view(
             t.components, new_shape + (n,), strides[:axis] + strides[axis + 1 :] + (strides[axis],)
         )
-        comps = runs if n == 1 else [f(*runs[i : i + n]) for i in range(0, len(runs), n)]
+        comps = [f(*runs[i : i + n]) for i in range(0, len(runs), n)]
         marks = t.indices[:axis] + t.indices[axis + 1 :]
         if not new_shape:
             return comps[0]

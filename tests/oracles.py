@@ -8,7 +8,9 @@ component, with no shared gather helper.  `apply_with_kinds_ref` lifts a
 function by nesting single-tensor maps, so it calls the function on the
 whole outer product of the lifted arguments and reduction then keeps the
 diagonal.  `det_ref` and `hodge_ref` multiply out every product, zero
-factors included.  `to_nested` turns a tensor into nested lists, the inverse of
+factors included.  `perm_sign_ref` signs any index tuple, 0 when entries
+repeat, and `levi_civita_ref` signs all n**n tuples of ε with it.
+`to_nested` turns a tensor into nested lists, the inverse of
 `tegi.tensor.tensor`.  `order_key_ref` recomputes the canonical order key of an
 expression from scratch, with nothing memoised.  `add_ref`, `mul_ref`,
 `div_ref` and `int_pow_ref` are the scalar kernel as it was with every
@@ -20,8 +22,9 @@ the 1-based label pairs that `reduce_indices_ref` collapses one at a time.
 `DenseInterpreter` is the evaluator before calls with nothing to lift ran
 directly: every call completes omitted indices and lifts, `+` and `*` fold
 pairwise with zero factors multiplied out, and `contract` folds each run
-through `call`.  `DATACLASS_TWINS` rebuilds every value class of the
-engine as the dataclass it used to be.
+through `call`, calling the builtin `+` on a run of one as well.
+`DATACLASS_TWINS` rebuilds every value class of the engine as the
+dataclass it used to be.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from tegi.errors import (
     TegiTypeError,
 )
 from tegi.evaluator import Function, Interpreter, _scalar, format_value
-from tegi.forms import _perm_sign, levi_civita
 from tegi.symexpr import (
     ONE,
     ZERO,
@@ -120,6 +122,24 @@ def to_nested(t):
 # ---------------------------------------------------------------- forms
 
 
+def perm_sign_ref(p) -> int:
+    """Sign of a sequence as a permutation; 0 when entries repeat."""
+    sign = 1
+    for i in range(len(p)):
+        for j in range(i + 1, len(p)):
+            if p[i] == p[j]:
+                return 0
+            if p[i] > p[j]:
+                sign = -sign
+    return sign
+
+
+def levi_civita_ref(n: int) -> TensorValue:
+    """ε by the sign of every one of the n**n index tuples."""
+    comps = tuple(integer(perm_sign_ref(c)) for c in _coords((n,) * n))
+    return TensorValue((n,) * n, comps, ())
+
+
 def wedge(a, b):
     """Wedge product, computed as an index-completed scalar multiplication.
 
@@ -183,7 +203,7 @@ def df_normalize_ref(v):
             src = marked + tuple(form[i] for i in p)
             total = add(
                 total,
-                mul(integer(_perm_sign(p)), v.components[_offset(src, strides)]),
+                mul(integer(perm_sign_ref(p)), v.components[_offset(src, strides)]),
             )
         comps.append(mul(total, scale))
     return TensorValue(v.shape, tuple(comps), v.indices)
@@ -193,7 +213,7 @@ def det_ref(m: TensorValue) -> Expr:
     n = m.shape[0]
     total = ZERO
     for p in itertools.permutations(range(n)):
-        term = integer(_perm_sign(p))
+        term = integer(perm_sign_ref(p))
         for i in range(n):
             term = mul(term, m.components[i * n + p[i]])
         total = add(total, term)
@@ -212,7 +232,7 @@ def hodge_ref(a, g_lower: TensorValue, g_upper: TensorValue):
     if k > n:
         raise FormDegreeError("form degree exceeds the metric dimension")
     scale = sqrt(abs_(det_ref(g_lower)))
-    eps = levi_civita(n)
+    eps = levi_civita_ref(n)
     eps_strides = _strides(eps.shape)
     src_strides = _strides(marked_shape + form_shape)
     gup = [[g_upper.components[i * n + j] for j in range(n)] for i in range(n)]
@@ -478,7 +498,9 @@ def attach_indices_ref(t, marks):
     return reduce_indices_ref(t)
 
 
-def contract_ref(f, t):
+def contract_ref(f, t, single=None):
+    """Fold each run pairwise with f; with `single`, a run of one component
+    is single(component) rather than the component itself."""
     if not isinstance(t, TensorValue):
         return t
     while True:
@@ -493,6 +515,8 @@ def contract_ref(f, t):
         for c in _coords(new_shape):
             src = list(c[:axis]) + [0] + list(c[axis:])
             acc = t.components[_offset(src, strides)]
+            if single is not None and t.shape[axis] == 1:
+                acc = single(acc)
             for v in range(1, t.shape[axis]):
                 src[axis] = v
                 acc = f(acc, t.components[_offset(src, strides)])
@@ -613,11 +637,16 @@ class DenseInterpreter(Interpreter):
 
             return fn
 
-        dense = {
-            "+": fold(add),
-            "*": fold(mul),
-            "contract": lambda f, t: contract_ref(lambda a, b: self.call(f, [a, b]), t),
-        }
+        plus = fold(add)
+
+        def contract_dense(f, t):
+            def single(a):  # the builtin `+` is called on a run of one as well
+                return self.call(f, [a])
+
+            is_plus = isinstance(f, Function) and f.fn is plus
+            return contract_ref(lambda a, b: self.call(f, [a, b]), t, single if is_plus else None)
+
+        dense = {"+": plus, "*": fold(mul), "contract": contract_dense}
         return [
             Function(b.name, b.kinds, dense.get(b.name, b.fn), b.min_args)
             for b in super()._builtins()

@@ -5,6 +5,8 @@ separation are tested for real.
 """
 
 import math
+import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -223,6 +225,42 @@ class TestRun:
         f.write_text("1\n", encoding="utf-8")
         assert tegi("run", "--bind", "r", str(f)).returncode != 0
         assert tegi("run", "--bind", "r=abc", str(f)).returncode != 0
+
+    def test_reader_closing_the_pipe_early_ends_the_run_quietly(self, tmp_path):
+        # about 2 MB of output, more than any pipe holds, so the writer is
+        # still writing when the reader goes away; SIGPIPE ends it, as it
+        # ends any Unix tool, and a shell reports 128 + 13
+        f = tmp_path / "big.tegi"
+        row = " ".join(str(v) for v in range(1000))
+        f.write_text(f"(define $v [|{row}|])\n" + "v\n" * 500, encoding="utf-8")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tegi.cli", "run", str(f)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(1) == b"["
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == -signal.SIGPIPE
+        assert stderr == b""
+
+    def test_pipe_closed_before_the_first_write_ends_the_run_quietly(self, tmp_path):
+        # the whole output fits the buffer, so the write fails at the flush
+        f = tmp_path / "s.tegi"
+        f.write_text("(+ 1 2)\n", encoding="utf-8")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            r = subprocess.run(
+                [sys.executable, "-m", "tegi.cli", "run", str(f)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert r.returncode == -signal.SIGPIPE
+        assert r.stderr == b""
 
 
 class TestRepl:

@@ -97,7 +97,7 @@ def contractions(draw) -> str:
         return f"(contract + {literal(draw, (n, m, n))}~i_j_i)"
     if kind == "dot":
         return f"(. {literal(draw, (n,))}~i {literal(draw, (n,))}_i)"
-    # boolean components: a run of one passes through, a longer run fails
+    # boolean components: `+` fails on a run of any length
     a, b = literal(draw, (n,), numbers), literal(draw, (n,), numbers)
     return f"(contract + (less-than? {a}~i {b}_i))"
 

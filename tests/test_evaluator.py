@@ -481,6 +481,19 @@ class TestDirectCalls:
             assert sum(args[1] is plus for args in calls) == steps
             monkeypatch.undo()
 
+    @pytest.mark.parametrize("args", ["[|1|]~i [|2|]_i", "[|1 2|]~i [|2 1|]_i"])
+    def test_contracting_booleans_with_plus_fails_at_any_run_length(self, args):
+        # the builtin `+` sees a run of one component as well as a longer run
+        for cls in (Interpreter, DenseInterpreter):
+            with pytest.raises(TegiTypeError) as info:
+                cls().eval_source(f"(contract + (less-than? {args}))")
+            assert info.value.message == "expected a scalar, got #t"
+
+    @pytest.mark.parametrize("src, want", [("(. [|3|]~i [|4|]_i)", "12"), ("(. [|3 5|]~i [|4 2|]_i)", "22")])
+    def test_contracting_numbers_with_plus_at_any_run_length(self, src, want):
+        for cls in (Interpreter, DenseInterpreter):
+            assert format_value(cls().eval_source(src)[-1]) == want
+
     def test_lifted_product_never_multiplies_by_zero(self, monkeypatch):
         src = self.S2_METRIC + "(* g~i~m g_m_k)"
         results = []

@@ -29,7 +29,15 @@ from tegi.symexpr import (
 from tegi.tensor import TensorValue, attach_indices, down, tensor, up
 from tegi.forms import det, df_normalize, df_order, hodge, levi_civita
 
-from oracles import det_ref, exterior_d, hodge_ref, to_nested, wedge
+from oracles import (
+    det_ref,
+    exterior_d,
+    hodge_ref,
+    levi_civita_ref,
+    perm_sign_ref,
+    to_nested,
+    wedge,
+)
 
 I, J, K = Sym("i"), Sym("j"), Sym("k")
 R, TH, PH = symbol("r"), symbol("θ"), symbol("φ")
@@ -37,17 +45,6 @@ A_, B_, C_, D_ = symbol("a"), symbol("b"), symbol("c"), symbol("d")
 
 DELTA = tensor([[1, 0], [0, 1]])
 X = tensor([TH, PH])
-
-
-def perm_sign(p):
-    sign = 1
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-            elif p[i] == p[j]:
-                return 0
-    return sign
 
 
 class TestDfOrder:
@@ -75,7 +72,12 @@ class TestLeviCivita:
         e = levi_civita(3)
         flat = list(e.components)
         for pos, coords in enumerate(itertools.product(range(3), repeat=3)):
-            assert flat[pos] == integer(perm_sign(coords))
+            assert flat[pos] == integer(perm_sign_ref(coords))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_reference(self, n):
+        # [DERIVED: every n**n index tuple signed, repeats 0]
+        assert levi_civita(n) == levi_civita_ref(n)
 
     def test_domain(self):
         with pytest.raises(DomainError):

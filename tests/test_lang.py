@@ -300,3 +300,15 @@ class TestUnparse:
         first = parse_program(text)
         again = parse_program("\n".join(unparse(f) for f in first))
         assert again == first
+
+    @pytest.mark.parametrize(
+        "node, text",
+        [
+            (Apply(SymbolRef("^"), (SymbolRef("r"), IntLit(2)), distinct=True), "!(^ r 2)"),
+            (Apply(SymbolRef("^"), (SymbolRef("r"), SymbolRef("n"))), "(^ r n)"),
+        ],
+    )
+    def test_power_without_sugar_round_trips(self, node, text):
+        # neither node can be written as `r^2`, so `^` heads the form
+        assert unparse(node) == text
+        assert parse_program(text) == [node]

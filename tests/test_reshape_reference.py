@@ -148,13 +148,13 @@ PATTERNS = st.sampled_from(["dense", "diagonal", "sparse"])
 
 @st.composite
 def hodge_cases(draw):
-    """A k-form in n <= 3 dimensions with marked leading axes, and two metrics.
+    """A k-form in n <= 4 dimensions with marked leading axes, and two metrics.
 
     The lower metric is diagonal and invertible, so the sqrt|det g| factor is
     never zero.  The inverse metric is dense, diagonal or sparse, and some
     form components may be literal zeros, so the zero-skipping path runs.
     """
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
     k = draw(st.integers(0, n))
     marked = tuple(draw(st.integers(1, 3)) for _ in range(draw(st.integers(0, min(2, 4 - k)))))
     shape = marked + (n,) * k
