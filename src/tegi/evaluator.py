@@ -135,6 +135,14 @@ def _scalar(v) -> Expr:
     raise TegiTypeError(f"expected a scalar, got {format_value(v)}")
 
 
+def _scalars(v):
+    """v, once every component of a tensor v is known to be a scalar."""
+    if isinstance(v, TensorValue):
+        for c in v.components:
+            _scalar(c)
+    return v
+
+
 def _index_label(v) -> Sym | int | None:
     """The index label a value stands for: a symbol, else an integer, else None."""
     if not isinstance(v, Expr):
@@ -408,7 +416,7 @@ class Interpreter:
             g_upper = self.global_env.get(("g", (1, 1)), _MISSING)
             if g_lower is _MISSING or g_upper is _MISSING:
                 raise UnboundVariableError("hodge needs $g__ and $g~~ defined")
-            return hodge(a, g_lower, g_upper)
+            return hodge(_scalars(a), _scalars(g_lower), _scalars(g_upper))
 
         return [
             plus,
@@ -427,8 +435,8 @@ class Interpreter:
             Function("flip-indices", (T,), flip_indices),
             Function("transpose", (T, T), transpose_by),
             Function("df-order", (T,), lambda v: integer(df_order(v))),
-            Function("df-normalize", (T,), df_normalize),
-            Function("M.det", (T,), det),
+            Function("df-normalize", (T,), lambda v: df_normalize(_scalars(v))),
+            Function("M.det", (T,), lambda m: det(_scalars(m))),
             Function("levi-civita", (S,), lambda n: levi_civita(as_int(_scalar(n)))),
             Function("hodge", (T,), hodge_fn),
             Function("map", (T, T), map_fn),

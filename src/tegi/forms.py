@@ -12,8 +12,8 @@ import itertools
 import math
 
 from .errors import DomainError, FormDegreeError, ShapeMismatchError, TegiTypeError
-from .symexpr import ZERO, Expr, abs_, add, integer, mul, rational, sqrt
-from .tensor import TensorValue, _strides, _view
+from .symexpr import ONE, ZERO, Expr, abs_, add, integer, mul, neg, rational, sqrt
+from .tensor import TensorValue, _strides
 
 __all__ = [
     "det",
@@ -22,6 +22,8 @@ __all__ = [
     "hodge",
     "levi_civita",
 ]
+
+_SIGN = (ONE, integer(-1))  # indexed by parity
 
 
 def df_order(v) -> int:
@@ -34,12 +36,21 @@ def df_order(v) -> int:
 
 
 def _signed_permutations(n: int) -> list:
-    """Each permutation of range(n), in lexicographic order, with its sign."""
-    out = []
-    for p in itertools.permutations(range(n)):
-        inversions = sum(a > b for a, b in itertools.combinations(p, 2))
-        out.append((p, integer(-1 if inversions % 2 else 1)))
-    return out
+    """Each permutation of range(n), in lexicographic order, with its parity."""
+    perms = itertools.permutations(range(n))
+    return [(p, sum(a > b for a, b in itertools.combinations(p, 2)) % 2) for p in perms]
+
+
+def _alternate(out: list, base: int, strides, signed, idx, value: Expr) -> None:
+    """Write value at each permutation p of the increasing index tuple idx.
+
+    Slot base + Σ idx[p[r]]·strides[r] gets value, negated where p is odd;
+    `signed` lists the (p, odd) pairs.  Repeated-index slots keep their ZERO.
+    """
+    if value.terms:
+        values = (value, neg(value)) if len(idx) > 1 else (value,)
+        for p, odd in signed:
+            out[base + sum(idx[r] * s for r, s in zip(p, strides))] = values[odd]
 
 
 def levi_civita(n: int) -> TensorValue:
@@ -47,10 +58,8 @@ def levi_civita(n: int) -> TensorValue:
     if not isinstance(n, int) or n < 1:
         raise DomainError("levi-civita needs a positive integer dimension")
     shape = (n,) * n
-    st = _strides(shape)
     comps = [ZERO] * n**n
-    for p, sign in _signed_permutations(n):
-        comps[sum(i * s for i, s in zip(p, st))] = sign
+    _alternate(comps, 0, _strides(shape), _signed_permutations(n), range(n), ONE)
     return TensorValue(shape, tuple(comps), ())
 
 
@@ -64,15 +73,19 @@ def det(m) -> Expr:
         raise ShapeMismatchError("determinant needs a square matrix")
     n = m.shape[0]
     terms = []
-    for p, sign in _signed_permutations(n):
+    for p, odd in _signed_permutations(n):
         factors = [m.components[i * n + j] for i, j in enumerate(p)]
-        if ZERO not in factors:
-            terms.append(mul(sign, *factors))
+        if all(f.terms for f in factors):
+            terms.append(mul(_SIGN[odd], *factors))
     return add(*terms)
 
 
 def df_normalize(v):
-    """Project the form axes onto their antisymmetric part (1/k! alternation)."""
+    """Project the form axes onto their antisymmetric part (1/k! alternation).
+
+    Only the increasing form-index tuples are summed; `_alternate` writes the
+    other components from them.
+    """
     if not isinstance(v, TensorValue):
         return v
     k = v.form_degree
@@ -83,15 +96,14 @@ def df_normalize(v):
         raise ShapeMismatchError("alternation needs form axes of equal dimension")
     scale = rational(1, math.factorial(k))
     signed = _signed_permutations(k)
-    # Output form axis r reads source form axis p[r]; p and its inverse have
-    # the same sign, so this sums the same terms as the textbook p^-1 form.
-    st = _strides(v.shape)
-    views = [_view(v.components, v.shape, st[:m] + tuple(st[m + q] for q in p)) for p, _ in signed]
-    comps = tuple(
-        mul(add(*[mul(sign, c) for (_, sign), c in zip(signed, column)]), scale)
-        for column in zip(*views)
-    )
-    return TensorValue(v.shape, comps, v.indices)
+    st, src = _strides(v.shape)[m:], v.components
+    comps = [ZERO] * len(src)
+    for b in range(0, len(src), v.shape[m] ** k):  # each marked block
+        for idx in itertools.combinations(range(v.shape[m]), k):
+            cs = [(src[b + sum(idx[r] * s for r, s in zip(p, st))], odd) for p, odd in signed]
+            total = add(*[mul(_SIGN[odd], c) for c, odd in cs if c.terms])
+            _alternate(comps, b, st, signed, idx, mul(total, scale))
+    return TensorValue(v.shape, tuple(comps), v.indices)
 
 
 def hodge(a, g_lower: TensorValue, g_upper: TensorValue):
@@ -99,12 +111,11 @@ def hodge(a, g_lower: TensorValue, g_upper: TensorValue):
 
     (*A)_{i_{k+1}..i_n} = sqrt|det g| ε_{i_1..i_n} A_{j_1..j_k} g^{i_1 j_1}..g^{i_k j_k}
 
-    summed over repeated indices, with no 1/k! factor.  Only the n! index
-    tuples where ε is nonzero are visited: for a permutation p, p[:k] raises
-    the form indices and p[k:] names the output component.  Marked axes of A
+    summed over repeated indices, with no 1/k! factor.  Only the increasing
+    output tuples are summed, over the k! orderings of the indices each leaves
+    out and the nonzero entries of their g^{..} rows; `_alternate` writes the
+    rest.  Zero form components are skipped, as in `det`.  Marked axes of A
     pass through unchanged, so matrix-valued forms star componentwise.
-    Products with a structurally zero factor (a form component or metric
-    entry with no terms) are skipped, as in `det`.
     """
     for g in (g_lower, g_upper):
         if not isinstance(g, TensorValue) or g.rank != 2 or g.shape[0] != g.shape[1]:
@@ -126,21 +137,26 @@ def hodge(a, g_lower: TensorValue, g_upper: TensorValue):
         raise ShapeMismatchError("form axes must match the metric dimension")
     scale = sqrt(abs_(det(g_lower)))
     gu = g_upper.components
-    signed = _signed_permutations(n)
-    js_all = list(itertools.product(range(n), repeat=k))
-    out_st = _strides((n,) * (n - k))
+    rows = [[(j, e) for j, e in enumerate(gu[i * n : i * n + n]) if e.terms] for i in range(n)]
+    orderings, signed = _signed_permutations(k), _signed_permutations(n - k)
+    st, out_st = _strides((n,) * k), _strides((n,) * (n - k))
     out = []
     for b in range(0, len(comps), n**k):  # each marked block is n**k form components
-        block = comps[b : b + n**k]
-        terms = [[] for _ in range(n ** (n - k))]
-        for p, sign in signed:
-            slot = terms[sum(i * s for i, s in zip(p[k:], out_st))]
-            for js, c in zip(js_all, block):
-                factors = [c, *(gu[i * n + j] for i, j in zip(p, js))]
-                if ZERO not in factors:
-                    slot.append(mul(sign, *factors))
-        for ts in terms:
-            total = add(*ts)
-            out.append(mul(scale, total) if total.terms else ZERO)
+        slots = [ZERO] * n ** (n - k)
+        for rest in itertools.combinations(range(n), n - k):
+            lead = [i for i in range(n) if i not in rest]
+            # ε at lead∘q then rest is q's sign times the sign of lead then rest
+            odd_lead = sum(i > j for i in lead for j in rest) % 2
+            terms = []
+            for q, odd in orderings:
+                sign = _SIGN[odd ^ odd_lead]
+                for entries in itertools.product(*(rows[lead[r]] for r in q)):
+                    c = comps[b + sum(j * s for (j, _), s in zip(entries, st))]
+                    if c.terms:
+                        terms.append(mul(sign, c, *(e for _, e in entries)))
+            total = add(*terms)
+            if total.terms:  # else the slots keep their ZERO
+                _alternate(slots, 0, out_st, signed, rest, mul(scale, total))
+        out.extend(slots)
     out_shape = shape[:m] + (n,) * (n - k)
     return TensorValue(out_shape, tuple(out), marks) if out_shape else out[0]

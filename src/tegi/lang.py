@@ -111,9 +111,12 @@ def tokenize(text: str) -> list[Token]:
             if j >= n:
                 raise LexError("unterminated string", (l, c))
             w = emit("str", "".join(buf), l, c, j + 1 - i)
-        elif ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+            if "\n" in text[i:j]:  # with `col += w` below, col restarts after the last newline
+                line += text.count("\n", i, j)
+                col = i - text.rindex("\n", i, j)
+        elif ch.isdecimal() or (ch == "-" and i + 1 < n and text[i + 1].isdecimal()):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             w = emit("int", int(text[i:j]), l, c, j - i)
         else:

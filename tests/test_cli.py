@@ -110,6 +110,38 @@ class TestRun:
         assert r.stdout == "1\n"
         assert r.stderr == f"error: line 2, {message}\n"
 
+    @pytest.mark.parametrize("call", ["(df-normalize T)", "(hodge T)", "(M.det T)"])
+    def test_form_of_booleans_is_a_located_scalar_error(self, tmp_path, call):
+        f = tmp_path / "s.tegi"
+        f.write_text(
+            "(define $g__ [|[|1 0|] [|0 1|]|])\n"
+            "(define $g~~ [|[|1 0|] [|0 1|]|])\n"
+            "(define $T (tensor-map (lambda [$c] (less-than? c 5))\n"
+            "                       [|[|1 2|] [|6 7|]|]))\n"
+            f"1\n  {call}\n",
+            encoding="utf-8",
+        )
+        r = tegi("run", str(f))
+        assert r.returncode == 1
+        assert r.stdout == "1\n"
+        assert r.stderr == "error: line 6, col 3: expected a scalar, got #t\n"
+
+    def test_superscript_digit_starting_a_token_is_a_symbol(self, tmp_path):
+        f = tmp_path / "s.tegi"
+        f.write_text("(+ ² 1)\n(* r² 2)\n", encoding="utf-8")
+        r = tegi("run", str(f))
+        assert r.returncode == 0
+        assert r.stdout == "(+ ² 1)\n(* 2 r²)\n"
+        assert r.stderr == ""
+
+    def test_error_after_a_string_spanning_lines_is_located(self, tmp_path):
+        f = tmp_path / "s.tegi"
+        f.write_text('"a\nb"\n(+ 1 "x")\n', encoding="utf-8")
+        r = tegi("run", str(f))
+        assert r.returncode == 1
+        assert r.stdout == '"a\nb"\n'
+        assert r.stderr == 'error: line 3, col 1: expected a scalar, got "x"\n'
+
     def test_define_with_named_indices_locates_the_error(self, tmp_path):
         # the transpose the define desugars to fails: one label for two axes
         f = tmp_path / "s.tegi"

@@ -31,6 +31,7 @@ from tegi.forms import det, df_normalize, df_order, hodge, levi_civita
 
 from oracles import (
     det_ref,
+    df_normalize_ref,
     exterior_d,
     hodge_ref,
     levi_civita_ref,
@@ -281,6 +282,19 @@ class TestDfNormalize:
                 assert block[0][0] == 0 and block[1][1] == 0
                 assert block[0][1] == neg(block[1][0])
 
+    def test_three_form_in_three_dimensions_sums_once(self, monkeypatch):
+        # [DERIVED: C(3, 3) = 1] only (0, 1, 2) is summed, from its 3! = 6
+        # signed components; the other 26 are signed copies of it or 0
+        rng = random.Random(43)
+        comps = [mul(integer(rng.randint(1, 9)), rng.choice([A_, B_, C_])) for _ in range(27)]
+        t = TensorValue((3, 3, 3), tuple(comps), ())
+        sums = []
+        real = forms.add
+        monkeypatch.setattr(forms, "add", lambda *ts: sums.append(ts) or real(*ts))
+        got = df_normalize(t)
+        assert len(sums) == 1 and len(sums[0]) == 6
+        assert got == df_normalize_ref(t)
+
     def test_unequal_form_axes(self):
         t = TensorValue((2, 3), tuple(integer(v) for v in range(6)), ())
         with pytest.raises(ShapeMismatchError):
@@ -316,15 +330,17 @@ class TestHodge:
 
     def test_diagonal_metric_never_multiplies_by_zero(self, monkeypatch):
         # *A of a 1-form on diag(a^2, b^2, c^2): one product for det g, then
-        # for each of the 6 output slots with distinct indices one ε term and
-        # one sqrt|det g| scaling; the 3 repeated-index slots multiply nothing
+        # for each of the 3 increasing output pairs (i, j) one ε term (the
+        # left-out index has one ordering and its g^{..} row one nonzero
+        # entry) and one sqrt|det g| scaling: 1 + 3 * 2.  The swapped pairs
+        # are negations and the 3 repeated-index slots stay 0.
         sq = [int_pow(v, 2) for v in (A_, B_, C_)]
         g, ginv = diagonal(sq), diagonal([div(integer(1), s) for s in sq])
         form = tensor([R, TH, PH])
         calls = record_mul(monkeypatch)
         got = hodge(form, g, ginv)
         assert not any(ZERO in factors for factors in calls)
-        assert len(calls) == 1 + 6 * 2
+        assert len(calls) == 1 + 3 * 2
         assert got == hodge_ref(form, g, ginv)
 
     def test_metric_scale(self):

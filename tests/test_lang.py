@@ -91,6 +91,18 @@ class TestTokenize:
         toks = tokenize("(f\n  x)")
         assert (toks[2].line, toks[2].col) == (2, 3)
 
+    def test_locations_after_a_string_spanning_lines(self):
+        toks = tokenize('"a\nb" x\n"c\n\nd"(y)')
+        assert [(t.line, t.col) for t in toks] == [(1, 1), (2, 4), (3, 1), (5, 3), (5, 4), (5, 5), (5, 6)]
+
+    @pytest.mark.parametrize("text", ["²", "²2", "³r", "-²"])
+    def test_non_decimal_digits_are_symbol_characters(self, text):
+        # "²" passes str.isdigit but not int(); only decimal digits start an int
+        assert [(t.type, t.value) for t in tokenize(text)][:-1] == [("sym", text)]
+
+    def test_decimal_digits_end_before_a_superscript(self):
+        assert [(t.type, t.value) for t in tokenize("12²")][:-1] == [("int", 12), ("sym", "²")]
+
 
 class TestParse:
     def test_min_lambda(self):
