@@ -10,10 +10,10 @@ align and distinct ones multiply out.  Inverted scalar parameters flip the
 argument's marks first.  Tensor parameters receive values untouched.
 
 Omitted-index completion appends fresh subscript marks over form axes before
-an application; `!` changes only how: one shared sequence for an ordinary
-application, a fresh sequence per argument under `!`.  with_symbols_scope
-removes generated marks afterwards, turning their axes back into trailing
-form axes.
+an application and picks the arguments itself: one shared sequence over the
+scalar and inverted arguments, or under `!` a fresh sequence for every
+argument.  with_symbols_scope removes generated marks afterwards, turning
+their axes back into trailing form axes.
 """
 
 from __future__ import annotations
@@ -84,21 +84,19 @@ def apply_with_kinds(kernel: Callable, kinds: Sequence[ParamKind], args: Sequenc
     return tensor_map(at, *(args[p] for p in spots))
 
 
-def complete_omitted_indices(args: Sequence, mode: str):
-    """Append fresh subscript marks over form axes.
+def complete_omitted_indices(args: Sequence, kinds: Sequence[ParamKind], distinct: bool = False):
+    """Append fresh subscript marks over the form axes of arguments.
 
-    Returns (new_args, generated_symbols).  "shared" reuses the first
-    argument's symbol sequence for every argument and requires equal form
-    degrees; "distinct" generates a fresh sequence per argument.
+    Returns (new_args, generated_symbols).  Arguments not of kind TENSOR share
+    one symbol sequence and need equal form degrees; with `distinct` (`!`),
+    every argument gets a fresh sequence of its own.
     """
-    shared = mode == "shared"
-    out, gens = [], []
-    for a in args:
+    out, gens = list(args), []
+    for p, (a, k) in enumerate(zip(args, kinds)):
         d = a.form_degree if isinstance(a, TensorValue) else 0
-        if not d:
-            out.append(a)
+        if not d or (k is TENSOR and not distinct):
             continue
-        if shared and gens:
+        if gens and not distinct:
             if d != len(gens):
                 raise CompletionMismatchError(
                     "shared index completion over arguments of differing form degree"
@@ -107,7 +105,7 @@ def complete_omitted_indices(args: Sequence, mode: str):
         else:
             syms = [fresh_symbol(f"t{len(gens) + n + 1}") for n in range(d)]
             gens.extend(syms)
-        out.append(attach_indices(a, [down(s) for s in syms]))
+        out[p] = attach_indices(a, [down(s) for s in syms])
     return out, gens
 
 

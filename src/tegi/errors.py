@@ -1,10 +1,9 @@
 """Error classes shared by every stage of the interpreter.
 
 Each error carries an optional (line, column) location.  Errors raised
-without one get the location of the innermost function application or
-indexed reference, if any, being evaluated when they surfaced; recursion
-too deep for the Python stack becomes an `EvalError` located at the
-top-level form.
+without one get the location of the innermost syntax node being evaluated
+when they surfaced; recursion too deep for the Python stack becomes an
+`EvalError` located at the top-level form.
 """
 
 from __future__ import annotations

@@ -11,6 +11,10 @@ each parameter (None for a variadic scalar builtin) and a Python callable.
 A lambda evaluates once to a `Function` whose callable runs the body in a
 new frame; `Interpreter.call` checks the arity, completes omitted indices
 and hands the callable to `apply_with_kinds`, the same way for both.
+
+Each check on the way to a kernel happens once: `_scalar_args` refuses a
+non-scalar argument before a scalar builtin runs, and the one handler in
+`Interpreter.eval` locates an error at the innermost node being evaluated.
 """
 
 from __future__ import annotations
@@ -143,6 +147,17 @@ def _scalars(v):
     return v
 
 
+def _scalar_args(fn):
+    """fn, called once every argument is known to be a scalar."""
+
+    def checked(*xs):
+        for x in xs:
+            _scalar(x)
+        return fn(*xs)
+
+    return checked
+
+
 def _index_label(v) -> Sym | int | None:
     """The index label a value stands for: a symbol, else an integer, else None."""
     if not isinstance(v, Expr):
@@ -189,80 +204,65 @@ class Interpreter:
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, node: lang.Node, env: Environment):
-        if isinstance(node, lang.IntLit):
-            return integer(node.value)
-        if isinstance(node, lang.StrLit):
-            return node.value
-        if isinstance(node, lang.SymbolRef):
-            v = env.get(node.name, _MISSING)
-            return symbol(node.name) if v is _MISSING else v
-        if isinstance(node, lang.IndexedRef):
-            return self._indexed(node, env)
-        if isinstance(node, lang.TensorLit):
-            try:
+        try:
+            if isinstance(node, lang.IntLit):
+                return integer(node.value)
+            if isinstance(node, lang.StrLit):
+                return node.value
+            if isinstance(node, lang.SymbolRef):
+                v = env.get(node.name, _MISSING)
+                return symbol(node.name) if v is _MISSING else v
+            if isinstance(node, lang.IndexedRef):
+                return self._indexed(node, env)
+            if isinstance(node, lang.TensorLit):
                 elems = [self.eval(e, env) for e in node.elements]
                 # Check leaves first: tensor() would stack a {…} element as an axis.
                 return tensor([e if isinstance(e, TensorValue) else _scalar(e) for e in elems])
-            except TegiError as exc:
-                if exc.location is None:  # as for applications: the innermost node wins
-                    exc.location = node.loc
-                raise
-        if isinstance(node, lang.Braces):
-            return tuple(self.eval(e, env) for e in node.items)
-        if isinstance(node, lang.Apply):
-            try:
+            if isinstance(node, lang.Braces):
+                return tuple(self.eval(e, env) for e in node.items)
+            if isinstance(node, lang.Apply):
                 fn = self.eval(node.fn, env)
                 args = [self.eval(a, env) for a in node.args]
-                return self.call(fn, args, distinct=node.distinct, loc=node.loc)
-            except TegiError as exc:
-                if exc.location is None:  # the innermost application wins
-                    exc.location = node.loc
-                raise
-        if isinstance(node, lang.Lambda):
-            return self._lambda(node, env)
-        if isinstance(node, lang.Define):
-            return self._define(node, env)
-        if isinstance(node, lang.WithSymbols):
-            syms = [fresh_symbol(name) for name in node.names]
-            frame = {s.name: symbol(s.name, s.uid) for s in syms}
-            result = self.eval(node.body, Environment(frame, env))
-            return with_symbols_scope(syms, result)
-        if isinstance(node, lang.Let):
-            frame = {n: self.eval(e, env) for n, e in node.bindings}
-            return self.eval(node.body, Environment(frame, env))
-        if isinstance(node, lang.If):
-            cond = self.eval(node.cond, env)
-            if not isinstance(cond, bool):
-                raise TegiTypeError(
-                    f"if needs a boolean, got {format_value(cond)}", node.loc
-                )
-            return self.eval(node.then if cond else node.other, env)
-        raise TegiTypeError(f"cannot evaluate {node!r}")
+                return self.call(fn, args, node.distinct)
+            if isinstance(node, lang.Lambda):
+                return self._lambda(node, env)
+            if isinstance(node, lang.Define):
+                return self._define(node, env)
+            if isinstance(node, lang.WithSymbols):
+                syms = [fresh_symbol(name) for name in node.names]
+                frame = {s.name: symbol(s.name, s.uid) for s in syms}
+                result = self.eval(node.body, Environment(frame, env))
+                return with_symbols_scope(syms, result)
+            if isinstance(node, lang.Let):
+                frame = {n: self.eval(e, env) for n, e in node.bindings}
+                return self.eval(node.body, Environment(frame, env))
+            if isinstance(node, lang.If):
+                cond = self.eval(node.cond, env)
+                if not isinstance(cond, bool):
+                    raise TegiTypeError(f"if needs a boolean, got {format_value(cond)}")
+                return self.eval(node.then if cond else node.other, env)
+            raise TegiTypeError(f"cannot evaluate {node!r}")
+        except TegiError as exc:
+            if exc.location is None:  # the innermost node being evaluated wins
+                exc.location = node.loc
+            raise
 
-    def call(self, fnv, args: list, distinct: bool = False, loc=None):
+    def call(self, fnv, args: list, distinct: bool = False):
         if not isinstance(fnv, Function):
-            raise TegiTypeError(f"not a function: {format_value(fnv)}", loc)
+            raise TegiTypeError(f"not a function: {format_value(fnv)}")
         kinds = fnv.kinds
         if kinds is None:
             if len(args) < fnv.min_args:
-                raise ArityError(f"{fnv.name} needs at least {fnv.min_args} argument(s)", loc)
+                raise ArityError(f"{fnv.name} needs at least {fnv.min_args} argument(s)")
             kinds = (SCALAR,) * len(args)
         elif len(args) != len(kinds):
             who = "" if fnv.name is None else f"{fnv.name} "
-            raise ArityError(f"{who}expected {len(kinds)} arguments, got {len(args)}", loc)
+            raise ArityError(f"{who}expected {len(kinds)} arguments, got {len(args)}")
 
         if not any(isinstance(a, TensorValue) for a in args):
             return apply_with_kinds(fnv.fn, kinds, args)  # nothing to complete or lift
-        if distinct:
-            args, gens = complete_omitted_indices(args, "distinct")
-        else:
-            spots = [i for i, k in enumerate(kinds) if k is not TENSOR]
-            sub, gens = complete_omitted_indices([args[i] for i in spots], "shared")
-            args = list(args)
-            for i, v in zip(spots, sub):
-                args[i] = v
-        result = apply_with_kinds(fnv.fn, kinds, args)
-        return with_symbols_scope(gens, result)
+        args, gens = complete_omitted_indices(args, kinds, distinct)
+        return with_symbols_scope(gens, apply_with_kinds(fnv.fn, kinds, args))
 
     def _lambda(self, node: lang.Lambda, env: Environment) -> Function:
         kinds = tuple(ParamKind(sigil) for sigil, _ in node.params)
@@ -278,22 +278,17 @@ class Interpreter:
     # -- indexed references --------------------------------------------------
 
     def _indexed(self, node: lang.IndexedRef, env: Environment):
-        try:
-            marks = [self._mark(m, env) for m in node.marks]
-            base = node.base
-            if isinstance(base, lang.SymbolRef):
-                value = self._lookup_indexed(base.name, [m.variance for m in node.marks], env)
-                if value is _MISSING:
-                    raise UnboundVariableError(
-                        f"unbound indexed variable: {base.name}", base.loc
-                    )
-            else:
-                value = self.eval(base, env)
-            return attach_indices(value, marks)
-        except TegiError as exc:
-            if exc.location is None:  # as in `eval`: the innermost node wins
-                exc.location = node.loc
-            raise
+        marks = [self._mark(m, env) for m in node.marks]
+        base = node.base
+        if isinstance(base, lang.SymbolRef):
+            value = self._lookup_indexed(base.name, [m.variance for m in node.marks], env)
+            if value is _MISSING:
+                raise UnboundVariableError(
+                    f"unbound indexed variable: {base.name}", base.loc
+                )
+        else:
+            value = self.eval(base, env)
+        return attach_indices(value, marks)
 
     def _lookup_indexed(self, name: str, variances: list, env: Environment):
         frame = env
@@ -327,18 +322,13 @@ class Interpreter:
             env.define(node.name, value)
             return None
         if not isinstance(value, TensorValue):
-            raise TegiTypeError(
-                f"define ${node.name}: a signature needs a tensor value", node.loc
-            )
+            raise TegiTypeError(f"define ${node.name}: a signature needs a tensor value")
         if value.indices:
-            raise TegiTypeError(
-                f"define ${node.name}: the value still carries index marks", node.loc
-            )
+            raise TegiTypeError(f"define ${node.name}: the value still carries index marks")
         if value.rank < len(sig):
             raise ArityError(
                 f"define ${node.name}: value of rank {value.rank} cannot satisfy "
-                f"a signature of {len(sig)} indices",
-                node.loc,
+                f"a signature of {len(sig)} indices"
             )
         env.define((node.name, sig), value)
         return None
@@ -348,49 +338,36 @@ class Interpreter:
     def _builtins(self) -> list[Function]:
         S, T = SCALAR, TENSOR
 
-        def fold(op, unary=None):
-            def fn(*xs):
-                vals = [_scalar(x) for x in xs]
-                if len(vals) == 1 and unary is not None:
-                    return unary(vals[0])
-                acc = vals[0]
-                for x in vals[1:]:
-                    acc = op(acc, x)
-                return acc
+        def minus(*xs):
+            return neg(xs[0]) if len(xs) == 1 else reduce(sub, xs)
 
-            return fn
+        def times(*xs):
+            for x in xs:
+                if not x.terms:  # a zero factor is the product
+                    return x
+            return mul(*xs)
 
-        def plus_fn(*xs):
-            return add(*[_scalar(x) for x in xs])
-
-        def times_fn(*xs):
-            vals = [_scalar(x) for x in xs]
-            for v in vals:
-                if not v.terms:  # a zero factor is the product
-                    return v
-            return mul(*vals)
-
-        plus = Function("+", None, plus_fn)
+        plus = Function("+", None, _scalar_args(add))
 
         def contract_fn(f, t):
             if f is plus:
-                return contract(plus_fn, t)
+                return contract(plus.fn, t)
             return contract(lambda *run: reduce(lambda a, b: self.call(f, [a, b]), run), t)
 
         def less_than(a, b):
-            fa, fb = as_fraction(_scalar(a)), as_fraction(_scalar(b))
+            fa, fb = as_fraction(a), as_fraction(b)
             if fa is None or fb is None:
                 raise TegiTypeError("less-than? needs numeric scalars")
             return fa < fb
 
-        def power(base, e):
+        def power(base, e):  # not behind _scalar_args: the exponent is checked first
             n = as_int(_scalar(e))
             if n is None:
                 raise TegiTypeError("'^' needs an integer exponent")
             return int_pow(_scalar(base), n)
 
         def between(a, b):
-            lo, hi = as_int(_scalar(a)), as_int(_scalar(b))
+            lo, hi = as_int(a), as_int(b)
             if lo is None or hi is None:
                 raise DomainError("between needs integer bounds")
             return tuple(integer(i) for i in range(lo, hi + 1))
@@ -420,16 +397,16 @@ class Interpreter:
 
         return [
             plus,
-            Function("-", None, fold(sub, unary=neg)),
-            Function("*", None, times_fn),
-            Function("/", None, fold(div), min_args=2),
+            Function("-", None, _scalar_args(minus)),
+            Function("*", None, _scalar_args(times)),
+            Function("/", None, _scalar_args(lambda *xs: reduce(div, xs)), min_args=2),
             Function("^", (S, S), power),
-            Function("less-than?", (S, S), less_than),
-            Function("sin", (S,), lambda x: sin(_scalar(x))),
-            Function("cos", (S,), lambda x: cos(_scalar(x))),
-            Function("sqrt", (S,), lambda x: sqrt(_scalar(x))),
-            Function("abs", (S,), lambda x: abs_(_scalar(x))),
-            Function("derivative", (S, S), lambda f, x: differentiate(_scalar(f), _scalar(x))),
+            Function("less-than?", (S, S), _scalar_args(less_than)),
+            Function("sin", (S,), _scalar_args(sin)),
+            Function("cos", (S,), _scalar_args(cos)),
+            Function("sqrt", (S,), _scalar_args(sqrt)),
+            Function("abs", (S,), _scalar_args(abs_)),
+            Function("derivative", (S, S), _scalar_args(differentiate)),
             Function("contract", (T, T), contract_fn),
             Function("tensor-map", (T, T), lambda f, t: tensor_map(lambda c: self.call(f, [c]), t)),
             Function("flip-indices", (T,), flip_indices),
@@ -437,8 +414,8 @@ class Interpreter:
             Function("df-order", (T,), lambda v: integer(df_order(v))),
             Function("df-normalize", (T,), lambda v: df_normalize(_scalars(v))),
             Function("M.det", (T,), lambda m: det(_scalars(m))),
-            Function("levi-civita", (S,), lambda n: levi_civita(as_int(_scalar(n)))),
+            Function("levi-civita", (S,), _scalar_args(lambda n: levi_civita(as_int(n)))),
             Function("hodge", (T,), hodge_fn),
             Function("map", (T, T), map_fn),
-            Function("between", (S, S), between),
+            Function("between", (S, S), _scalar_args(between)),
         ]

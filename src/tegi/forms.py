@@ -66,18 +66,22 @@ def levi_civita(n: int) -> TensorValue:
 def det(m) -> Expr:
     """Leibniz-formula determinant of a square rank-2 tensor (marks ignored).
 
-    Permutations that meet a structurally zero entry contribute nothing and
-    are skipped; the others are summed in one addition.
+    Each permutation is built row by row through the nonzero entries in
+    unused columns, so none that meets a zero entry is ever built.
     """
     if not isinstance(m, TensorValue) or m.rank != 2 or m.shape[0] != m.shape[1]:
         raise ShapeMismatchError("determinant needs a square matrix")
     n = m.shape[0]
-    terms = []
-    for p, odd in _signed_permutations(n):
-        factors = [m.components[i * n + j] for i, j in enumerate(p)]
-        if all(f.terms for f in factors):
-            terms.append(mul(_SIGN[odd], *factors))
-    return add(*terms)
+    partial = [((), 0, ())]  # (columns so far, parity, factors) in lexicographic order
+    for i in range(n):
+        row = [(j, e) for j, e in enumerate(m.components[i * n : i * n + n]) if e.terms]
+        partial = [
+            (cols + (j,), (odd + sum(c > j for c in cols)) % 2, factors + (e,))
+            for cols, odd, factors in partial
+            for j, e in row
+            if j not in cols
+        ]
+    return add(*[mul(_SIGN[odd], *factors) for _, odd, factors in partial])
 
 
 def df_normalize(v):
@@ -114,8 +118,8 @@ def hodge(a, g_lower: TensorValue, g_upper: TensorValue):
     summed over repeated indices, with no 1/k! factor.  Only the increasing
     output tuples are summed, over the k! orderings of the indices each leaves
     out and the nonzero entries of their g^{..} rows; `_alternate` writes the
-    rest.  Zero form components are skipped, as in `det`.  Marked axes of A
-    pass through unchanged, so matrix-valued forms star componentwise.
+    rest.  Zero form components are skipped.  Marked axes of A pass through
+    unchanged, so matrix-valued forms star componentwise.
     """
     for g in (g_lower, g_upper):
         if not isinstance(g, TensorValue) or g.rank != 2 or g.shape[0] != g.shape[1]:

@@ -36,16 +36,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # tokens
 
-PUNCT = {"(", ")", "[", "]", "{", "}", "[|", "|]", "_", "~", "~_", "!", "$", "%", "*$", "#", "^"}
-
 _DELIMS = set(" \t\r\n()[]{}|~_$%#!^;\"")
 
 
 class Token(Record):
     """A lexeme and the position where it starts.
 
-    `type` is one of PUNCT, or "int" | "sym" | "str" | "eof"; `glued` is
-    true when no whitespace or comment separates it from the last token.
+    `type` is the punctuation itself for ( ) [ ] { } [| |] _ ~ ~_ ! $ % *$ # ^,
+    else "int" | "sym" | "str" | "eof"; `glued` is true when no whitespace
+    or comment separates it from the last token.
     """
 
     __slots__ = ("type", "value", "line", "col", "glued")

@@ -15,9 +15,10 @@ No trig identities or radical simplification are applied; only rational
 constants fold.
 
 Values are built by the functions below (`add`, `mul`, `div`, `sin`, ...);
-`Expr` has no arithmetic operators.  Inside the module, a single-term value
-comes from one of two constructors: `_const` for a constant and `_atom` for
-an atom to the first power.  A constructed value is canonical, so
+`Expr` has no arithmetic operators, and the functions take `Expr` values
+only: the evaluator checks its scalars.  Inside the module, a single-term
+value comes from one of two constructors: `_const` for a constant and
+`_atom` for an atom to the first power.  A constructed value is canonical, so
 `differentiate` uses the atoms it meets as they are, without rebuilding them.
 
 Nodes (expressions and atoms) are immutable records, so each computes its
@@ -147,14 +148,6 @@ def _atom(a: Atom) -> Expr:
     return Expr(((1, ((a, 1),)),))
 
 
-def _coerce(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
-        return _const(v)
-    raise TegiTypeError(f"not a scalar: {v!r}")
-
-
 def _mono_key(mono: Mono):
     return tuple((a.key(), p) for a, p in mono)
 
@@ -181,7 +174,7 @@ def symbol(name: str, uid: int = 0) -> Expr:
 def add(*es: Expr) -> Expr:
     termmap: dict[Mono, Coeff] = {}
     for e in es:
-        for c, m in _coerce(e).terms:
+        for c, m in e.terms:
             termmap[m] = termmap.get(m, 0) + c
     return _mk(termmap)
 
@@ -228,9 +221,9 @@ def _mul2(a: Expr, b: Expr) -> Expr:
 def mul(*es: Expr) -> Expr:
     if not es:
         return ONE
-    out = _coerce(es[0])
+    out = es[0]
     for e in es[1:]:
-        out = _mul2(out, _coerce(e))
+        out = _mul2(out, e)
     return out
 
 
@@ -248,7 +241,6 @@ def _term_expr(c: Coeff, mono: Mono) -> Expr:
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    a, b = _coerce(a), _coerce(b)
     if not b.terms:
         raise TegiArithmeticError("division by zero")
     lead, mono = b.terms[0]
@@ -262,7 +254,6 @@ def div(a: Expr, b: Expr) -> Expr:
 
 
 def int_pow(e: Expr, n: int) -> Expr:
-    e = _coerce(e)
     if n == 0:
         return ONE
     if n < 0:
@@ -293,8 +284,7 @@ def as_int(e: Expr) -> int | None:
 
 def as_symbol(e: Expr) -> Sym | None:
     if (
-        isinstance(e, Expr)
-        and len(e.terms) == 1
+        len(e.terms) == 1
         and e.terms[0][0] == 1
         and len(e.terms[0][1]) == 1
         and e.terms[0][1][0][1] == 1
@@ -309,21 +299,18 @@ def _fun(tag: str, e: Expr) -> Expr:
 
 
 def sin(e: Expr) -> Expr:
-    e = _coerce(e)
     if as_fraction(e) == 0:
         return ZERO
     return _fun("sin", e)
 
 
 def cos(e: Expr) -> Expr:
-    e = _coerce(e)
     if as_fraction(e) == 0:
         return ONE
     return _fun("cos", e)
 
 
 def sqrt(e: Expr) -> Expr:
-    e = _coerce(e)
     c = as_fraction(e)
     if c is not None:
         if c < 0:
@@ -335,7 +322,6 @@ def sqrt(e: Expr) -> Expr:
 
 
 def abs_(e: Expr) -> Expr:
-    e = _coerce(e)
     c = as_fraction(e)
     if c is not None:
         return _const(abs(c))
@@ -371,10 +357,10 @@ def _d_expr(e: Expr, s: Sym) -> Expr:
 
 
 def differentiate(e: Expr, by: Expr) -> Expr:
-    s = as_symbol(_coerce(by))
+    s = as_symbol(by)
     if s is None:
         raise TegiTypeError(f"cannot differentiate by non-symbol: {by}")
-    return _d_expr(_coerce(e), s)
+    return _d_expr(e, s)
 
 
 def _atom_value(atom: Atom, env: Mapping[str, float]) -> float:
@@ -409,7 +395,7 @@ def evaluate_at(e: Expr, env: Mapping[str, float]) -> float:
     """
     total = 0.0
     try:
-        for c, mono in _coerce(e).terms:
+        for c, mono in e.terms:
             val = float(c)
             for atom, p in mono:
                 base = _atom_value(atom, env)

@@ -147,7 +147,7 @@ def wedge(a, b):
     multiply out (contracting any matching value-level labels), and the fresh
     axes scope back out in order as the form axes of the result.
     """
-    args, gens = complete_omitted_indices([a, b], "distinct")
+    args, gens = complete_omitted_indices([a, b], [SCALAR, SCALAR], distinct=True)
     prod = contract(add, apply_with_kinds(mul, [SCALAR] * len(args), args))
     return with_symbols_scope(gens, prod)
 
@@ -193,7 +193,7 @@ def df_normalize_ref(v):
     m = len(v.indices)
     if len(set(v.shape[m:])) != 1:
         raise ShapeMismatchError("alternation needs form axes of equal dimension")
-    scale = Fraction(1, math.factorial(k))
+    scale = rational(1, math.factorial(k))
     strides = _strides(v.shape)
     comps = []
     for out in _coords(v.shape):
@@ -601,23 +601,24 @@ def apply_with_kinds_dense(kernel, kinds, args):
 class DenseInterpreter(Interpreter):
     """Every call completes and lifts; `+`, `*` and `contract` fold pairwise."""
 
-    def call(self, fnv, args: list, distinct: bool = False, loc=None):
+    def call(self, fnv, args: list, distinct: bool = False):
         if not isinstance(fnv, Function):
-            raise TegiTypeError(f"not a function: {format_value(fnv)}", loc)
+            raise TegiTypeError(f"not a function: {format_value(fnv)}")
         kinds = fnv.kinds
         if kinds is None:
             if len(args) < fnv.min_args:
-                raise ArityError(f"{fnv.name} needs at least {fnv.min_args} argument(s)", loc)
+                raise ArityError(f"{fnv.name} needs at least {fnv.min_args} argument(s)")
             kinds = (SCALAR,) * len(args)
         elif len(args) != len(kinds):
             who = "" if fnv.name is None else f"{fnv.name} "
-            raise ArityError(f"{who}expected {len(kinds)} arguments, got {len(args)}", loc)
+            raise ArityError(f"{who}expected {len(kinds)} arguments, got {len(args)}")
 
+        # pick the positions to complete here, apart from how the engine picks them
         if distinct:
-            args, gens = complete_omitted_indices(args, "distinct")
+            args, gens = complete_omitted_indices(args, kinds, distinct=True)
         else:
             spots = [i for i, k in enumerate(kinds) if k is not TENSOR]
-            sub, gens = complete_omitted_indices([args[i] for i in spots], "shared")
+            sub, gens = complete_omitted_indices([args[i] for i in spots], [SCALAR] * len(spots))
             args = list(args)
             for i, v in zip(spots, sub):
                 args[i] = v

@@ -123,19 +123,19 @@ class TestApplyInverted:
 
 class TestCompletion:
     def test_scalar_argument_unchanged(self):
-        args, gens = complete_omitted_indices([integer(5)], "shared")
+        args, gens = complete_omitted_indices([integer(5)], [SCALAR])
         assert args == [integer(5)] and gens == []  # [TRIVIAL]
 
     def test_fully_marked_unchanged(self):
         t = attach_indices(tensor([1, 2]), [down(I)])
-        args, gens = complete_omitted_indices([t], "shared")
+        args, gens = complete_omitted_indices([t], [SCALAR])
         assert args == [t] and gens == []
 
     def test_shared_mode_reuses_symbols(self):
         # [PAPER analog] (+ A B) over 2-forms completes to A_t1_t2 B_t1_t2
         a = tensor([[1, 2], [3, 4]])
         b = tensor([[5, 6], [7, 8]])
-        args, gens = complete_omitted_indices([a, b], "shared")
+        args, gens = complete_omitted_indices([a, b], [SCALAR, SCALAR])
         assert len(gens) == 2
         assert args[0].indices == args[1].indices
         assert all(m.variance == -1 for m in args[0].indices)
@@ -143,26 +143,39 @@ class TestCompletion:
 
     def test_shared_mode_degree_mismatch(self):
         with pytest.raises(CompletionMismatchError):
-            complete_omitted_indices([tensor([1, 2]), tensor([[1, 2], [3, 4]])], "shared")
+            complete_omitted_indices(
+                [tensor([1, 2]), tensor([[1, 2], [3, 4]])], [SCALAR, SCALAR]
+            )
 
     def test_distinct_mode_fresh_per_argument(self):
         # [PAPER analog] (wedge A B) completes to A_t1_t2 B_t3_t4
         a = tensor([[1, 2], [3, 4]])
         b = tensor([[5, 6], [7, 8]])
-        args, gens = complete_omitted_indices([a, b], "distinct")
+        args, gens = complete_omitted_indices([a, b], [SCALAR, SCALAR], distinct=True)
         assert len(gens) == 4
         assert [m.label for m in args[0].indices] == gens[:2]
         assert [m.label for m in args[1].indices] == gens[2:]
 
     def test_distinct_mode_unequal_degrees(self):
         args, gens = complete_omitted_indices(
-            [tensor([1, 2]), tensor([[1, 2], [3, 4]])], "distinct"
+            [tensor([1, 2]), tensor([[1, 2], [3, 4]])], [SCALAR, SCALAR], distinct=True
         )
         assert len(gens) == 3
 
+    def test_tensor_kind_passes_untouched_unless_distinct(self):
+        # (f T A) with f's first parameter %: only A is completed
+        t = tensor([[1, 2], [3, 4]])
+        a = tensor([5, 6])
+        args, gens = complete_omitted_indices([t, a], [TENSOR, SCALAR])
+        assert args[0] is t and len(gens) == 1
+        assert [m.label for m in args[1].indices] == gens
+        args, gens = complete_omitted_indices([t, a], [TENSOR, SCALAR], distinct=True)
+        assert len(gens) == 3
+        assert [m.label for m in args[0].indices] == gens[:2]
+
     def test_partial_marks_complete_form_axes_only(self):
         t = TensorValue((2, 2), tuple(integer(v) for v in (1, 2, 3, 4)), (down(I),))
-        args, gens = complete_omitted_indices([t], "shared")
+        args, gens = complete_omitted_indices([t], [SCALAR])
         assert len(gens) == 1
         assert args[0].indices[0] == down(I)
         assert args[0].indices[1].label == gens[0]
@@ -211,7 +224,7 @@ class TestExteriorDerivativePipeline:
         # [DERIVED] d([|0 (cos θ)|]) with x = [|θ φ|]
         a = tensor([integer(0), cos(TH)])
         x = tensor([TH, PH])
-        args, gens = complete_omitted_indices([x, a], "distinct")
+        args, gens = complete_omitted_indices([x, a], [SCALAR, SCALAR], distinct=True)
         xc, ac = args
         got = apply_with_kinds(differentiate, [SCALAR, INVERTED], [ac, xc])
         got = with_symbols_scope(gens, got)

@@ -110,6 +110,38 @@ class TestRun:
         assert r.stdout == "1\n"
         assert r.stderr == f"error: line 2, {message}\n"
 
+    @pytest.mark.parametrize(
+        "line, col, message",
+        [
+            pytest.param("[|[|1 2|] [|3 (less-than? 1 2)|]|]", 11, "expected a scalar, got #t",
+                         id="tensor-literal-leaf"),
+            pytest.param("(* 2 (sin (less-than? 1 2)))", 6, "expected a scalar, got #t",
+                         id="application"),
+            pytest.param("(1 2)", 1, "not a function: 1", id="application-of-a-non-function"),
+            pytest.param("(* 2 A_3)", 7, "index 3 out of bounds for axis of dimension 2",
+                         id="indexed-reference"),
+            pytest.param("(if (+ 1 (less-than? 1 2)) 1 2)", 5, "expected a scalar, got #t",
+                         id="if-condition"),
+            pytest.param("(if 1 2 3)", 1, "if needs a boolean, got 1", id="if-non-boolean"),
+            pytest.param("(let {[$y (+ 1 (less-than? 1 2))]} y)", 11, "expected a scalar, got #t",
+                         id="let-binding"),
+            pytest.param("(with-symbols {i} (+ 1 (less-than? 1 2)))", 19,
+                         "expected a scalar, got #t", id="with-symbols-body"),
+            pytest.param("(define $x (+ 1 (less-than? 1 2)))", 12, "expected a scalar, got #t",
+                         id="define-body"),
+            pytest.param("(define $B~ 1)", 1, "define $B: a signature needs a tensor value",
+                         id="define-signature"),
+            pytest.param("(map (lambda [$x] (+ x (less-than? 1 2))) {1 2})", 19,
+                         "expected a scalar, got #t", id="lambda-body-through-map"),
+        ],
+    )
+    def test_error_is_located_by_node_kind(self, tmp_path, line, col, message):
+        f = tmp_path / "s.tegi"
+        f.write_text(f"(define $A [|1 2|])\n{line}\n", encoding="utf-8")
+        r = tegi("run", str(f))
+        assert r.returncode == 1
+        assert r.stderr == f"error: line 2, col {col}: {message}\n"
+
     @pytest.mark.parametrize("call", ["(df-normalize T)", "(hodge T)", "(M.det T)"])
     def test_form_of_booleans_is_a_located_scalar_error(self, tmp_path, call):
         f = tmp_path / "s.tegi"

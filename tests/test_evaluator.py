@@ -521,6 +521,25 @@ class TestDirectCalls:
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "(+ 1 B)", "(- B)", "(- 1 B)", "(* 0 B)", "(/ 1 B)", "(^ B 2)", "(less-than? 1 B)",
+            "(sin B)", "(cos B)", "(sqrt B)", "(abs B)", "(derivative B r)", "(derivative r B)",
+            "(levi-civita B)", "(between 1 B)",
+        ],
+    )
+    def test_every_scalar_builtin_refuses_a_non_scalar(self, src):
+        # `*` checks its factors before a zero factor ends the product
+        with pytest.raises(TegiTypeError) as exc:
+            ev(src.replace("B", "(less-than? 1 2)"))
+        assert exc.value.message == "expected a scalar, got #t"
+
+    def test_power_checks_its_exponent_before_its_base(self):
+        with pytest.raises(TegiTypeError) as exc:
+            ev("(^ (less-than? 1 2) (/ 1 2))")
+        assert exc.value.message == "'^' needs an integer exponent"
+
     def test_over_indexing(self):
         with pytest.raises(IndexArityError):
             ev("[|1 2|]_i_j")

@@ -138,6 +138,16 @@ class TestDet:
         assert calls == [(integer(1), A_, B_, C_, D_)]
         assert got == mul(A_, B_, C_, D_) == det_ref(m)
 
+    def test_diagonal_8x8_never_enumerates_all_permutations(self, monkeypatch):
+        # [DERIVED: Leibniz] one of the 8! = 40,320 permutations avoids a zero
+        # entry, and the walk builds only that one
+        def no_enumeration(n):
+            raise AssertionError("det enumerated every permutation")
+
+        monkeypatch.setattr(forms, "_signed_permutations", no_enumeration)
+        entries = [symbol(f"a{i}") for i in range(8)]
+        assert det(diagonal(entries)) == mul(*entries)
+
     def test_non_square(self):
         with pytest.raises(ShapeMismatchError):
             det(tensor([[1, 2, 3], [4, 5, 6]]))
@@ -346,6 +356,7 @@ class TestHodge:
     def test_metric_scale(self):
         # [DERIVED by hand] *1 with g = diag(4, 4) is sqrt(16) ε = 4 ε
         g = tensor([[4, 0], [0, 4]])
-        ginv = tensor([[div(integer(1), 4), integer(0)], [integer(0), div(integer(1), 4)]])
+        quarter = div(integer(1), integer(4))
+        ginv = tensor([[quarter, integer(0)], [integer(0), quarter]])
         got = hodge(integer(1), g, ginv)
         assert to_nested(got) == [[0, 4], [-4, 0]]

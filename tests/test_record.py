@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import DATACLASS_TWINS
 from tegi import evaluator, lang, symexpr, tensor
 from tegi.errors import TegiError
-from tegi.symexpr import ONE, ZERO, add, div, sin, symbol
+from tegi.symexpr import ONE, ZERO, add, div, integer, sin, symbol
 
 NAMES = sorted(DATACLASS_TWINS)
 MODULES = (lang, tensor, symexpr, evaluator)
@@ -33,7 +33,7 @@ SHARED_FIELDS = [
 ]
 
 X, Y = symbol("x"), symbol("y")
-EXPRS = [ZERO, ONE, X, add(X, Y), sin(X), div(1, add(X, Y))]
+EXPRS = [ZERO, ONE, X, add(X, Y), sin(X), div(integer(1), add(X, Y))]
 PLAIN = [0, 1, "a", "b", (), (1, 2), None, True, lang.IntLit(1), lang.IntLit(1, (3, 4))]
 LOCS = [None, (1, 1), (2, 5)]
 MARKS = [tensor.IndexMark(1, "a"), tensor.IndexMark(-1, 2)]
@@ -241,7 +241,7 @@ def test_pickle_round_trip(case):
 
 
 def test_memos_are_not_pickled():
-    e = sin(add(X, div(1, add(X, Y))))
+    e = sin(add(X, div(integer(1), add(X, Y))))
     before = pickle.dumps(e)
     hash(e), e.key()
     assert pickle.dumps(e) == before

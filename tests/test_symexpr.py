@@ -482,9 +482,9 @@ class TestIntegerCoefficients:
             sqrt(rational(16, 4)),
             abs_(rational(-4, 2)),
             differentiate(mul(half, int_pow(X, 2)), X),
-            add(X, Fraction(6, 3)),
-            mul(Fraction(6, 3)),
-            div(1, add(X, Y)),
+            add(X, rational(6, 3)),
+            mul(rational(6, 3)),
+            div(integer(1), add(X, Y)),
             ONE,
             symbol("x"),
             sin(X),
@@ -500,7 +500,7 @@ class TestIntegerCoefficients:
         assert type(as_fraction(add(X, neg(X)))) is Fraction
 
     def test_constant_factor_keeps_term_order(self):
-        e = add(X, mul(rational(1, 3), Y), sin(X), 5)
+        e = add(X, mul(rational(1, 3), Y), sin(X), integer(5))
         for k in (integer(-1), integer(2), rational(-3, 2)):
             assert [m for _, m in mul(k, e).terms] == [m for _, m in e.terms]
             assert mul(k, e) == mul_ref(k, e)
@@ -514,7 +514,7 @@ class TestMemoisedNodes:
         assert mul(e) == e
 
     def test_memos_are_not_fields(self):
-        e = sqrt(add(X, div(1, add(X, Y))))
+        e = sqrt(add(X, div(integer(1), add(X, Y))))
         before = repr(e)
         hash(e), e.key()
         assert repr(e) == before
