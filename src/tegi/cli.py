@@ -1,8 +1,9 @@
 """Command-line front end: script runner, REPL, and golden-corpus checker.
 
-Values go to stdout, diagnostics to stderr, everything in UTF-8.  The
-runner and the REPL share one rendering path, so the same expression
-prints identically in both.
+Values go to stdout, diagnostics to stderr, everything in UTF-8.  Every
+mode reads a file with `_read_source` and evaluates it with `Interpreter.run`;
+the runner and the REPL print through `_printer`, so the same expression
+prints identically in both, and any failure is one `error: ...` line.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ def _force_utf8() -> None:
 # ---------------------------------------------------------------- rendering
 
 
-def _numeric(binds: dict, precision: int):
-    """A scalar printer: the value at the bound symbols, to `precision` digits."""
-    return lambda e: f"{evaluate_at(e, binds):.{precision}g}"
+def _printer(binds: dict | None = None, precision: int = 0):
+    """An `emit` printing each value, with scalars as floats at `binds` if given."""
+    scalar = None if binds is None else lambda e: f"{evaluate_at(e, binds):.{precision}g}"
+    return lambda value: print(format_value(value, scalar))
 
 
 def _parse_bindings(pairs: list[str], parser: argparse.ArgumentParser) -> dict | None:
@@ -60,25 +62,24 @@ def _parse_bindings(pairs: list[str], parser: argparse.ArgumentParser) -> dict |
 # ---------------------------------------------------------------- run mode
 
 
-def _eval_and_print(interp: Interpreter, text: str, scalar=None) -> None:
-    """Evaluate top-level forms eagerly, printing each non-define value."""
-    for value in interp.iter_source(text):
-        print(format_value(value, scalar))
+def _read_source(path: str | Path) -> str:
+    """The UTF-8 text of a source file; a file that cannot be read is a TegiError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise TegiError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise TegiError(f"{path}: {exc}") from None
 
 
 def run_script(path: str, dump: bool, binds, precision: int) -> int:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        text = _read_source(path)
         if dump:
             for node in lang.parse_program(text):
                 print(lang.unparse(node))
             return 0
-        scalar = None if binds is None else _numeric(binds, precision)
-        _eval_and_print(Interpreter(), text, scalar)
+        Interpreter().run(text, _printer(binds, precision))
     except TegiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -118,6 +119,7 @@ def _print_env(interp: Interpreter) -> None:
 
 def repl() -> int:
     interp = Interpreter()
+    show = _printer()
     interactive = sys.stdin.isatty()
     if interactive:
         print(f"tegi {__version__} (:quit to leave)", file=sys.stderr)
@@ -129,27 +131,22 @@ def repl() -> int:
         line = sys.stdin.readline()
         if not line:
             return 0
-        if not buffer and line.strip().startswith(":"):
-            command, _, rest = line.strip().partition(" ")
-            if command == ":quit":
-                return 0
-            if command == ":env":
-                _print_env(interp)
-            elif command == ":load":
-                path = rest.strip()
-                try:
-                    text = Path(path).read_text(encoding="utf-8")
-                    _eval_and_print(interp, text)
-                except (OSError, TegiError) as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-            else:
-                print(f"error: unknown command {command}", file=sys.stderr)
-            continue
-        buffer += line
-        if not buffer.strip() or _incomplete(buffer):
-            continue
         try:
-            _eval_and_print(interp, buffer)
+            if not buffer and line.strip().startswith(":"):
+                command, _, rest = line.strip().partition(" ")
+                if command == ":quit":
+                    return 0
+                if command == ":env":
+                    _print_env(interp)
+                elif command == ":load":
+                    interp.run(_read_source(rest.strip()), show)
+                else:
+                    raise TegiError(f"unknown command {command}")
+                continue
+            buffer += line
+            if not buffer.strip() or _incomplete(buffer):
+                continue
+            interp.run(buffer, show)
         except TegiError as exc:
             print(f"error: {exc}", file=sys.stderr)
         buffer = ""
@@ -160,19 +157,18 @@ def repl() -> int:
 
 def _check_file(path: Path) -> list[str]:
     """Run one corpus file; return a list of mismatch descriptions."""
-    text = path.read_text(encoding="utf-8")
-    problems = []
-    expected = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if ";=>" not in line:
-            continue
-        want = line.split(";=>", 1)[1].strip()
-        if not want:
-            problems.append(f"line {lineno}: malformed annotation (empty ;=>)")
-            continue
-        expected.append((lineno, want))
+    problems, expected, got = [], [], []
     try:
-        got = [format_value(v) for v in Interpreter().eval_source(text)]
+        text = _read_source(path)
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if ";=>" not in line:
+                continue
+            want = line.split(";=>", 1)[1].strip()
+            if not want:
+                problems.append(f"line {lineno}: malformed annotation (empty ;=>)")
+                continue
+            expected.append((lineno, want))
+        Interpreter().run(text, lambda v: got.append(format_value(v)))
     except TegiError as exc:
         return problems + [f"error: {exc}"]
     if len(got) != len(expected):

@@ -2,8 +2,8 @@
 
 Each error carries an optional (line, column) location.  Errors raised
 without one get the location of the innermost syntax node being evaluated
-when they surfaced; recursion too deep for the Python stack becomes an
-`EvalError` located at the top-level form.
+when they surfaced.  Recursion too deep for the Python stack, in evaluating
+a top-level form or in printing its value, is an `EvalError` located there.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ class TegiError(Exception):
 
 
 class LexError(TegiError):
-    """Bad character, unterminated string, stray token."""
+    """Unterminated string or tensor literal, stray '|'."""
 
 
 class ParseError(TegiError):

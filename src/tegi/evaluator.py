@@ -15,6 +15,7 @@ and hands the callable to `apply_with_kinds`, the same way for both.
 Each check on the way to a kernel happens once: `_scalar_args` refuses a
 non-scalar argument before a scalar builtin runs, and the one handler in
 `Interpreter.eval` locates an error at the innermost node being evaluated.
+The one top-level loop, `Interpreter.run`, hands each value to a printer.
 """
 
 from __future__ import annotations
@@ -166,40 +167,32 @@ def _index_label(v) -> Sym | int | None:
     return s if s is not None else as_int(v)
 
 
-_PRELUDE_CACHE: str | None = None
-
-
-def _prelude_source() -> str:
-    global _PRELUDE_CACHE
-    if _PRELUDE_CACHE is None:
-        path = os.path.join(os.path.dirname(__file__), "prelude.tegi")
-        with open(path, encoding="utf-8") as f:
-            _PRELUDE_CACHE = f.read()
-    return _PRELUDE_CACHE
-
-
 class Interpreter:
     def __init__(self):
         self.global_env = Environment()
         for b in self._builtins():
             self.global_env.define(b.name, b)
-        self.eval_source(_prelude_source())
+        path = os.path.join(os.path.dirname(__file__), "prelude.tegi")
+        with open(path, encoding="utf-8") as f:
+            self.eval_source(f.read())
 
     # -- entry points --------------------------------------------------------
 
-    def iter_source(self, text: str):
-        """Evaluate top-level forms in order, yielding each non-define value."""
+    def run(self, text: str, emit: Callable[[object], None]) -> None:
+        """Evaluate top-level forms in order, calling `emit` on each non-define value."""
         for node in lang.parse_program(text):
-            try:
+            try:  # recursion too deep, in `eval` or in `emit`, is located at the form
                 v = self.eval(node, self.global_env)
+                if not isinstance(node, lang.Define):
+                    emit(v)
             except RecursionError:
                 raise EvalError("recursion too deep", node.loc) from None
-            if not isinstance(node, lang.Define):
-                yield v
 
     def eval_source(self, text: str) -> list:
         """Evaluate top-level forms; returns the values of non-define forms."""
-        return list(self.iter_source(text))
+        values = []
+        self.run(text, values.append)
+        return values
 
     # -- evaluation ----------------------------------------------------------
 

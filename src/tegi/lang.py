@@ -52,7 +52,7 @@ class Token(Record):
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
+    i, line, line_start = 0, 1, 0  # a column is 1 plus the offset from line_start
     glued = False
     open_tensors: list[tuple[int, int]] = []
 
@@ -67,13 +67,12 @@ def tokenize(text: str) -> list[Token]:
         ch = text[i]
         if ch in " \t\r":
             i += 1
-            col += 1
             glued = False
             continue
         if ch == "\n":
             i += 1
             line += 1
-            col = 1
+            line_start = i
             glued = False
             continue
         if ch == ";":
@@ -81,7 +80,7 @@ def tokenize(text: str) -> list[Token]:
                 i += 1
             glued = False
             continue
-        l, c = line, col
+        l, c = line, i - line_start + 1
         if ch == "[" and i + 1 < n and text[i + 1] == "|":
             open_tensors.append((l, c))
             w = emit("[|", "[|", l, c, 2)
@@ -110,9 +109,9 @@ def tokenize(text: str) -> list[Token]:
             if j >= n:
                 raise LexError("unterminated string", (l, c))
             w = emit("str", "".join(buf), l, c, j + 1 - i)
-            if "\n" in text[i:j]:  # with `col += w` below, col restarts after the last newline
+            if "\n" in text[i:j]:
                 line += text.count("\n", i, j)
-                col = i - text.rindex("\n", i, j)
+                line_start = text.rindex("\n", i, j) + 1
         elif ch.isdecimal() or (ch == "-" and i + 1 < n and text[i + 1].isdecimal()):
             j = i + 1
             while j < n and text[j].isdecimal():
@@ -120,16 +119,13 @@ def tokenize(text: str) -> list[Token]:
             w = emit("int", int(text[i:j]), l, c, j - i)
         else:
             j = i
-            while j < n and text[j] not in _DELIMS:
+            while j < n and text[j] not in _DELIMS:  # ch is not a delimiter: j > i
                 j += 1
-            if j == i:
-                raise LexError(f"unexpected character {ch!r}", (l, c))
             w = emit("sym", text[i:j], l, c, j - i)
         i += w
-        col += w
     if open_tensors:
         raise LexError("unterminated tensor literal", open_tensors[-1])
-    toks.append(Token("eof", None, line, col, False))
+    toks.append(Token("eof", None, line, n - line_start + 1, False))
     return toks
 
 
@@ -247,9 +243,7 @@ class _Parser:
             return SymbolRef(t.value, self.loc(t))
         if t.type == "[|":
             elems = []
-            while self.peek().type != "|]":
-                if self.peek().type == "eof":
-                    raise ParseError("unterminated tensor literal", self.loc(t))
+            while self.peek().type != "|]":  # the lexer rejects an unclosed [|
                 elems.append(self.expression())
             self.next()
             if not elems:

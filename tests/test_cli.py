@@ -15,6 +15,14 @@ import pytest
 
 CORPUS = Path(__file__).parent / "corpus"
 
+NOT_UTF8 = b"(+ 1 2)\n\xff\xfe\n"
+NOT_UTF8_ERROR = "error: {path}: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"
+# Values nested 1,500 deep, built one level per top-level form, so only
+# printing them (or evaluating them under --bind) goes deeper than the stack.
+DEEP_TUPLE = "(define $b {})\n" + "(define $b {b})\n" * 1500 + "b\n"
+DEEP_SIN = "(define $s x)\n" + "(define $s (sin s))\n" * 1500 + "s\n"
+TOO_DEEP_ERROR = "error: line 1502, col 1: recursion too deep"
+
 
 def tegi(*argv, stdin=None):
     return subprocess.run(
@@ -206,6 +214,37 @@ class TestRun:
         assert r.stdout == ""
         assert r.stderr == "error: line 2, col 1: nesting too deep\n"
 
+    def test_file_not_in_utf8_is_an_error(self, tmp_path):
+        f = tmp_path / "f.tegi"
+        f.write_bytes(NOT_UTF8)
+        r = tegi("run", str(f))
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == NOT_UTF8_ERROR.format(path=f) + "\n"
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize(
+        "program, binds",
+        [(DEEP_TUPLE, []), (DEEP_SIN, []), (DEEP_SIN, ["--bind", "x=0.5"])],
+        ids=["tuple", "sin", "sin-bound"],
+    )
+    def test_value_too_deep_to_print_is_a_located_error(self, tmp_path, program, binds):
+        f = tmp_path / "s.tegi"
+        f.write_text(program, encoding="utf-8")
+        r = tegi("run", *binds, str(f))
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == TOO_DEEP_ERROR + "\n"
+        assert "Traceback" not in r.stderr
+
+    def test_end_of_file_after_a_trailing_comment_is_located(self, tmp_path):
+        f = tmp_path / "s.tegi"
+        f.write_text("(define $x 1 ; trailing comment", encoding="utf-8")
+        r = tegi("run", str(f))
+        assert r.returncode == 1
+        assert r.stderr == "error: line 1, col 32: expected ')', found None\n"
+        assert "Traceback" not in r.stderr
+
     def test_dump_desugared(self, tmp_path):
         f = tmp_path / "s.tegi"
         f.write_text("(define $T_i_j [|[|1 2|] [|3 4|]|])\nT_2_1\n", encoding="utf-8")
@@ -370,6 +409,20 @@ class TestRepl:
         r = tegi("repl", stdin=f":load {f}\n(+ a 1)\n")
         assert r.stdout == "43\n"
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [(NOT_UTF8, NOT_UTF8_ERROR), (DEEP_TUPLE.encode(), TOO_DEEP_ERROR)],
+        ids=["not-utf8", "too-deep-to-print"],
+    )
+    def test_failed_load_is_one_error_and_the_session_goes_on(self, tmp_path, content, message):
+        f = tmp_path / "lib.tegi"
+        f.write_bytes(content)
+        r = tegi("repl", stdin=f":load {f}\n(+ 1 2)\n")
+        assert r.returncode == 0
+        assert r.stdout == "3\n"
+        assert r.stderr == message.format(path=f) + "\n"
+        assert "Traceback" not in r.stderr
+
     def test_unknown_command(self):
         r = tegi("repl", stdin=":bogus\n(+ 1 1)\n")
         assert "unknown command" in r.stderr
@@ -409,3 +462,24 @@ class TestCheck:
     def test_missing_directory(self, tmp_path):
         r = tegi("check", str(tmp_path / "nope"))
         assert r.returncode != 0
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda p: p.write_bytes(NOT_UTF8), NOT_UTF8_ERROR),
+            (lambda p: p.mkdir(), "error: [Errno 21] Is a directory: '{path}'"),
+            (lambda p: p.write_text(DEEP_TUPLE, encoding="utf-8"), TOO_DEEP_ERROR),
+        ],
+        ids=["not-utf8", "directory", "too-deep-to-print"],
+    )
+    def test_file_that_fails_to_run_fails_and_the_rest_are_checked(self, tmp_path, make, message):
+        bad = tmp_path / "a.tegi"
+        make(bad)
+        (tmp_path / "b.tegi").write_text("(+ 1 1)  ;=> 2\n", encoding="utf-8")
+        r = tegi("check", str(tmp_path))
+        assert r.returncode == 1
+        assert r.stdout == (
+            f"FAIL a.tegi\n  {message.format(path=bad)}\n"
+            "PASS b.tegi\nchecked 2 files: 1 passed, 1 failed\n"
+        )
+        assert r.stderr == ""

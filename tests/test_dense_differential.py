@@ -29,7 +29,7 @@ def outcomes(cls, forms: list[str]) -> list:
     out = []
     for form in forms:
         try:
-            out.append([format_value(v) for v in interp.iter_source(form)])
+            out.append([format_value(v) for v in interp.eval_source(form)])
         except TegiError as exc:
             out.append((type(exc), exc.message, exc.location))
     return out

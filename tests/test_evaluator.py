@@ -196,11 +196,11 @@ class TestDefines:
         src = "(define $T_i_j [|[|1 2|] [|3 4|]|]_j_i) T_1_2"
         assert show(src) == "3"
 
-    def test_iter_source_yields_before_a_later_error(self):
-        values = Interpreter().iter_source("(define $two 2) (* two 3) (derivative r 2)")
-        assert format_value(next(values)) == "6"
+    def test_run_emits_before_a_later_error(self):
+        values = []
         with pytest.raises(TegiTypeError):
-            next(values)
+            Interpreter().run("(define $two 2) (* two 3) (derivative r 2)", values.append)
+        assert [format_value(v) for v in values] == ["6"]
 
     def test_definitions_persist(self):
         interp = Interpreter()

@@ -1,6 +1,7 @@
 """Tests for the lexer, parser, desugarer, and unparser."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tegi.errors import DesugarError, LexError, ParseError
 from tegi.lang import (
@@ -25,6 +26,28 @@ from tegi.lang import (
 
 def kinds(text):
     return [t.type for t in tokenize(text) if t.type != "eof"]
+
+
+# Pieces of source that lex in any sequence: joined with no separator they
+# glue, merge into longer symbols or split at delimiters.  A comment ends its
+# line, so one without a newline may only come last.
+PIECES = [
+    "(", ")", "[", "]", "{", "}", "[|1|]", "_i", "~j", "~_k", "$", "%", "*$", "#", "!",
+    "^2", "x", "Γ~", "∂/∂", "-3", "42", " ", "\t", "\r", "\n", "\n\n", "; c\n",
+    '"s"', '"a\nb"', '"\n"',
+]
+TEXTS = st.builds(
+    lambda pieces, last: "".join(pieces) + last,
+    st.lists(st.sampled_from(PIECES), max_size=12),
+    st.sampled_from(["", "; end"]),
+)
+
+
+def lexeme(t):
+    """How a token's source text begins."""
+    if t.type in ("int", "sym"):
+        return str(t.value)
+    return '"' if t.type == "str" else t.type
 
 
 def parse1(text):
@@ -102,6 +125,17 @@ class TestTokenize:
 
     def test_decimal_digits_end_before_a_superscript(self):
         assert [(t.type, t.value) for t in tokenize("12²")][:-1] == [("int", 12), ("sym", "²")]
+
+    @settings(max_examples=300, deadline=None)
+    @given(TEXTS)
+    def test_each_token_is_located_where_its_lexeme_starts(self, text):
+        # a column is 1 plus the offset from the start of its line, after
+        # comments and strings spanning lines too
+        lines = text.split("\n")
+        *toks, eof = tokenize(text)
+        for t in toks:
+            assert lines[t.line - 1][t.col - 1:].startswith(lexeme(t)), (t, text)
+        assert (eof.line, eof.col) == (len(lines), len(lines[-1]) + 1)
 
 
 class TestParse:

@@ -54,6 +54,8 @@ R = symbol("r")
 TH = symbol("θ")
 X = symbol("x")
 Y = symbol("y")
+A, B = symbol("a"), symbol("b")
+INV_XY = div(integer(1), add(X, Y))  # kept as the atom 1/(x+y)
 
 
 class TestCanonicalForm:
@@ -158,6 +160,26 @@ class TestDivision:
         # cot(0.7) = 1.1872418321266796  [DERIVED: math.cos(0.7)/math.sin(0.7)]
         e = div(cos(TH), sin(TH))
         assert abs(evaluate_at(e, {"θ": 0.7}) - 1.1872418321266796) < 1e-12
+
+    @pytest.mark.parametrize(
+        "num, den, want",
+        [
+            (integer(1), INV_XY, "(+ y x)"),
+            (A, mul(B, INV_XY), "(+ (/ (* a y) b) (/ (* a x) b))"),
+            (
+                A,
+                mul(B, int_pow(INV_XY, 2)),
+                "(+ (/ (* a y^2) b) (/ (* a x^2) b) (/ (* 2 a x y) b))",
+            ),
+        ],
+        ids=["reciprocal", "over-a-product", "over-a-square"],
+    )
+    def test_inverse_atom_in_the_denominator_expands(self, num, den, want):
+        # a one-term denominator holding 1/(x+y) puts that atom at a negative
+        # power, and the quotient expands it back into a polynomial  [DERIVED by hand]
+        got = div(num, den)
+        assert format_expr(got) == want
+        assert got == div_ref(num, den)
 
 
 class TestDifferentiate:
