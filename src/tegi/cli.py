@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, lang
-from .errors import LexError, TegiError
+from .errors import EvalError, LexError, TegiError
 from .evaluator import Interpreter, format_value
 from .symexpr import evaluate_at
 
@@ -114,7 +114,11 @@ def _signature_name(key) -> str:
 def _print_env(interp: Interpreter) -> None:
     frame = interp.global_env.bindings
     for key in sorted(frame, key=_signature_name):
-        print(f"{_signature_name(key)} = {format_value(frame[key])}")
+        name = _signature_name(key)
+        try:  # a value nested deeper than the stack, as `Interpreter.run` guards its forms
+            print(f"{name} = {format_value(frame[key])}")
+        except RecursionError:
+            raise EvalError(f"{name}: recursion too deep") from None
 
 
 def repl() -> int:

@@ -116,12 +116,16 @@ def format_value(v, scalar: Callable[[Expr], str] | None = None) -> str:
     """Canonical printed form of any runtime value.
 
     `scalar` prints each scalar, inside tensors and `{…}` tuples too; the
-    default is `format_expr`, looked up at each call.
+    default is `format_expr`, looked up at each call, with one memo of atom
+    texts shared by every scalar of `v`.
     """
+    if scalar is None:
+        atoms = {}
+        scalar = lambda e: format_expr(e, atoms)
     if isinstance(v, bool):
         return "#t" if v else "#f"
     if isinstance(v, Expr):
-        return format_expr(v) if scalar is None else scalar(v)
+        return scalar(v)
     if isinstance(v, TensorValue):
         return format_tensor(v, lambda c: format_value(c, scalar))
     if isinstance(v, str):

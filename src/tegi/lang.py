@@ -7,6 +7,8 @@ onto the expression before them, and parameter sigils (`$`, `%`, `*$`).
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .errors import DesugarError, LexError, ParseError
 from .record import Record
 
@@ -39,15 +41,15 @@ __all__ = [
 _DELIMS = set(" \t\r\n()[]{}|~_$%#!^;\"")
 
 
-class Token(Record):
-    """A lexeme and the position where it starts.
+Token = namedtuple("Token", "type value line col glued")
+Token.__doc__ = """A lexeme and the position where it starts.
 
-    `type` is the punctuation itself for ( ) [ ] { } [| |] _ ~ ~_ ! $ % *$ # ^,
-    else "int" | "sym" | "str" | "eof"; `glued` is true when no whitespace
-    or comment separates it from the last token.
-    """
-
-    __slots__ = ("type", "value", "line", "col", "glued")
+`type` is the punctuation itself for ( ) [ ] { } [| |] _ ~ ~_ ! $ % *$ # ^,
+else "int" | "sym" | "str" | "eof"; `glued` is true when no whitespace
+or comment separates it from the last token.  The lexer builds tokens with
+`tuple.__new__`, which skips the Python-level constructor.
+"""
+_token = tuple.__new__
 
 
 def tokenize(text: str) -> list[Token]:
@@ -58,7 +60,7 @@ def tokenize(text: str) -> list[Token]:
 
     def emit(type_, value, l, c, width):
         nonlocal glued
-        toks.append(Token(type_, value, l, c, glued))
+        toks.append(_token(Token, (type_, value, l, c, glued)))
         glued = True
         return width
 
@@ -125,7 +127,7 @@ def tokenize(text: str) -> list[Token]:
         i += w
     if open_tensors:
         raise LexError("unterminated tensor literal", open_tensors[-1])
-    toks.append(Token("eof", None, line, n - line_start + 1, False))
+    toks.append(_token(Token, ("eof", None, line, n - line_start + 1, False)))
     return toks
 
 

@@ -21,11 +21,29 @@ part of the value).  From the fields the base derives:
 - the repr `Name(field=value, ...)`;
 - an `AttributeError` on assigning or deleting any attribute;
 - pickling through the constructor, so memos are never pickled.
+
+A class that sets `_interned = True` keeps one live record per argument
+tuple.  Its compiled function binds the arguments to a key, and its
+`__new__` hands back the live record with an equal key when there is one,
+and otherwise builds and registers a new one (running `__post_init__` only
+then).  The table holds each record weakly, so a record is freed with the
+last value that refers to it.  Unpickling goes through the constructor, so
+it finds the live record too.  The lookup and the registration are not
+locked: records are built from one thread.
 """
 
 from operator import attrgetter
+from weakref import KeyedRef
 
 __all__ = ["Record"]
+
+_live: dict = {}  # (class, *arguments) -> KeyedRef to the live record built from them
+
+
+def _forget(ref, live=_live):
+    """Drop a dead record's entry, unless a newer record already holds its key."""
+    if live.get(ref.key) is ref:
+        del live[ref.key]
 
 
 def _getter(names):
@@ -37,12 +55,18 @@ def _getter(names):
 
 
 def _make_init(cls, names):
-    """Compile `cls.__init__` with one parameter per name, in order."""
+    """Compile `cls.__init__` with one parameter per name, in order; for an
+    interned class, compile instead its key, the tuple `(cls, *arguments)`,
+    from the same parameters.  Either is named `__init__`, so its argument
+    errors read like a dataclass's."""
     defaults = {"loc": None, **getattr(cls, "_defaults", {})}
     params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names)
-    body = [f"    _set(self, {n!r}, {n})" for n in names]
-    if hasattr(cls, "__post_init__"):
-        body.append("    self.__post_init__()")
+    if cls._interned:
+        body = [f"    return (self, {', '.join(names)})"]
+    else:
+        body = [f"    _set(self, {n!r}, {n})" for n in names]
+        if hasattr(cls, "__post_init__"):
+            body.append("    self.__post_init__()")
     namespace = {"_set": object.__setattr__, "_defaults": defaults}
     exec(f"def __init__(self, {params}):\n" + ("\n".join(body) or "    pass"), namespace)
     init = namespace["__init__"]
@@ -50,8 +74,27 @@ def _make_init(cls, names):
     return init
 
 
+def _intern(cls, *args, **kwargs):
+    """`__new__` of an interned class: the live record built from equal
+    arguments if there is one, else a new record, registered."""
+    key = cls._intern_key(cls, *args, **kwargs)
+    ref = _live.get(key)
+    if ref is not None:
+        self = ref()
+        if self is not None:
+            return self
+    self = object.__new__(cls)
+    for name, value in zip(cls._fields, key[1:]):  # an interned class has no `loc`
+        object.__setattr__(self, name, value)
+    if hasattr(cls, "__post_init__"):
+        self.__post_init__()
+    _live[key] = KeyedRef(self, _forget, key)
+    return self
+
+
 class Record:
     __slots__ = ()
+    _interned = False
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -60,7 +103,12 @@ class Record:
         cls._fields = tuple(s for s in args if s != "loc")
         cls._values = staticmethod(_getter(cls._fields))
         cls._args = staticmethod(_getter(args))
-        cls.__init__ = _make_init(cls, args)
+        if cls._interned:
+            cls._intern_key = staticmethod(_make_init(cls, args))
+            cls.__new__ = _intern
+            cls.__init__ = object.__init__
+        else:
+            cls.__init__ = _make_init(cls, args)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -21,10 +21,18 @@ value comes from one of two constructors: `_const` for a constant and
 `_atom` for an atom to the first power.  A constructed value is canonical, so
 `differentiate` uses the atoms it meets as they are, without rebuilding them.
 
-Nodes (expressions and atoms) are immutable records, so each computes its
-hash and its order key once, on first use, and keeps them.  The memoised
-values live in slots that are not record fields: equality, repr and the
-canonical term order are those of the structure alone.
+Nodes (expressions and atoms) are immutable records.  Atoms are interned
+(hash-consed): building an atom whose structure is live hands back the live
+object, so there is one object per atom, and atom equality and hashing are
+those of `object`, identity.  A weak table holds the atoms, so an atom is
+freed with the last value that holds it.  An `Expr` is not interned: its
+equality compares its terms, whose atoms compare by identity, and its hash,
+of the terms, is computed once.  Each node computes its structural order key
+once, on first use; term order and printed text depend on that key alone.
+The memos live in slots that are not record fields, so repr is that of the
+structure.  `format_expr` memoises the text of each function or inverse
+atom in a dict its caller may share across one printed value; the text is
+never stored on the atom, so printing costs the same each time.
 """
 
 from __future__ import annotations
@@ -61,20 +69,12 @@ __all__ = [
 
 
 class _Node(Record):
-    """Hash and order key of an immutable node, each computed on first use.
+    """An immutable node whose structural order key is computed on first use.
 
-    The memo slots start with `_`, so they are not record fields.
+    The memo slot starts with `_`, so it is not a record field.
     """
 
-    __slots__ = ("_hash", "_order")
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(self.key())  # the key is a function of the structure
-            object.__setattr__(self, "_hash", h)
-            return h
+    __slots__ = ("_order",)
 
     def key(self):
         try:
@@ -85,7 +85,29 @@ class _Node(Record):
             return k
 
 
-class Sym(_Node):
+class _Atom(_Node):
+    """An interned atom: one live object per structure, so `==` and `hash`
+    are those of `object`, identity, and run at C speed."""
+
+    __slots__ = ("__weakref__",)
+    _interned = True
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
+def _store_canonical_arg(atom):
+    """Store the argument with canonical coefficients.
+
+    Lookup treats an `int` and the equal `Fraction` alike, so the first atom
+    built for a structure is the one every later build gets; storing its
+    argument canonically keeps a `Fraction(2, 1)` out of the engine's values.
+    """
+    terms = atom.arg.terms
+    if any(type(c) is not int and c.denominator == 1 for c, _ in terms):
+        object.__setattr__(atom, "arg", Expr(tuple((_norm(c), m) for c, m in terms)))
+
+
+class Sym(_Atom):
     """A named symbol; uid > 0 marks a generated (scope-fresh) symbol."""
 
     __slots__ = ("name", "uid")
@@ -95,17 +117,19 @@ class Sym(_Node):
         return (0, self.name, self.uid)
 
 
-class Fun(_Node):
+class Fun(_Atom):
     __slots__ = ("tag", "arg")  # tag: "sin" | "cos" | "sqrt" | "abs"
+    __post_init__ = _store_canonical_arg
 
     def _order_key(self):
         return (1, self.tag, self.arg.key())
 
 
-class Inv(_Node):
+class Inv(_Atom):
     """Opaque 1/arg for a multi-term denominator (arg scaled monic-first)."""
 
     __slots__ = ("arg",)
+    __post_init__ = _store_canonical_arg
 
     def _order_key(self):
         return (2, "inv", self.arg.key())
@@ -119,8 +143,16 @@ Term = tuple[Coeff, Mono]
 
 
 class Expr(_Node):
-    __slots__ = ("terms",)  # a tuple of Terms
+    __slots__ = ("terms", "_hash")  # a tuple of Terms
     _defaults = {"terms": ()}
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.terms)  # atoms hash by identity, int and Fraction alike
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def _order_key(self):
         return tuple((_mono_key(m), (c.numerator, c.denominator)) for c, m in self.terms)
@@ -426,29 +458,37 @@ def _product_str(n: int, factors: list[str]) -> str:
     return "(* " + " ".join(parts) + ")"
 
 
-def _atom_str(atom: Atom) -> str:
+def _atom_str(atom: Atom, atoms: dict) -> str:
     if isinstance(atom, Sym):
         return atom.name
-    if isinstance(atom, Fun):
-        return f"({atom.tag} {format_expr(atom.arg)})"
-    return format_expr(atom.arg)
+    s = atoms.get(atom)
+    if s is None:
+        s = format_expr(atom.arg, atoms)
+        if isinstance(atom, Fun):
+            s = f"({atom.tag} {s})"
+        atoms[atom] = s
+    return s
 
 
-def _term_str(c: Coeff, mono: Mono) -> str:
+def _term_str(c: Coeff, mono: Mono, atoms: dict) -> str:
     num, den = [], []
     for atom, p in mono:
         if isinstance(atom, Inv):
             p = -p  # an inverse atom is its argument on the other side
-        (num if p > 0 else den).append(_pow_str(_atom_str(atom), abs(p)))
+        (num if p > 0 else den).append(_pow_str(_atom_str(atom, atoms), abs(p)))
     if den or c.denominator != 1:
         return f"(/ {_product_str(c.numerator, num)} {_product_str(c.denominator, den)})"
     return _product_str(c.numerator, num)
 
 
-def format_expr(e: Expr) -> str:
+def format_expr(e: Expr, atoms: dict | None = None) -> str:
+    """The printed form of e; `atoms` memoises the text of each function or
+    inverse atom, and a caller may share it across the scalars of one value."""
     if not e.terms:
         return "0"
-    parts = [_term_str(c, m) for c, m in e.terms]
+    if atoms is None:
+        atoms = {}
+    parts = [_term_str(c, m, atoms) for c, m in e.terms]
     if len(parts) == 1:
         return parts[0]
     return "(+ " + " ".join(parts) + ")"

@@ -12,7 +12,9 @@ factors included.  `perm_sign_ref` signs any index tuple, 0 when entries
 repeat, and `levi_civita_ref` signs all n**n tuples of ε with it.
 `to_nested` turns a tensor into nested lists, the inverse of
 `tegi.tensor.tensor`.  `order_key_ref` recomputes the canonical order key of an
-expression from scratch, with nothing memoised.  `add_ref`, `mul_ref`,
+expression from scratch, with nothing memoised.  `structural_ref` rebuilds an
+expression from the dataclass twins below, compared and hashed by structure
+with nothing interned, and `format_ref` prints it with no memo.  `add_ref`, `mul_ref`,
 `div_ref` and `int_pow_ref` are the scalar kernel as it was with every
 coefficient a `Fraction`: no integer fast path and no constant-factor
 shortcut.  `canonicalize` rebuilds an expression bottom-up through the
@@ -274,6 +276,52 @@ def mono_key_ref(mono):
 def order_key_ref(e: Expr):
     """Sort key of an expression: terms descend by it, atoms ascend by theirs."""
     return tuple((mono_key_ref(m), (c.numerator, c.denominator)) for c, m in e.terms)
+
+
+def structural_ref(e: Expr):
+    """e rebuilt from the symexpr dataclass twins: nothing interned, and
+    equality and hashing by structure, as before atoms were interned."""
+    twin = DATACLASS_TWINS
+
+    def atom(a):
+        if isinstance(a, Sym):
+            return twin["Sym"](a.name, a.uid)
+        if isinstance(a, Fun):
+            return twin["Fun"](a.tag, structural_ref(a.arg))
+        return twin["Inv"](structural_ref(a.arg))
+
+    return twin["Expr"](tuple((c, tuple((atom(a), p) for a, p in m)) for c, m in e.terms))
+
+
+def format_ref(t) -> str:
+    """The printed form of a `structural_ref` twin, every atom formatted
+    where it occurs, with no memo."""
+
+    def product(n, factors):
+        parts = factors if n == 1 else [str(n), *factors]
+        if not parts:
+            return str(n)
+        return parts[0] if len(parts) == 1 else "(* " + " ".join(parts) + ")"
+
+    def term(c, mono):
+        num, den = [], []
+        for a, p in mono:
+            kind = type(a).__name__
+            text = a.name if kind == "Sym" else format_ref(a.arg)
+            if kind == "Fun":
+                text = f"({a.tag} {text})"
+            if kind == "Inv":
+                p = -p
+            (num if p > 0 else den).append(text if abs(p) == 1 else f"{text}^{abs(p)}")
+        c = Fraction(c)
+        if den or c.denominator != 1:
+            return f"(/ {product(c.numerator, num)} {product(c.denominator, den)})"
+        return product(c.numerator, num)
+
+    parts = [term(c, m) for c, m in t.terms]
+    if not parts:
+        return "0"
+    return parts[0] if len(parts) == 1 else "(+ " + " ".join(parts) + ")"
 
 
 ONE_REF = Expr(((Fraction(1), ()),))
@@ -658,7 +706,6 @@ class DenseInterpreter(Interpreter):
 
 _TWIN_FIELDS = {
     # lang
-    "Token": "type value line col glued",
     "MarkAst": "variance label",
     "IntLit": "value loc",
     "StrLit": "value loc",
@@ -719,6 +766,6 @@ def _twin(name):
     )
 
 
-# The symexpr twins hash their fields; the engine's nodes hash their order
-# key, so only "equal values hash alike" carries over to them.
+# The symexpr twins hash their fields; the engine's atoms hash by identity
+# and an Expr by its terms, so only "equal values hash alike" carries over.
 DATACLASS_TWINS = {name: _twin(name) for name in _TWIN_FIELDS}

@@ -403,6 +403,15 @@ class TestRepl:
         r = tegi("repl", stdin="(define $T~_i [|1 2|]~_i)\n:env\n")
         assert "T~_ = [|1 2|]" in r.stdout.splitlines()
 
+    def test_env_with_a_value_too_deep_to_print_is_one_error(self, tmp_path):
+        f = tmp_path / "lib.tegi"
+        f.write_text(DEEP_TUPLE.removesuffix("b\n"), encoding="utf-8")
+        r = tegi("repl", stdin=f":load {f}\n:env\n(+ 1 2)\n")
+        assert r.returncode == 0
+        assert r.stderr == "error: b: recursion too deep\n"
+        assert r.stdout.splitlines()[-1] == "3"
+        assert "Traceback" not in r.stderr
+
     def test_load_file(self, tmp_path):
         f = tmp_path / "lib.tegi"
         f.write_text("(define $a 42)\n", encoding="utf-8")

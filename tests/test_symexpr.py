@@ -6,18 +6,25 @@ Expected values tagged in comments:
   [TRIVIAL] immediate from the definition
 """
 
+import gc
 import math
+import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tegi import evaluator, record, symexpr
+from tegi.application import fresh_symbol
 from tegi.errors import EvalError, TegiArithmeticError, TegiTypeError
+from tegi.evaluator import Interpreter, format_value
 from tegi.symexpr import (
     ONE,
     Expr,
     Fun,
     Inv,
+    Sym,
     abs_,
     add,
     as_fraction,
@@ -37,6 +44,7 @@ from tegi.symexpr import (
     sub,
     symbol,
 )
+from tegi.tensor import TensorValue
 
 from oracles import (
     add_ref,
@@ -44,11 +52,15 @@ from oracles import (
     canonicalize,
     differentiate_ref,
     div_ref,
+    format_ref,
     int_pow_ref,
     mono_key_ref,
     mul_ref,
     order_key_ref,
+    structural_ref,
 )
+
+CORPUS = Path(__file__).parent / "corpus"
 
 R = symbol("r")
 TH = symbol("θ")
@@ -543,3 +555,121 @@ class TestMemoisedNodes:
         assert Expr._fields == ("terms",)
         assert Fun._fields == ("tag", "arg")
         assert e == Expr(e.terms)
+
+
+# interning: one live object per atom
+
+
+def atoms_of(e):
+    """Every atom of e, at every nesting level."""
+    for node in nodes(e):
+        for _, mono in node.terms:
+            for atom, _ in mono:
+                yield atom
+
+
+def rebuilt(atom):
+    """The atom built again from its fields, by keyword."""
+    return type(atom)(**{f: getattr(atom, f) for f in type(atom)._fields})
+
+
+@settings(max_examples=150, deadline=None)
+@given(nested_exprs(), nested_exprs())
+def test_building_an_atom_twice_gives_the_same_object(a, b):
+    for e in (a, b, add(a, b), mul(b, a)):
+        for atom in atoms_of(e):
+            assert rebuilt(atom) is atom
+            assert pickle.loads(pickle.dumps(atom)) is atom
+        again = canonicalize(e)  # every atom rebuilt bottom-up by a second route
+        assert [x for x in atoms_of(again)] == [x for x in atoms_of(e)]
+        assert all(x is y for x, y in zip(atoms_of(again), atoms_of(e)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nested_exprs(), nested_exprs())
+def test_equality_hash_key_and_text_match_the_structural_reference(a, b):
+    ta, tb = structural_ref(a), structural_ref(b)
+    assert (a == b) is (ta == tb)
+    if a == b:
+        assert hash(a) == hash(b)
+    for x in set(atoms_of(a)):
+        for y in set(atoms_of(b)):
+            same = structural_ref(Expr(((1, ((x, 1),)),))) == structural_ref(
+                Expr(((1, ((y, 1),)),)))
+            assert (x is y) is (x == y) is same
+    for e, t in ((a, ta), (b, tb), (add(a, b), structural_ref(add(a, b)))):
+        assert e.key() == order_key_ref(e)
+        assert format_expr(e) == format_ref(t)
+
+
+def test_constructor_spellings_give_one_symbol():
+    x = Sym("x")
+    assert Sym("x", 0) is x and Sym(name="x") is x and Sym(name="x", uid=0) is x
+    assert pickle.loads(pickle.dumps(x)) is x
+    assert X.terms[0][1][0][0] is x
+
+
+def test_an_atom_stores_its_argument_canonically_whoever_builds_it_first():
+    # an all-Fraction reference may build an atom before the engine does
+    w = Sym("interning_w")
+    first = Fun("sqrt", Expr(((Fraction(1), ((w, 1),)), (Fraction(2), ()))))
+    assert [type(c) for c, _ in first.arg.terms] == [int, int]
+    engine = sqrt(add(symbol("interning_w"), integer(2)))
+    assert engine.terms[0][1][0][0] is first
+    assert coefficients_are_stored_exactly(engine)
+    assert div_ref(ONE, add(symbol("interning_w"), integer(2))) == div(
+        ONE, add(symbol("interning_w"), integer(2)))
+
+
+def test_generated_symbols_with_one_name_stay_distinct():
+    s, t = fresh_symbol("i"), fresh_symbol("i")
+    assert s is not t and s != t and Sym("i") not in (s, t)
+    assert Sym("i", s.uid) is s
+    assert len(add(symbol("i", s.uid), symbol("i", t.uid), symbol("i")).terms) == 3
+    one, two = Interpreter().eval_source("(with-symbols {t} t)\n(with-symbols {t} t)")
+    assert format_expr(one) == format_expr(two) == "t"
+    assert one != two and len(add(one, two).terms) == 2
+
+
+def test_atoms_die_with_the_values_that_hold_them():
+    text = (CORPUS / "forms_s3.tegi").read_text(encoding="utf-8")
+    gc.collect()
+    before = len(record._live)
+    interp = Interpreter()
+    printed = [format_value(v) for v in interp.eval_source(text)]
+    assert len(record._live) > before
+    del interp
+    gc.collect()
+    assert len(record._live) == before
+    assert printed == [format_value(v) for v in Interpreter().eval_source(text)]
+
+
+def test_printing_a_value_twice_formats_the_same_atoms_twice(monkeypatch):
+    # a text cached on a long-lived atom would make the second print cheaper
+    text = (CORPUS / "forms_s3.tegi").read_text(encoding="utf-8")
+    values = Interpreter().eval_source(text)
+    calls = []
+
+    def counting(e, atoms=None):
+        calls.append(e)
+        return format_expr(e, atoms)
+
+    for module in (evaluator, symexpr):  # as a layer tracer rebinds it
+        monkeypatch.setattr(module, "format_expr", counting)
+    first = [format_value(v) for v in values]
+    n = len(calls)
+    assert n > len(values)
+    assert [format_value(v) for v in values] == first
+    assert len(calls) == 2 * n
+    monkeypatch.undo()
+    for v in values:  # format_expr as the scalar printer: one fresh memo per scalar
+        assert format_value(v) == format_value(v, format_expr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(nested_exprs(), min_size=1, max_size=4))
+def test_shared_print_memo_matches_formatting_each_component_alone(comps):
+    value = TensorValue((len(comps),), tuple(comps))
+    shared = format_value(value)
+    assert shared == "[|" + " ".join(format_ref(structural_ref(c)) for c in comps) + "|]"
+    assert shared == format_value(value, format_expr)
