@@ -15,6 +15,8 @@ and hands the callable to `apply_with_kinds`, the same way for both.
 Each check on the way to a kernel happens once: `_scalar_args` refuses a
 non-scalar argument before a scalar builtin runs, and the one handler in
 `Interpreter.eval` locates an error at the innermost node being evaluated.
+The prelude is evaluated from nodes without locations, so an error inside a
+prelude function such as `.` or `d` is located at the user's call.
 The one top-level loop, `Interpreter.run`, hands each value to a printer.
 """
 
@@ -171,6 +173,15 @@ def _index_label(v) -> Sym | int | None:
     return s if s is not None else as_int(v)
 
 
+def _unlocated(x):
+    """A syntax tree rebuilt without source locations (`loc` is not a field)."""
+    if isinstance(x, tuple):
+        return tuple(_unlocated(y) for y in x)
+    if isinstance(x, Record):
+        return type(x)(*(_unlocated(v) for v in x._values(x)))
+    return x
+
+
 class Interpreter:
     def __init__(self):
         self.global_env = Environment()
@@ -178,7 +189,8 @@ class Interpreter:
             self.global_env.define(b.name, b)
         path = os.path.join(os.path.dirname(__file__), "prelude.tegi")
         with open(path, encoding="utf-8") as f:
-            self.eval_source(f.read())
+            for node in lang.parse_program(f.read()):
+                self.eval(_unlocated(node), self.global_env)
 
     # -- entry points --------------------------------------------------------
 

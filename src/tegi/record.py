@@ -26,24 +26,19 @@ A class that sets `_interned = True` keeps one live record per argument
 tuple.  Its compiled function binds the arguments to a key, and its
 `__new__` hands back the live record with an equal key when there is one,
 and otherwise builds and registers a new one (running `__post_init__` only
-then).  The table holds each record weakly, so a record is freed with the
-last value that refers to it.  Unpickling goes through the constructor, so
-it finds the live record too.  The lookup and the registration are not
-locked: records are built from one thread.
+then).  The table is a `weakref.WeakValueDictionary`, so a record is freed
+with the last value that refers to it, and its entry goes with it.
+Unpickling goes through the constructor, so it finds the live record too.
+The lookup and the registration are not locked: records are built from one
+thread.
 """
 
 from operator import attrgetter
-from weakref import KeyedRef
+from weakref import WeakValueDictionary
 
 __all__ = ["Record"]
 
-_live: dict = {}  # (class, *arguments) -> KeyedRef to the live record built from them
-
-
-def _forget(ref, live=_live):
-    """Drop a dead record's entry, unless a newer record already holds its key."""
-    if live.get(ref.key) is ref:
-        del live[ref.key]
+_live = WeakValueDictionary()  # (class, *arguments) -> the live record built from them
 
 
 def _getter(names):
@@ -78,17 +73,14 @@ def _intern(cls, *args, **kwargs):
     """`__new__` of an interned class: the live record built from equal
     arguments if there is one, else a new record, registered."""
     key = cls._intern_key(cls, *args, **kwargs)
-    ref = _live.get(key)
-    if ref is not None:
-        self = ref()
-        if self is not None:
-            return self
-    self = object.__new__(cls)
-    for name, value in zip(cls._fields, key[1:]):  # an interned class has no `loc`
-        object.__setattr__(self, name, value)
-    if hasattr(cls, "__post_init__"):
-        self.__post_init__()
-    _live[key] = KeyedRef(self, _forget, key)
+    self = _live.get(key)
+    if self is None:
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, key[1:]):  # an interned class has no `loc`
+            object.__setattr__(self, name, value)
+        if hasattr(cls, "__post_init__"):
+            self.__post_init__()
+        _live[key] = self
     return self
 
 

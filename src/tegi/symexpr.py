@@ -25,14 +25,15 @@ Nodes (expressions and atoms) are immutable records.  Atoms are interned
 (hash-consed): building an atom whose structure is live hands back the live
 object, so there is one object per atom, and atom equality and hashing are
 those of `object`, identity.  A weak table holds the atoms, so an atom is
-freed with the last value that holds it.  An `Expr` is not interned: its
-equality compares its terms, whose atoms compare by identity, and its hash,
-of the terms, is computed once.  Each node computes its structural order key
-once, on first use; term order and printed text depend on that key alone.
-The memos live in slots that are not record fields, so repr is that of the
-structure.  `format_expr` memoises the text of each function or inverse
-atom in a dict its caller may share across one printed value; the text is
-never stored on the atom, so printing costs the same each time.
+freed with the last value that holds it.  Only atoms memoise: each computes
+its structural order key once, when it is interned, into a slot that is not a
+record field, so repr is that of the structure.  An `Expr` is plain data, not
+interned: its equality and hash are those of its terms, whose atoms compare
+and hash by identity, and its order key is computed when asked for.  Term
+order and printed text depend on the order keys alone.  `format_expr`
+memoises the text of each function or inverse atom in a dict its caller may
+share across one printed value; the text is never stored on the atom, so
+printing costs the same each time.
 """
 
 from __future__ import annotations
@@ -68,31 +69,18 @@ __all__ = [
 ]
 
 
-class _Node(Record):
-    """An immutable node whose structural order key is computed on first use.
-
-    The memo slot starts with `_`, so it is not a record field.
-    """
-
-    __slots__ = ("_order",)
-
-    def key(self):
-        try:
-            return self._order
-        except AttributeError:
-            k = self._order_key()
-            object.__setattr__(self, "_order", k)
-            return k
-
-
-class _Atom(_Node):
+class _Atom(Record):
     """An interned atom: one live object per structure, so `==` and `hash`
-    are those of `object`, identity, and run at C speed."""
+    are those of `object`, identity, and run at C speed.  Its `__post_init__`
+    stores its structural order key once, when the atom is built."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("_key", "__weakref__")
     _interned = True
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+
+    def key(self):
+        return self._key
 
 
 def _store_canonical_arg(atom):
@@ -113,26 +101,26 @@ class Sym(_Atom):
     __slots__ = ("name", "uid")
     _defaults = {"uid": 0}
 
-    def _order_key(self):
-        return (0, self.name, self.uid)
+    def __post_init__(self):
+        object.__setattr__(self, "_key", (0, self.name, self.uid))
 
 
 class Fun(_Atom):
     __slots__ = ("tag", "arg")  # tag: "sin" | "cos" | "sqrt" | "abs"
-    __post_init__ = _store_canonical_arg
 
-    def _order_key(self):
-        return (1, self.tag, self.arg.key())
+    def __post_init__(self):
+        _store_canonical_arg(self)
+        object.__setattr__(self, "_key", (1, self.tag, self.arg.key()))
 
 
 class Inv(_Atom):
     """Opaque 1/arg for a multi-term denominator (arg scaled monic-first)."""
 
     __slots__ = ("arg",)
-    __post_init__ = _store_canonical_arg
 
-    def _order_key(self):
-        return (2, "inv", self.arg.key())
+    def __post_init__(self):
+        _store_canonical_arg(self)
+        object.__setattr__(self, "_key", (2, "inv", self.arg.key()))
 
 
 Atom = Sym | Fun | Inv
@@ -142,19 +130,12 @@ Coeff = int | Fraction  # an int when integral, else a Fraction
 Term = tuple[Coeff, Mono]
 
 
-class Expr(_Node):
-    __slots__ = ("terms", "_hash")  # a tuple of Terms
+class Expr(Record):
+    __slots__ = ("terms",)  # a tuple of Terms
     _defaults = {"terms": ()}
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(self.terms)  # atoms hash by identity, int and Fraction alike
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def _order_key(self):
+    def key(self):
+        """The structural order key, computed on demand."""
         return tuple((_mono_key(m), (c.numerator, c.denominator)) for c, m in self.terms)
 
     def __str__(self) -> str:
@@ -181,7 +162,7 @@ def _atom(a: Atom) -> Expr:
 
 
 def _mono_key(mono: Mono):
-    return tuple((a.key(), p) for a, p in mono)
+    return tuple((a._key, p) for a, p in mono)
 
 
 def _mk(termmap: dict[Mono, Coeff]) -> Expr:
@@ -227,7 +208,7 @@ def _mul_monos(m1: Mono, m2: Mono) -> Mono:
             powers[a] = q
         elif a in powers:
             del powers[a]
-    return tuple(sorted(powers.items(), key=lambda ap: ap[0].key()))
+    return tuple(sorted(powers.items(), key=lambda ap: ap[0]._key))
 
 
 def _scale(c: Coeff, e: Expr) -> Expr:

@@ -141,6 +141,40 @@ class TestRun:
                          id="define-signature"),
             pytest.param("(map (lambda [$x] (+ x (less-than? 1 2))) {1 2})", 19,
                          "expected a scalar, got #t", id="lambda-body-through-map"),
+            # an error inside a prelude function is located at the user's call
+            pytest.param("(. A~i [|1 2 3|]_i)", 1,
+                         "repeated index over axes of dimension 2 and 3", id="prelude-dot"),
+            pytest.param("(min x A)", 1, "less-than? needs numeric scalars", id="prelude-min"),
+            pytest.param("(∂/∂ (abs x) x)", 1, "cannot differentiate abs",
+                         id="prelude-derivative"),
+            pytest.param("(define $k A) A_k", 16, "index label 'k' is not a symbol or integer",
+                         id="index-label-not-a-symbol"),
+            pytest.param("(define $T__ A_i)", 1, "define $T: the value still carries index marks",
+                         id="define-marked-value"),
+            pytest.param("(define $T___ [|[|1 2|] [|3 4|]|])", 1,
+                         "define $T: value of rank 2 cannot satisfy a signature of 3 indices",
+                         id="define-signature-too-long"),
+            pytest.param("(between 1 x)", 1, "between needs integer bounds", id="between"),
+            pytest.param("(transpose 5 A_i)", 1, "transpose needs a {…} collection of labels",
+                         id="transpose-order-not-braces"),
+            pytest.param("(transpose {(+ x 1)} A_i)", 1,
+                         "transpose labels must be symbols or integers", id="transpose-label"),
+            pytest.param("(transpose {i} 5)", 1, "transpose expects a tensor",
+                         id="transpose-non-tensor"),
+            pytest.param("(map (lambda [$x] x) 5)", 1, "map needs a {…} collection",
+                         id="map-non-collection"),
+            pytest.param("(+ 1 2)_i", 8, "cannot attach index marks to a scalar",
+                         id="marks-on-a-scalar"),
+            pytest.param("(tensor-map (lambda [$c] (if (less-than? c 2) c [|c|])) A)", 1,
+                         "mixed scalar and tensor results in tensor-map", id="tensor-map-mixed"),
+            pytest.param("(a | b)", 4, "stray '|'", id="parse-stray-bar"),
+            pytest.param("[||]", 1, "empty tensor literal", id="parse-empty-tensor"),
+            pytest.param("{1 2", 1, "unterminated '{'", id="parse-unterminated-brace"),
+            pytest.param("!(lambda [$x] x)", 1, "'!' must precede a function application",
+                         id="parse-bang"),
+            pytest.param("r^x", 3, "'^' needs an integer exponent", id="parse-exponent"),
+            pytest.param("(lambda [x] x)", 10, "parameter needs a '$', '%', or '*$' sigil",
+                         id="parse-parameter-sigil"),
         ],
     )
     def test_error_is_located_by_node_kind(self, tmp_path, line, col, message):

@@ -338,6 +338,7 @@ class TestUnparse:
             "(let {[$k (df-order A)] [$n 2]} (+ k n))",
             "(∂/∂ [|(* r (sin θ)) (* r (cos θ))|]_i [|r θ|]_j)",
             "!((flip ∂/∂) x A)",
+            r'(f "a\"b\\c")',
             S2_PROGRAM,
         ],
     )

@@ -254,6 +254,7 @@ class TestEvaluateAt:
         # r sin θ at r=2, θ=π/2 -> 2.0  [PAPER]
         v = evaluate_at(mul(R, sin(TH)), {"r": 2.0, "θ": math.pi / 2})
         assert abs(v - 2.0) < 1e-12
+        assert evaluate_at(abs_(sub(X, integer(1))), {"x": -2.0}) == 3.0
 
     def test_unbound_symbol(self):
         with pytest.raises(EvalError):
@@ -262,6 +263,8 @@ class TestEvaluateAt:
     def test_negative_power_at_zero(self):
         with pytest.raises(TegiArithmeticError):
             evaluate_at(int_pow(X, -2), {"x": 0.0})
+        with pytest.raises(TegiArithmeticError, match="division by zero"):  # an inverse atom
+            evaluate_at(div(ONE, add(X, Y)), {"x": 1.0, "y": -1.0})
 
     def test_sqrt_domain(self):
         with pytest.raises(TegiArithmeticError):
