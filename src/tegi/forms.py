@@ -53,6 +53,21 @@ def _alternate(out: list, base: int, strides, signed, idx, value: Expr) -> None:
             out[base + sum(idx[r] * s for r, s in zip(p, strides))] = values[odd]
 
 
+def _signed_sum(values) -> Expr:
+    """Σ ±v over the nonzero v of (v, odd) pairs, negated where odd; a lone
+    term is the sum itself, with no add."""
+    vs = [neg(v) if odd else v for v, odd in values if v.terms]
+    return vs[0] if len(vs) == 1 else add(*vs)
+
+
+def _alternating_sum(src, base: int, strides, signed, idx) -> Expr:
+    """Σ_p sign(p) src[base + Σ idx[p[r]]·strides[r]] over the (p, odd) pairs
+    in `signed`: the reverse of `_alternate`, and alternation without 1/k!."""
+    return _signed_sum(
+        (src[base + sum(idx[r] * s for r, s in zip(p, strides))], odd) for p, odd in signed
+    )
+
+
 def levi_civita(n: int) -> TensorValue:
     """The rank-n alternating symbol as an unmarked tensor."""
     if not isinstance(n, int) or n < 1:
@@ -63,25 +78,50 @@ def levi_civita(n: int) -> TensorValue:
     return TensorValue(shape, tuple(comps), ())
 
 
-def det(m) -> Expr:
-    """Leibniz-formula determinant of a square rank-2 tensor (marks ignored).
+def _transversals(rows) -> list:
+    """Each choice of one nonzero entry per row, in distinct columns.
 
-    Each permutation is built row by row through the nonzero entries in
-    unused columns, so none that meets a zero entry is ever built.
+    `rows` lists each row's (column, entry) pairs with the zero entries left
+    out; a choice is (columns, parity of columns, entries), in lexicographic
+    order.  A choice is built row by row, so none that meets a zero entry is
+    ever built.
     """
-    if not isinstance(m, TensorValue) or m.rank != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeMismatchError("determinant needs a square matrix")
-    n = m.shape[0]
-    partial = [((), 0, ())]  # (columns so far, parity, factors) in lexicographic order
-    for i in range(n):
-        row = [(j, e) for j, e in enumerate(m.components[i * n : i * n + n]) if e.terms]
+    partial = [((), 0, ())]
+    for row in rows:
         partial = [
             (cols + (j,), (odd + sum(c > j for c in cols)) % 2, factors + (e,))
             for cols, odd, factors in partial
             for j, e in row
             if j not in cols
         ]
-    return add(*[mul(_SIGN[odd], *factors) for _, odd, factors in partial])
+    return partial
+
+
+def _nonzero_rows(m: TensorValue) -> list:
+    """Each row of a square matrix as its (column, entry) pairs, zeros left out."""
+    n, cs = m.shape[0], m.components
+    return [[(j, e) for j, e in enumerate(cs[i * n : i * n + n]) if e.terms] for i in range(n)]
+
+
+def det(m) -> Expr:
+    """Leibniz-formula determinant of a square rank-2 tensor (marks ignored),
+    summed over the permutations `_transversals` builds."""
+    if not isinstance(m, TensorValue) or m.rank != 2 or m.shape[0] != m.shape[1]:
+        raise ShapeMismatchError("determinant needs a square matrix")
+    return add(*[mul(_SIGN[odd], *factors) for _, odd, factors in _transversals(_nonzero_rows(m))])
+
+
+def _minors(rows, lead) -> list:
+    """The nonzero minors det g^{lead,J}, as (J, minor) over increasing J.
+
+    Each transversal of the rows in `lead` is one Leibniz term of the minor
+    on its sorted columns; a single-entry term is the entry itself.
+    """
+    terms: dict = {}
+    for cols, odd, factors in _transversals([rows[i] for i in lead]):
+        product = factors[0] if len(factors) == 1 else mul(*factors)
+        terms.setdefault(tuple(sorted(cols)), []).append((product, odd))
+    return [(cols, minor) for cols, ts in terms.items() if (minor := _signed_sum(ts)).terms]
 
 
 def df_normalize(v):
@@ -104,8 +144,7 @@ def df_normalize(v):
     comps = [ZERO] * len(src)
     for b in range(0, len(src), v.shape[m] ** k):  # each marked block
         for idx in itertools.combinations(range(v.shape[m]), k):
-            cs = [(src[b + sum(idx[r] * s for r, s in zip(p, st))], odd) for p, odd in signed]
-            total = add(*[mul(_SIGN[odd], c) for c, odd in cs if c.terms])
+            total = _alternating_sum(src, b, st, signed, idx)
             _alternate(comps, b, st, signed, idx, mul(total, scale))
     return TensorValue(v.shape, tuple(comps), v.indices)
 
@@ -116,10 +155,16 @@ def hodge(a, g_lower: TensorValue, g_upper: TensorValue):
     (*A)_{i_{k+1}..i_n} = sqrt|det g| ε_{i_1..i_n} A_{j_1..j_k} g^{i_1 j_1}..g^{i_k j_k}
 
     summed over repeated indices, with no 1/k! factor.  Only the increasing
-    output tuples are summed, over the k! orderings of the indices each leaves
-    out and the nonzero entries of their g^{..} rows; `_alternate` writes the
-    rest.  Zero form components are skipped.  Marked axes of A pass through
-    unchanged, so matrix-valued forms star componentwise.
+    output tuples are summed; `_alternate` writes the rest.  For an output
+    whose left-out indices are L, the sum is, by Cauchy–Binet,
+
+        Σ_J det g^{L,J} · Σ_p sign(p) A_{J∘p}
+
+    over increasing column tuples J and permutations p, for any A and any
+    metric: one product per nonzero minor, computed once per call, and one
+    alternating sum per marked block and J, shared by the outputs that need
+    it.  A zero minor or alternating sum is never multiplied.  Marked axes of
+    A pass through unchanged, so matrix-valued forms star componentwise.
     """
     for g in (g_lower, g_upper):
         if not isinstance(g, TensorValue) or g.rank != 2 or g.shape[0] != g.shape[1]:
@@ -140,25 +185,27 @@ def hodge(a, g_lower: TensorValue, g_upper: TensorValue):
     if any(d != n for d in shape[m:]):
         raise ShapeMismatchError("form axes must match the metric dimension")
     scale = sqrt(abs_(det(g_lower)))
-    gu = g_upper.components
-    rows = [[(j, e) for j, e in enumerate(gu[i * n : i * n + n]) if e.terms] for i in range(n)]
+    rows = _nonzero_rows(g_upper)
+    outputs = []  # (rest, [(J, minor)]), each minor signed by ε at lead then rest
+    for rest in itertools.combinations(range(n), n - k):
+        lead = [i for i in range(n) if i not in rest]
+        odd_lead = sum(i > j for i in lead for j in rest) % 2
+        minors = _minors(rows, lead)
+        outputs.append((rest, [(cols, neg(mi) if odd_lead else mi) for cols, mi in minors]))
+    columns = {cols for _, minors in outputs for cols, _ in minors}
     orderings, signed = _signed_permutations(k), _signed_permutations(n - k)
     st, out_st = _strides((n,) * k), _strides((n,) * (n - k))
     out = []
     for b in range(0, len(comps), n**k):  # each marked block is n**k form components
+        # J -> Σ_p sign(p) A_{J∘p} in this block
+        alternating = {cols: _alternating_sum(comps, b, st, orderings, cols) for cols in columns}
         slots = [ZERO] * n ** (n - k)
-        for rest in itertools.combinations(range(n), n - k):
-            lead = [i for i in range(n) if i not in rest]
-            # ε at lead∘q then rest is q's sign times the sign of lead then rest
-            odd_lead = sum(i > j for i in lead for j in rest) % 2
-            terms = []
-            for q, odd in orderings:
-                sign = _SIGN[odd ^ odd_lead]
-                for entries in itertools.product(*(rows[lead[r]] for r in q)):
-                    c = comps[b + sum(j * s for (j, _), s in zip(entries, st))]
-                    if c.terms:
-                        terms.append(mul(sign, c, *(e for _, e in entries)))
-            total = add(*terms)
+        for rest, minors in outputs:
+            total = _signed_sum(
+                (mul(minor, alternating[cols]), 0)
+                for cols, minor in minors
+                if alternating[cols].terms
+            )
             if total.terms:  # else the slots keep their ZERO
                 _alternate(slots, 0, out_st, signed, rest, mul(scale, total))
         out.extend(slots)

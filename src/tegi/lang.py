@@ -312,16 +312,10 @@ class _Parser:
     def form(self, opener: Token) -> Node:
         head = self.peek()
         if head.type == "sym":
-            handler = {
-                "define": self.define_form,
-                "lambda": self.lambda_form,
-                "with-symbols": self.with_symbols_form,
-                "let": self.let_form,
-                "if": self.if_form,
-            }.get(head.value)
+            handler = _SPECIAL_FORMS.get(head.value)
             if handler is not None:
                 self.next()
-                return handler(opener)
+                return handler(self, opener)
         fn = self.expression()
         args = []
         while self.peek().type != ")":
@@ -398,6 +392,16 @@ class _Parser:
         other = self.expression()
         self.expect(")")
         return If(cond, then, other, self.loc(opener))
+
+
+# the parser method for each special form, keyed by its head symbol
+_SPECIAL_FORMS = {
+    "define": _Parser.define_form,
+    "lambda": _Parser.lambda_form,
+    "with-symbols": _Parser.with_symbols_form,
+    "let": _Parser.let_form,
+    "if": _Parser.if_form,
+}
 
 
 def parse_program(text: str) -> list[Node]:

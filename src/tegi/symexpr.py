@@ -16,9 +16,9 @@ constants fold.
 
 Values are built by the functions below (`add`, `mul`, `div`, `sin`, ...);
 `Expr` has no arithmetic operators, and the functions take `Expr` values
-only: the evaluator checks its scalars.  Inside the module, a single-term
-value comes from one of two constructors: `_const` for a constant and
-`_atom` for an atom to the first power.  A constructed value is canonical, so
+only: the evaluator checks its scalars.  Inside the module, `_const` builds
+a constant and `_atom` an atom to the first power; products, quotients and
+`neg` build their terms directly.  A constructed value is canonical, so
 `differentiate` uses the atoms it meets as they are, without rebuilding them.
 
 Nodes (expressions and atoms) are immutable records.  Atoms are interned
@@ -193,7 +193,8 @@ def add(*es: Expr) -> Expr:
 
 
 def neg(e: Expr) -> Expr:
-    return mul(integer(-1), e)
+    """-e: each coefficient negated; term order depends only on monomials."""
+    return Expr(tuple((-c, m) for c, m in e.terms))
 
 
 def sub(a: Expr, b: Expr) -> Expr:
@@ -201,6 +202,8 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def _mul_monos(m1: Mono, m2: Mono) -> Mono:
+    if not m1 or not m2:
+        return m1 or m2
     powers: dict[Atom, int] = dict(m1)
     for a, p in m2:
         q = powers.get(a, 0) + p
@@ -223,6 +226,9 @@ def _mul2(a: Expr, b: Expr) -> Expr:
         return _scale(b.terms[0][0], a)
     if len(a.terms) == 1 and not a.terms[0][1]:
         return _scale(a.terms[0][0], b)
+    if len(a.terms) == 1 and len(b.terms) == 1:
+        (c1, m1), (c2, m2) = a.terms[0], b.terms[0]
+        return Expr(((_norm(c1 * c2), _mul_monos(m1, m2)),))
     termmap: dict[Mono, Coeff] = {}
     for c1, m1 in a.terms:
         for c2, m2 in b.terms:

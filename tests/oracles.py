@@ -8,7 +8,8 @@ component, with no shared gather helper.  `apply_with_kinds_ref` lifts a
 function by nesting single-tensor maps, so it calls the function on the
 whole outer product of the lifted arguments and reduction then keeps the
 diagonal.  `det_ref` and `hodge_ref` multiply out every product, zero
-factors included.  `perm_sign_ref` signs any index tuple, 0 when entries
+factors included; `hodge_loop_ref` is `hodge` as it was before it summed
+over minors of g^{..}.  `perm_sign_ref` signs any index tuple, 0 when entries
 repeat, and `levi_civita_ref` signs all n**n tuples of ε with it.
 `to_nested` turns a tensor into nested lists, the inverse of
 `tegi.tensor.tensor`.  `order_key_ref` recomputes the canonical order key of an
@@ -55,6 +56,7 @@ from tegi.errors import (
     TegiTypeError,
 )
 from tegi.evaluator import Function, Interpreter, _scalar, format_value
+from tegi.forms import _alternate, _signed_permutations, det
 from tegi.symexpr import (
     ONE,
     ZERO,
@@ -256,6 +258,45 @@ def hodge_ref(a, g_lower: TensorValue, g_upper: TensorValue):
     if not out_shape:
         return out[0]
     return TensorValue(out_shape, tuple(out), marks)
+
+
+def hodge_loop_ref(a, g_lower: TensorValue, g_upper: TensorValue):
+    """`hodge` as it was before it summed over minors: for each increasing
+    output tuple, every ordering of the left-out indices times every choice
+    of nonzero g^{..} entries in their rows, one product of k + 2 factors
+    each."""
+    n = g_lower.shape[0]
+    if isinstance(a, Expr):
+        shape, marks, comps = (), (), (a,)
+    else:
+        shape, marks, comps = a.shape, a.indices, a.components
+    m = len(marks)
+    k = len(shape) - m
+    scale = sqrt(abs_(det(g_lower)))
+    gu = g_upper.components
+    rows = [[(j, e) for j, e in enumerate(gu[i * n : i * n + n]) if e.terms] for i in range(n)]
+    orderings, signed = _signed_permutations(k), _signed_permutations(n - k)
+    st, out_st = _strides((n,) * k), _strides((n,) * (n - k))
+    sign_of = (ONE, integer(-1))
+    out = []
+    for b in range(0, len(comps), n**k):
+        slots = [ZERO] * n ** (n - k)
+        for rest in itertools.combinations(range(n), n - k):
+            lead = [i for i in range(n) if i not in rest]
+            odd_lead = sum(i > j for i in lead for j in rest) % 2
+            terms = []
+            for q, odd in orderings:
+                sign = sign_of[odd ^ odd_lead]
+                for entries in itertools.product(*(rows[lead[r]] for r in q)):
+                    c = comps[b + sum(j * s for (j, _), s in zip(entries, st))]
+                    if c.terms:
+                        terms.append(mul(sign, c, *(e for _, e in entries)))
+            total = add(*terms)
+            if total.terms:
+                _alternate(slots, 0, out_st, signed, rest, mul(scale, total))
+        out.extend(slots)
+    out_shape = shape[:m] + (n,) * (n - k)
+    return TensorValue(out_shape, tuple(out), marks) if out_shape else out[0]
 
 
 # ---------------------------------------------------------------- symexpr

@@ -544,6 +544,51 @@ class TestIntegerCoefficients:
         assert mul(ONE, e) is e
 
 
+# the kernel's shortcuts against the general paths they skip
+
+
+COEFFS = st.sampled_from([1, -1, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2), Fraction(4, 3)])
+
+
+def single_terms(min_factors=0):
+    """Single-term values: a coefficient, int or Fraction, times powers -2..2
+    of x, y, sin x and sqrt y, and powers 1..2 of the inverse atom 1/(x+y)."""
+    factor = st.one_of(
+        st.tuples(st.sampled_from([X, Y, sin(X), sqrt(Y)]), st.integers(min_value=-2, max_value=2)),
+        st.tuples(st.just(INV_XY), st.integers(min_value=1, max_value=2)),
+    )
+    return st.tuples(COEFFS, st.lists(factor, min_size=min_factors, max_size=3)).map(
+        lambda cf: mul(rational(cf[0].numerator, cf[0].denominator), *(int_pow(b, p) for b, p in cf[1]))
+    )
+
+
+def sums():
+    """Sums of two or three single-term values, constant terms included."""
+    return st.lists(single_terms(), min_size=2, max_size=3).map(lambda ts: add(*ts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(single_terms(min_factors=1), st.one_of(single_terms(min_factors=1), sums()))
+def test_single_term_product_matches_the_term_table(a, b):
+    # one term times one term is built directly, and a monomial times the
+    # empty one (a constant term of b) is the monomial; both against the
+    # all-Fraction term table
+    assert len(a.terms) == 1
+    for got in (mul(a, b), mul(b, a)):
+        assert_same_value(got, mul_ref(a, b))
+        assert coefficients_are_stored_exactly(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(sums(), nested_exprs()))
+def test_neg_matches_the_product_by_minus_one(e):
+    got = neg(e)
+    assert_same_value(got, mul(integer(-1), e))
+    assert [m for _, m in got.terms] == [m for _, m in e.terms]
+    assert coefficients_are_stored_exactly(got)
+    assert neg(got) == e
+
+
 class TestMemoisedNodes:
     def test_mul_identity(self):
         e = add(mul(X, sin(Y)), rational(1, 3))
