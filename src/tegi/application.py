@@ -7,7 +7,10 @@ arguments' marks are concatenated in argument order and repeated labels
 collapsed, as index reduction would collapse them in the outer product,
 before the function runs once per result component.  Shared labels thus
 align and distinct ones multiply out.  Inverted scalar parameters flip the
-argument's marks first.  Tensor parameters receive values untouched.
+argument's marks first.  Tensor parameters receive values untouched.  When
+no parameter is a tensor parameter, as for every scalar builtin and every
+`$`/`*$` lambda, the function itself runs on each component, with no
+wrapper between tensor_map and it.
 
 Omitted-index completion appends fresh subscript marks over form axes before
 an application and picks the arguments itself: one shared sequence over the
@@ -67,13 +70,20 @@ def apply_with_kinds(kernel: Callable, kinds: Sequence[ParamKind], args: Sequenc
     Inverted positions flip their argument's marks first; tensor positions
     pass whole to every call.  tensor_map aligns the lifted arguments' labels
     before kernel first runs, so a diagonal that index reduction would
-    discard is never computed.  With no tensor to lift, kernel runs once on
-    args as they are.
+    discard is never computed.  With no tensor parameter, every position
+    lifts and kernel itself is the per-component function.  With no tensor
+    to lift, kernel runs once on args as they are.
     """
     spots = [p for p, k in enumerate(kinds) if k is not TENSOR]
-    if not any(isinstance(args[p], TensorValue) for p in spots):
+    for p in spots:
+        if isinstance(args[p], TensorValue):
+            break
+    else:
         return kernel(*args)
-    args = [flip_indices(a) if k is INVERTED else a for k, a in zip(kinds, args)]
+    if INVERTED in kinds:
+        args = [flip_indices(a) if k is INVERTED else a for k, a in zip(kinds, args)]
+    if len(spots) == len(args):
+        return tensor_map(kernel, *args)
     bound = list(args)
 
     def at(*vals):

@@ -159,7 +159,8 @@ def _scalar_args(fn):
 
     def checked(*xs):
         for x in xs:
-            _scalar(x)
+            if not isinstance(x, Expr):
+                _scalar(x)
         return fn(*xs)
 
     return checked
@@ -214,13 +215,22 @@ class Interpreter:
 
     def eval(self, node: lang.Node, env: Environment):
         try:
+            # most frequent first: references, then applications
+            if isinstance(node, lang.SymbolRef):
+                name, frame = node.name, env
+                while frame is not None:
+                    if name in frame.bindings:
+                        return frame.bindings[name]
+                    frame = frame.parent
+                return symbol(name)
+            if isinstance(node, lang.Apply):
+                fn = self.eval(node.fn, env)
+                args = [self.eval(a, env) for a in node.args]
+                return self.call(fn, args, node.distinct)
             if isinstance(node, lang.IntLit):
                 return integer(node.value)
             if isinstance(node, lang.StrLit):
                 return node.value
-            if isinstance(node, lang.SymbolRef):
-                v = env.get(node.name, _MISSING)
-                return symbol(node.name) if v is _MISSING else v
             if isinstance(node, lang.IndexedRef):
                 return self._indexed(node, env)
             if isinstance(node, lang.TensorLit):
@@ -229,10 +239,6 @@ class Interpreter:
                 return tensor([e if isinstance(e, TensorValue) else _scalar(e) for e in elems])
             if isinstance(node, lang.Braces):
                 return tuple(self.eval(e, env) for e in node.items)
-            if isinstance(node, lang.Apply):
-                fn = self.eval(node.fn, env)
-                args = [self.eval(a, env) for a in node.args]
-                return self.call(fn, args, node.distinct)
             if isinstance(node, lang.Lambda):
                 return self._lambda(node, env)
             if isinstance(node, lang.Define):
@@ -268,7 +274,10 @@ class Interpreter:
             who = "" if fnv.name is None else f"{fnv.name} "
             raise ArityError(f"{who}expected {len(kinds)} arguments, got {len(args)}")
 
-        if not any(isinstance(a, TensorValue) for a in args):
+        for a in args:
+            if isinstance(a, TensorValue):
+                break
+        else:
             return apply_with_kinds(fnv.fn, kinds, args)  # nothing to complete or lift
         args, gens = complete_omitted_indices(args, kinds, distinct)
         return with_symbols_scope(gens, apply_with_kinds(fnv.fn, kinds, args))

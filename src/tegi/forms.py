@@ -12,7 +12,7 @@ import itertools
 import math
 
 from .errors import DomainError, FormDegreeError, ShapeMismatchError, TegiTypeError
-from .symexpr import ONE, ZERO, Expr, abs_, add, integer, mul, neg, rational, sqrt
+from .symexpr import ONE, ZERO, Expr, abs_, add, mul, neg, rational, sqrt
 from .tensor import TensorValue, _strides
 
 __all__ = [
@@ -22,9 +22,6 @@ __all__ = [
     "hodge",
     "levi_civita",
 ]
-
-_SIGN = (ONE, integer(-1))  # indexed by parity
-
 
 def df_order(v) -> int:
     """Degree of a value as a differential form (unmarked trailing axes)."""
@@ -105,10 +102,11 @@ def _nonzero_rows(m: TensorValue) -> list:
 
 def det(m) -> Expr:
     """Leibniz-formula determinant of a square rank-2 tensor (marks ignored),
-    summed over the permutations `_transversals` builds."""
+    summed over the permutations `_transversals` builds; a term is negated
+    where its permutation is odd, never multiplied by a sign."""
     if not isinstance(m, TensorValue) or m.rank != 2 or m.shape[0] != m.shape[1]:
         raise ShapeMismatchError("determinant needs a square matrix")
-    return add(*[mul(_SIGN[odd], *factors) for _, odd, factors in _transversals(_nonzero_rows(m))])
+    return _signed_sum((mul(*factors), odd) for _, odd, factors in _transversals(_nonzero_rows(m)))
 
 
 def _minors(rows, lead) -> list:

@@ -352,11 +352,11 @@ def _d_atom(atom: Atom, s: Sym) -> Expr:
         return ONE if atom == s else ZERO
     inner = _d_expr(atom.arg, s)
     if isinstance(atom, Inv):
-        return mul(integer(-1), int_pow(_atom(atom), 2), inner)
+        return neg(mul(int_pow(_atom(atom), 2), inner))
     if atom.tag == "sin":
         return mul(cos(atom.arg), inner)
     if atom.tag == "cos":
-        return mul(integer(-1), sin(atom.arg), inner)
+        return neg(mul(sin(atom.arg), inner))
     if atom.tag == "sqrt":
         return mul(rational(1, 2), int_pow(_atom(atom), -1), inner)
     raise TegiTypeError("cannot differentiate abs")

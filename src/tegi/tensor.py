@@ -9,6 +9,7 @@ scalars), so everything here is plain Python data manipulation.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable, Sequence
 
 from .errors import (
@@ -138,8 +139,12 @@ def _view(comps: Sequence, shape: Sequence[int], strides: Sequence[int], base: i
 
     The result is row-major in shape.  Every reshaping is one such view of a
     row-major tensor: a literal index fixes the base, a diagonal adds two
-    axes' strides, and a permutation reorders them.
+    axes' strides, and a permutation reorders them.  A view that reads every
+    component in order (base 0, as many components as shape holds, row-major
+    strides) is comps itself, returned with no copy.
     """
+    if not base and len(comps) == math.prod(shape) and tuple(strides) == _strides(shape):
+        return comps
     offsets = [base]
     for d, s in zip(shape, strides):
         offsets = [o + c * s for o in offsets for c in range(d)]
@@ -185,6 +190,12 @@ def _diagonal(k: int, j: int, shape: tuple, strides: list) -> tuple[tuple, list]
     ]
 
 
+def _repeats(marks) -> bool:
+    """Whether two marks share a label, in one set pass; dummies never pair."""
+    labels = [m.label for m in marks if not isinstance(m.label, Dummy)]
+    return len(set(labels)) != len(labels)
+
+
 def _collapse(marks: tuple, shape: tuple, strides: list) -> tuple[tuple, tuple, list]:
     """Collapse repeated labels of a strided layout pairwise, leftmost pair first.
 
@@ -194,6 +205,8 @@ def _collapse(marks: tuple, shape: tuple, strides: list) -> tuple[tuple, tuple, 
     mark with its next later match until it has none takes the pairs in that
     order.  Returns the new (marks, shape, strides).
     """
+    if not _repeats(marks):
+        return marks, shape, strides
     marks = list(marks)
     k = 0
     while k < len(marks):
@@ -222,12 +235,13 @@ def _nest(shape: tuple, marks: tuple, inner_shape: tuple, inner_marks: tuple, st
 
 
 def reduce_indices(t):
-    """Collapse repeated index labels pairwise, leftmost pair first."""
-    if not isinstance(t, TensorValue):
+    """Collapse repeated index labels pairwise, leftmost pair first.
+
+    A scalar, or a tensor with no repeated label, is returned as it is.
+    """
+    if not isinstance(t, TensorValue) or not _repeats(t.indices):
         return t
     marks, shape, (strides,) = _collapse(t.indices, t.shape, [_strides(t.shape)])
-    if len(shape) == t.rank:
-        return t
     return TensorValue(shape, _view(t.components, shape, strides), marks)
 
 

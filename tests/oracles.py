@@ -511,7 +511,9 @@ def differentiate_ref(e: Expr, by: Expr) -> Expr:
 def diag_ref(k: int, j: int, t: TensorValue) -> TensorValue:
     k0, j0 = k - 1, j - 1
     if t.shape[k0] != t.shape[j0]:
-        raise ShapeMismatchError("repeated index over axes of different dimension")
+        raise ShapeMismatchError(
+            f"repeated index over axes of dimension {t.shape[k0]} and {t.shape[j0]}"
+        )
     new_shape = t.shape[:j0] + t.shape[j0 + 1 :]
     strides = _strides(t.shape)
     comps = []

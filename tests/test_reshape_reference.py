@@ -9,7 +9,7 @@ import math
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tegi.errors import TegiError
 from tegi.forms import det, df_normalize, hodge
@@ -25,6 +25,7 @@ from tegi.tensor import (
     contract,
     fresh_uid,
     permute_marked_axes,
+    reduce_indices,
 )
 
 from oracles import (
@@ -34,10 +35,14 @@ from oracles import (
     df_normalize_ref,
     hodge_ref,
     permute_marked_axes_ref,
+    reduce_indices_ref,
 )
 
 VARIANCES = st.sampled_from([SUPERSCRIPT, SUBSCRIPT, SUPERSUBSCRIPT])
 NAMES = st.sampled_from([Sym("i"), Sym("j"), Sym("k")])
+# Dummies drawn from two uids: two dummies with one uid are equal values that
+# never pair.
+DUMMIES = st.sampled_from([fresh_uid(), fresh_uid()]).map(Dummy)
 
 
 def symbolic(shape, prefix="c"):
@@ -62,7 +67,7 @@ def tensors(draw, form_dim=None):
     marks = []
     for _ in range(n_marks):
         kind = draw(st.sampled_from(["name", "name", "dummy"]))
-        label = draw(NAMES) if kind == "name" else Dummy(fresh_uid())
+        label = draw(NAMES) if kind == "name" else draw(DUMMIES)
         marks.append(IndexMark(draw(VARIANCES), label))
     shape = tuple(shape)
     return TensorValue(shape, symbolic(shape), tuple(marks))
@@ -79,7 +84,7 @@ def attachments(draw):
         if kind == "literal":
             label = draw(st.integers(1, t.shape[axis]))
         elif kind == "dummy":
-            label = Dummy(fresh_uid())
+            label = draw(DUMMIES)
         else:
             label = draw(NAMES)
         marks.append(IndexMark(draw(VARIANCES), label))
@@ -98,6 +103,35 @@ def test_attach_indices_matches_loops(case):
             attach_indices(t, marks)
         return
     assert attach_indices(t, marks) == want
+
+
+def marked(shape, *marks):
+    return TensorValue(shape, symbolic(shape), marks)
+
+
+I_, J_ = Sym("i"), Sym("j")
+SHARED_UID = fresh_uid()
+
+
+@settings(max_examples=150, deadline=None)
+@given(tensors())
+@example(marked((2, 3), IndexMark(SUBSCRIPT, I_), IndexMark(SUPERSCRIPT, J_)))  # no repeat
+@example(marked((3, 3), IndexMark(SUBSCRIPT, I_), IndexMark(SUBSCRIPT, I_)))  # one pair
+@example(marked((3, 3), IndexMark(SUBSCRIPT, I_), IndexMark(SUPERSCRIPT, I_)))  # mixed variances
+# a three-way repeat, then two dummies with one uid
+@example(marked((2, 2, 2), *(IndexMark(v, I_) for v in (SUBSCRIPT, SUPERSCRIPT, SUBSCRIPT))))
+@example(marked((2, 2), *(IndexMark(SUBSCRIPT, Dummy(SHARED_UID)) for _ in range(2))))
+@example(marked((2, 3), IndexMark(SUBSCRIPT, I_), IndexMark(SUBSCRIPT, I_)))  # dimension clash
+def test_reduce_indices_matches_the_reference(t):
+    # the same value, or an error of the same class with the same message
+    try:
+        want = reduce_indices_ref(t)
+    except TegiError as exc:
+        with pytest.raises(type(exc)) as got:
+            reduce_indices(t)
+        assert str(got.value) == str(exc)
+        return
+    assert reduce_indices(t) == want
 
 
 @settings(max_examples=150, deadline=None)

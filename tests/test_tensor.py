@@ -24,6 +24,7 @@ from tegi.tensor import (
     contract,
     down,
     flip_indices,
+    permute_marked_axes,
     reduce_indices,
     tensor,
     tensor_map,
@@ -31,7 +32,14 @@ from tegi.tensor import (
     up,
     updown,
 )
-from oracles import find_identical_pairs, to_nested
+from oracles import (
+    attach_indices_ref,
+    find_identical_pairs,
+    permute_marked_axes_ref,
+    reduce_indices_ref,
+    tensor_map_ref,
+    to_nested,
+)
 
 I, J, K = Sym("i"), Sym("j"), Sym("k")
 
@@ -302,6 +310,34 @@ def to_nested_int(e):
     from tegi.symexpr import as_int
 
     return as_int(e)
+
+
+class TestIdentityView:
+    """A view that reads every component in order returns the tuple itself."""
+
+    def test_base_0_single_component_selection(self):
+        # [DERIVED] T_1_1_1 reads offset 0 of 8 components, so the selection
+        # is one component, not the whole tuple
+        marks = [down(1), down(1), down(1)]
+        assert attach_indices(T222, marks) == attach_indices_ref(T222, marks) == integer(1)
+
+    def test_identity_permutation(self):
+        t = TensorValue(T222.shape, T222.components, (down(I), up(J)))
+        got = permute_marked_axes(t, [0, 1])
+        assert got == permute_marked_axes_ref(t, [0, 1])
+        assert got.components is t.components  # [TRIVIAL] nothing copied
+
+    @pytest.mark.parametrize(
+        "marks",
+        [(down(I), up(J), down(K)), (down(I), up(I)), (down(I), down(J), down(I))],
+        ids=["distinct", "pair", "outer-pair"],
+    )
+    def test_map_over_unreduced_tensor(self, marks):
+        # [DERIVED] mapping then reducing by loops; a repeated label makes the
+        # map read a diagonal, never the whole tuple
+        t = TensorValue(T222.shape, T222.components, marks)
+        f = lambda c: add(c, integer(10))
+        assert tensor_map(f, t) == reduce_indices_ref(tensor_map_ref(f, t))
 
 
 class TestPrinting:
