@@ -11,6 +11,12 @@ each parameter (None for a variadic scalar builtin) and a Python callable.
 A lambda evaluates once to a `Function` whose callable runs the body in a
 new frame; `Interpreter.call` checks the arity, completes omitted indices
 and hands the callable to `apply_with_kinds`, the same way for both.
+A lambda with no `%` parameter whose body applies a named function, without
+`!`, to exactly its own parameters, as `∂/∂`'s `(derivative f x)` does,
+calls that function directly when it has a fixed arity, no tensor parameter
+and scalar arguments; otherwise the body is evaluated.  Values and errors
+are the same either way.  Each `Interpreter` keeps one bounded memo of
+`derivative` results.
 
 Each check on the way to a kernel happens once: `_scalar_args` refuses a
 non-scalar argument before a scalar builtin runs, and the one handler in
@@ -84,6 +90,7 @@ __all__ = ["Environment", "Function", "Interpreter", "format_value"]
 
 SCALAR, TENSOR = ParamKind.SCALAR, ParamKind.TENSOR
 _MISSING = object()
+DERIVATIVE_MEMO_ENTRIES = 10_000  # past this many, derivatives are computed, not stored
 
 
 class Environment:
@@ -172,6 +179,18 @@ def _index_label(v) -> Sym | int | None:
         return None
     s = as_symbol(v)
     return s if s is not None else as_int(v)
+
+
+def _one_application(body: lang.Node, names: tuple) -> bool:
+    """Whether body applies a named function, without `!`, to exactly the
+    distinct parameters `names`, in order, the name being none of them."""
+    return (
+        isinstance(body, lang.Apply)
+        and not body.distinct
+        and isinstance(body.fn, lang.SymbolRef)
+        and tuple(a.name if isinstance(a, lang.SymbolRef) else None for a in body.args) == names
+        and len({body.fn.name, *names}) == len(names) + 1
+    )
 
 
 def _unlocated(x):
@@ -291,7 +310,33 @@ class Interpreter:
             # `self.eval` is looked up at each call, so a rebound `eval` is used
             return self.eval(body, Environment(dict(zip(names, vals)), env))
 
-        return Function(None, kinds, kernel)
+        if TENSOR in kinds or not _one_application(body, names):
+            return Function(None, kinds, kernel)
+        name, arity = body.fn.name, len(names)
+
+        def direct(*vals):
+            # the body's own call, made without evaluating the body; the name
+            # is looked up at each call, because the global frame is dynamic
+            target = env.get(name)
+            if (
+                isinstance(target, Function)
+                and target.kinds is not None
+                and len(target.kinds) == arity
+                and TENSOR not in target.kinds
+            ):
+                for v in vals:
+                    if not isinstance(v, Expr):
+                        break
+                else:
+                    try:
+                        return target.fn(*vals)
+                    except TegiError as exc:
+                        if exc.location is None:  # as `eval` locates it
+                            exc.location = body.loc
+                        raise
+            return kernel(*vals)
+
+        return Function(None, kinds, direct)
 
     # -- indexed references --------------------------------------------------
 
@@ -366,6 +411,16 @@ class Interpreter:
             return mul(*xs)
 
         plus = Function("+", None, _scalar_args(add))
+        memo = {}  # (f.terms, x.terms) -> derivative, kept by this interpreter only
+
+        def derivative(f, x):
+            key = (f.terms, x.terms)
+            d = memo.get(key)
+            if d is None:
+                d = differentiate(f, x)
+                if len(memo) < DERIVATIVE_MEMO_ENTRIES:
+                    memo[key] = d
+            return d
 
         def contract_fn(f, t):
             if f is plus:
@@ -424,7 +479,7 @@ class Interpreter:
             Function("cos", (S,), _scalar_args(cos)),
             Function("sqrt", (S,), _scalar_args(sqrt)),
             Function("abs", (S,), _scalar_args(abs_)),
-            Function("derivative", (S, S), _scalar_args(differentiate)),
+            Function("derivative", (S, S), _scalar_args(derivative)),
             Function("contract", (T, T), contract_fn),
             Function("tensor-map", (T, T), lambda f, t: tensor_map(lambda c: self.call(f, [c]), t)),
             Function("flip-indices", (T,), flip_indices),

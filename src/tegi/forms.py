@@ -23,6 +23,9 @@ __all__ = [
     "levi_civita",
 ]
 
+LEVI_CIVITA_MAX_COMPONENTS = 10**6  # n = 7 has 823,543; n = 8 has 16,777,216
+
+
 def df_order(v) -> int:
     """Degree of a value as a differential form (unmarked trailing axes)."""
     if isinstance(v, TensorValue):
@@ -69,6 +72,11 @@ def levi_civita(n: int) -> TensorValue:
     """The rank-n alternating symbol as an unmarked tensor."""
     if not isinstance(n, int) or n < 1:
         raise DomainError("levi-civita needs a positive integer dimension")
+    if n**n > LEVI_CIVITA_MAX_COMPONENTS:
+        raise DomainError(
+            f"levi-civita {n} would have {n}^{n} components, "
+            f"more than {LEVI_CIVITA_MAX_COMPONENTS}"
+        )
     shape = (n,) * n
     comps = [ZERO] * n**n
     _alternate(comps, 0, _strides(shape), _signed_permutations(n), range(n), ONE)

@@ -270,6 +270,107 @@ class TestClosures:
         assert show(src) == "[|-1 (/ -1 2)|]~i"
 
 
+D_SRC = "(define $D (lambda [$f $x] (derivative f x)))"
+
+
+class TestDirectKernel:
+    """A lambda whose body applies a named function to exactly its own
+    parameters calls that function without evaluating the body."""
+
+    def test_lifted_user_lambda_skips_the_body(self, monkeypatch):
+        interp = Interpreter()
+        interp.eval_source(D_SRC)
+        real, seen = Interpreter.eval, []
+
+        def recording(self, node, env):
+            seen.append(unparse(node))
+            return real(self, node, env)
+
+        monkeypatch.setattr(Interpreter, "eval", recording)
+        got = interp.eval_source("(D [|(* r (sin θ)) (* r (cos θ))|]_i [|r θ|]_j)")[-1]
+        assert format_value(got) == (
+            "[|[|(sin θ) (* r (cos θ))|] [|(cos θ) (* -1 r (sin θ))|]|]_i_j"
+        )
+        assert "(derivative f x)" not in seen
+
+    @pytest.mark.parametrize("rebinding, want", [
+        ("(define $derivative (lambda [$a $b] (* a b)))", "[|3 15|]_i"),
+        ("(define $derivative min)", "[|1 3|]_i"),
+    ])
+    def test_the_name_is_looked_up_at_each_call(self, rebinding, want):
+        assert show(f"{D_SRC} {rebinding} (D [|1 5|]_i 3)") == want
+
+    @pytest.mark.parametrize("rebinding, error, message", [
+        ("(define $derivative sin)", ArityError, "sin expected 1 arguments, got 2"),
+        ("(define $derivative 3)", TegiTypeError, "not a function: 3"),
+    ])
+    def test_a_rebound_name_fails_as_the_body_would(self, rebinding, error, message):
+        with pytest.raises(error) as info:
+            ev(f"{D_SRC} {rebinding} (D r θ)")
+        assert str(info.value) == f"line 1, col 28: {message}"
+
+    def test_a_tensor_of_functions_is_refused(self):
+        with pytest.raises(TegiTypeError) as info:
+            ev("(∂/∂ (tensor-map (lambda [$c] sin) [|1 2|]_i) r)")
+        assert info.value.message == "expected a scalar, got #<function sin>"
+
+    @pytest.mark.parametrize("arg", ["(abs y)", "[|(abs y) y|]_i"])
+    def test_a_kernel_error_is_located_at_the_body(self, arg):
+        src = f"(define $D (lambda [$f $x]\n   (derivative f x)))\n(D {arg} y)"
+        with pytest.raises(TegiTypeError) as info:
+            ev(src)
+        assert str(info.value) == "line 2, col 4: cannot differentiate abs"
+
+    @pytest.mark.parametrize("src, want", [
+        ("(define $D (lambda [$x $x] (derivative x x))) (D r θ)", "1"),
+        ("(define $D (lambda [$f $x] (derivative x f))) (D r θ)", "0"),
+    ])
+    def test_other_bodies_keep_the_general_path(self, src, want):
+        assert show(src) == want
+
+
+class TestDerivativeMemo:
+    def count(self, monkeypatch):
+        calls = []
+        real = evaluator.differentiate
+
+        def counting(f, x):
+            calls.append((format_value(f), format_value(x)))
+            return real(f, x)
+
+        monkeypatch.setattr(evaluator, "differentiate", counting)
+        return calls
+
+    def test_each_pair_is_computed_once_per_interpreter(self, monkeypatch):
+        calls = self.count(monkeypatch)
+        src = "(∂/∂ [|(sin r) (sin r) r^2|]_i [|r r|]_j) (derivative (sin r) r)"
+        for _ in range(2):
+            del calls[:]
+            got = Interpreter().eval_source(src)
+            assert format_value(got[-1]) == "(cos r)"
+            assert sorted(calls) == [("(sin r)", "r"), ("r^2", "r")]
+
+    def test_errors_are_not_stored(self, monkeypatch):
+        calls = self.count(monkeypatch)
+        interp = Interpreter()
+        for _ in range(2):
+            with pytest.raises(TegiTypeError):
+                interp.eval_source("(derivative r 2)")
+        assert calls == [("r", "2"), ("r", "2")]
+
+    def test_pairs_past_the_entry_bound_are_computed_each_time(self, monkeypatch):
+        calls = self.count(monkeypatch)
+        monkeypatch.setattr(evaluator, "DERIVATIVE_MEMO_ENTRIES", 1)
+        interp = Interpreter()
+        interp.eval_source("(derivative (sin r) r)")
+        for _ in range(3):
+            assert format_value(interp.eval_source("(derivative (cos r) r)")[-1]) == (
+                "(* -1 (sin r))"
+            )
+        interp.eval_source("(derivative (sin r) r)")
+        assert calls == [("(sin r)", "r")] + [("(cos r)", "r")] * 3
+
+
 class TestCompletion:
     def test_shared_completion_adds_forms(self):
         src = "(+ (wedge [|1 2|] [|30 40|]) (wedge [|5 6|] [|7 8|]))"
@@ -315,6 +416,14 @@ class TestBuiltins:
         with pytest.raises(DomainError) as info:
             ev(f"(levi-civita {n})")
         assert info.value.message == "levi-civita needs a positive integer dimension"
+
+    def test_levi_civita_refuses_a_huge_tensor_before_allocating(self):
+        # 20**20 components: refused by a count, located at the call
+        with pytest.raises(DomainError) as info:
+            Interpreter().eval_source("(+ 1 2)\n  (levi-civita 20)")
+        assert str(info.value) == (
+            "line 2, col 3: levi-civita 20 would have 20^20 components, more than 1000000"
+        )
 
     def test_det_with_dummy_indices(self):
         src = "(define $g__ [|[|r^2 0|] [|0 (* r^2 (sin θ)^2)|]|]) (M.det g_#_#)"

@@ -32,14 +32,20 @@ def printed(text: str, on_ready=None) -> list[str]:
 
 
 # The 2-sphere program lifts through `apply_with_kinds`; the forms program
-# also reaches `forms`, whose functions the tracer wraps too.
+# also reaches `forms`, whose functions the tracer wraps too.  Schwarzschild
+# repeats 652 of its 704 derivatives, so it leans hardest on the derivative
+# memo each `Interpreter` keeps.
 @pytest.mark.parametrize(
     "program, counted",
-    [("riemann_s2.tegi", "application.kernel_calls"), ("forms_s3.tegi", "forms.calls")],
-    ids=["riemann_s2", "forms_s3"],
+    [
+        (CORPUS / "riemann_s2.tegi", "application.kernel_calls"),
+        (CORPUS / "forms_s3.tegi", "forms.calls"),
+        (ROOT / "bench" / "programs" / "schwarzschild.tegi", "symexpr.calls"),
+    ],
+    ids=["riemann_s2", "forms_s3", "schwarzschild"],
 )
 def test_traced_runs_print_the_same_and_count_the_same(program, counted):
-    text = (CORPUS / program).read_text(encoding="utf-8")
+    text = program.read_text(encoding="utf-8")
     untraced = printed(text)
     tracer = load_tracer()
     tracer.install()
