@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import signal
 import sys
-from pathlib import Path
 
 from . import __version__, lang
 from .errors import EvalError, LexError, TegiError
@@ -62,10 +62,17 @@ def _parse_bindings(pairs: list[str], parser: argparse.ArgumentParser) -> dict |
 # ---------------------------------------------------------------- run mode
 
 
-def _read_source(path: str | Path) -> str:
+def _pathlib_spelling(path: str) -> str:
+    """path as pathlib spells it: no empty or '.' parts, no trailing '/'."""
+    root = "//" if path[:2] == "//" and path[2:3] != "/" else "/" if path[:1] == "/" else ""
+    return root + "/".join(p for p in path.split("/") if p not in ("", ".")) or "."
+
+
+def _read_source(path: str) -> str:
     """The UTF-8 text of a source file; a file that cannot be read is a TegiError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(_pathlib_spelling(path), encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise TegiError(str(exc)) from None
     except UnicodeDecodeError as exc:
@@ -159,7 +166,7 @@ def repl() -> int:
 # ---------------------------------------------------------------- check mode
 
 
-def _check_file(path: Path) -> list[str]:
+def _check_file(path: str) -> list[str]:
     """Run one corpus file; return a list of mismatch descriptions."""
     problems, expected, got = [], [], []
     try:
@@ -184,26 +191,28 @@ def _check_file(path: Path) -> list[str]:
 
 
 def check_corpus(directory: str) -> int:
-    root = Path(directory)
-    if not root.is_dir():
+    if not os.path.isdir(directory or "."):
         print(f"error: not a directory: {directory}", file=sys.stderr)
         return 1
-    files = sorted(root.glob("*.tegi"))
-    if not files:
+    try:  # every entry named *.tegi, dotfiles and directories too
+        names = sorted(n for n in os.listdir(directory or ".") if n.endswith(".tegi"))
+    except OSError:
+        names = []
+    if not names:
         print(f"warning: no .tegi files in {directory}", file=sys.stderr)
         print("checked 0 files: all passed")
         return 0
     failed = 0
-    for path in files:
-        problems = _check_file(path)
+    for name in names:
+        problems = _check_file(_pathlib_spelling(os.path.join(directory, name)))
         if problems:
             failed += 1
-            print(f"FAIL {path.name}")
+            print(f"FAIL {name}")
             for p in problems:
                 print(f"  {p}")
         else:
-            print(f"PASS {path.name}")
-    print(f"checked {len(files)} files: {len(files) - failed} passed, {failed} failed")
+            print(f"PASS {name}")
+    print(f"checked {len(names)} files: {len(names) - failed} passed, {failed} failed")
     return 0 if failed == 0 else 1
 
 

@@ -9,14 +9,14 @@ the plain name.
 Every function is a `Function`: a name (None for a lambda), the kind of
 each parameter (None for a variadic scalar builtin) and a Python callable.
 A lambda evaluates once to a `Function` whose callable runs the body in a
-new frame; `Interpreter.call` checks the arity, completes omitted indices
-and hands the callable to `apply_with_kinds`, the same way for both.
-A lambda with no `%` parameter whose body applies a named function, without
-`!`, to exactly its own parameters, as `∂/∂`'s `(derivative f x)` does,
-calls that function directly when it has a fixed arity, no tensor parameter
-and scalar arguments; otherwise the body is evaluated.  Values and errors
-are the same either way.  Each `Interpreter` keeps one bounded memo of
-`derivative` results.
+new frame; `Interpreter.call` checks the arity and runs the callable itself
+when no argument is a tensor, else completes omitted indices and hands it
+to `apply_with_kinds`, the same way for both.  A lambda whose body applies
+a named function, without `!`, to exactly its own parameters, as `∂/∂`'s
+`(derivative f x)` does, is a direct kernel: it skips evaluating the body
+and makes the body's call through `Interpreter.call`, so values and errors
+are the body's.  Each `Interpreter` keeps one bounded memo of `derivative`
+results.
 
 Each check on the way to a kernel happens once: `_scalar_args` refuses a
 non-scalar argument before a scalar builtin runs, and the one handler in
@@ -29,7 +29,7 @@ The one top-level loop, `Interpreter.run`, hands each value to a printer.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from functools import reduce
 
 from . import lang
@@ -281,7 +281,7 @@ class Interpreter:
                 exc.location = node.loc
             raise
 
-    def call(self, fnv, args: list, distinct: bool = False):
+    def call(self, fnv, args: Sequence, distinct: bool = False):
         if not isinstance(fnv, Function):
             raise TegiTypeError(f"not a function: {format_value(fnv)}")
         kinds = fnv.kinds
@@ -297,7 +297,7 @@ class Interpreter:
             if isinstance(a, TensorValue):
                 break
         else:
-            return apply_with_kinds(fnv.fn, kinds, args)  # nothing to complete or lift
+            return fnv.fn(*args)  # nothing to complete or lift
         args, gens = complete_omitted_indices(args, kinds, distinct)
         return with_symbols_scope(gens, apply_with_kinds(fnv.fn, kinds, args))
 
@@ -310,31 +310,20 @@ class Interpreter:
             # `self.eval` is looked up at each call, so a rebound `eval` is used
             return self.eval(body, Environment(dict(zip(names, vals)), env))
 
-        if TENSOR in kinds or not _one_application(body, names):
+        if not _one_application(body, names):
             return Function(None, kinds, kernel)
-        name, arity = body.fn.name, len(names)
+        name = body.fn.name
 
         def direct(*vals):
             # the body's own call, made without evaluating the body; the name
             # is looked up at each call, because the global frame is dynamic
-            target = env.get(name)
-            if (
-                isinstance(target, Function)
-                and target.kinds is not None
-                and len(target.kinds) == arity
-                and TENSOR not in target.kinds
-            ):
-                for v in vals:
-                    if not isinstance(v, Expr):
-                        break
-                else:
-                    try:
-                        return target.fn(*vals)
-                    except TegiError as exc:
-                        if exc.location is None:  # as `eval` locates it
-                            exc.location = body.loc
-                        raise
-            return kernel(*vals)
+            fn = env.get(name, _MISSING)
+            try:
+                return self.call(symbol(name) if fn is _MISSING else fn, vals)
+            except TegiError as exc:
+                if exc.location is None:  # as `eval` locates it
+                    exc.location = body.loc
+                raise
 
         return Function(None, kinds, direct)
 
@@ -353,7 +342,7 @@ class Interpreter:
             value = self.eval(base, env)
         return attach_indices(value, marks)
 
-    def _lookup_indexed(self, name: str, variances: list, env: Environment):
+    def _lookup_indexed(self, name: str, variances: Sequence, env: Environment):
         frame = env
         while frame is not None:
             for k in range(len(variances), -1, -1):
@@ -462,8 +451,12 @@ class Interpreter:
             return tuple(self.call(f, [x]) for x in coll)
 
         def hodge_fn(a):
-            g_lower = self.global_env.get(("g", (-1, -1)), _MISSING)
+            # g_lower is found as `g_#_#` finds it; the inverse only under its
+            # own signature, since a plain $g is the metric, not its inverse
+            g_lower = self._lookup_indexed("g", (-1, -1), self.global_env)
             g_upper = self.global_env.get(("g", (1, 1)), _MISSING)
+            if g_upper is _MISSING:
+                g_upper = self.global_env.get(("g", (1,)), _MISSING)
             if g_lower is _MISSING or g_upper is _MISSING:
                 raise UnboundVariableError("hodge needs $g__ and $g~~ defined")
             return hodge(_scalars(a), _scalars(g_lower), _scalars(g_upper))

@@ -7,6 +7,7 @@ onto the expression before them, and parameter sigils (`$`, `%`, `*$`).
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 
 from .errors import DesugarError, LexError, ParseError
@@ -38,9 +39,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # tokens
 
-_DELIMS = set(" \t\r\n()[]{}|~_$%#!^;\"")
-
-
 Token = namedtuple("Token", "type value line col glued")
 Token.__doc__ = """A lexeme and the position where it starts.
 
@@ -52,82 +50,54 @@ or comment separates it from the last token.  The lexer builds tokens with
 _token = tuple.__new__
 
 
+# One lexeme, then the blanks and comments after it; `findall` reads the
+# whole text as a run of such matches, the first with no lexeme when the
+# text starts with blanks, and the last empty.  A '"' that opens no string
+# takes the rest of the text, so a failed string is scanned once, not once
+# per later '"'.
+_LEXEME = re.compile(
+    r"""(?: (\[\||\|\]|~_|\*\$|[()\[\]{}_~!$%\#^])      # punctuation
+          | ("(?:\\[\s\S]|[^"\\])*")                    # string, quotes included
+          | (-?\d+)                                     # integer
+          | ([^ \t\r\n()\[\]{}|~_$%\#!^;"]+)            # symbol
+          | (\||"[\s\S]*)                               # stray '|', or '"' with no end
+        )?
+        ((?:[ \t\r\n]|;[^\n]*)*)                        # blanks and comments after it
+    """,
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r"\\([\s\S])")
+
+
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, line_start = 0, 1, 0  # a column is 1 plus the offset from line_start
+    pos, line, line_start = 0, 1, 0  # a column is 1 plus the offset from line_start
     glued = False
     open_tensors: list[tuple[int, int]] = []
-
-    def emit(type_, value, l, c, width):
-        nonlocal glued
-        toks.append(_token(Token, (type_, value, l, c, glued)))
-        glued = True
-        return width
-
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r":
-            i += 1
-            glued = False
-            continue
-        if ch == "\n":
-            i += 1
-            line += 1
-            line_start = i
-            glued = False
-            continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            glued = False
-            continue
-        l, c = line, i - line_start + 1
-        if ch == "[" and i + 1 < n and text[i + 1] == "|":
-            open_tensors.append((l, c))
-            w = emit("[|", "[|", l, c, 2)
-        elif ch == "|" and i + 1 < n and text[i + 1] == "]":
-            if open_tensors:
+    for punct, string, num, sym, stray, blanks in _LEXEME.findall(text):
+        c = pos - line_start + 1
+        if punct:
+            if punct == "[|":
+                open_tensors.append((line, c))
+            elif punct == "|]" and open_tensors:
                 open_tensors.pop()
-            w = emit("|]", "|]", l, c, 2)
-        elif ch == "|":
-            raise LexError("stray '|'", (l, c))
-        elif ch == "~" and i + 1 < n and text[i + 1] == "_":
-            w = emit("~_", "~_", l, c, 2)
-        elif ch == "*" and i + 1 < n and text[i + 1] == "$":
-            w = emit("*$", "*$", l, c, 2)
-        elif ch in "()[]{}_~!$%#^":
-            w = emit(ch, ch, l, c, 1)
-        elif ch == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append(text[j + 1])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise LexError("unterminated string", (l, c))
-            w = emit("str", "".join(buf), l, c, j + 1 - i)
-            if "\n" in text[i:j]:
-                line += text.count("\n", i, j)
-                line_start = text.rindex("\n", i, j) + 1
-        elif ch.isdecimal() or (ch == "-" and i + 1 < n and text[i + 1].isdecimal()):
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            w = emit("int", int(text[i:j]), l, c, j - i)
-        else:
-            j = i
-            while j < n and text[j] not in _DELIMS:  # ch is not a delimiter: j > i
-                j += 1
-            w = emit("sym", text[i:j], l, c, j - i)
-        i += w
+            toks.append(_token(Token, (punct, punct, line, c, glued)))
+        elif sym:
+            toks.append(_token(Token, ("sym", sym, line, c, glued)))
+        elif num:
+            toks.append(_token(Token, ("int", int(num), line, c, glued)))
+        elif string:
+            toks.append(_token(Token, ("str", _ESCAPE.sub(r"\1", string[1:-1]), line, c, glued)))
+        elif stray:
+            raise LexError("stray '|'" if stray == "|" else "unterminated string", (line, c))
+        end = pos + len(punct or sym or num or string) + len(blanks)
+        if "\n" in blanks or "\n" in string:
+            line += text.count("\n", pos, end)
+            line_start = text.rindex("\n", pos, end) + 1
+        pos, glued = end, not blanks
     if open_tensors:
         raise LexError("unterminated tensor literal", open_tensors[-1])
-    toks.append(_token(Token, ("eof", None, line, n - line_start + 1, False)))
+    toks.append(_token(Token, ("eof", None, line, pos - line_start + 1, False)))
     return toks
 
 

@@ -241,12 +241,15 @@ def reduce_indices(t):
     """
     if not isinstance(t, TensorValue) or not _repeats(t.indices):
         return t
-    marks, shape, (strides,) = _collapse(t.indices, t.shape, [_strides(t.shape)])
-    return TensorValue(shape, _view(t.components, shape, strides), marks)
+    return attach_indices(t, ())
 
 
 def attach_indices(t, marks: Sequence[IndexMark]):
-    """Bind marks to the leading free axes; literal labels select components."""
+    """Bind marks to the leading free axes; literal labels select components.
+
+    In one strided layout a literal adds its offset to the base and drops its
+    axis; the other marks, t's own first, collapse as in `reduce_indices`.
+    """
     marks = tuple(marks)
     if not isinstance(t, TensorValue):
         if marks:
@@ -259,30 +262,26 @@ def attach_indices(t, marks: Sequence[IndexMark]):
             f"{len(marks)} index marks on a tensor with "
             f"{free} free {'axis' if free == 1 else 'axes'}"
         )
-    selections = {}  # 0-based axis -> 0-based coordinate
-    named: list[IndexMark] = []
-    for pos, m in enumerate(marks):
-        axis = existing + pos
+    named = t.indices + tuple(m for m in marks if not isinstance(m.label, int))
+    if len(named) == existing + len(marks) and not _repeats(named):  # nothing to gather
+        return TensorValue(t.shape, t.components, named) if t.shape else t.components[0]
+    strides, base, kept = _strides(t.shape), 0, list(range(existing))
+    for axis, m in enumerate(marks, existing):
         if isinstance(m.label, int):
             dim = t.shape[axis]
             if not 1 <= m.label <= dim:
                 raise IndexBoundsError(
                     f"index {m.label} out of bounds for axis of dimension {dim}"
                 )
-            selections[axis] = m.label - 1
+            base += strides[axis] * (m.label - 1)
         else:
-            named.append(m)
-    shape, comps = t.shape, t.components
-    if selections:
-        strides = _strides(t.shape)
-        kept = [a for a in range(t.rank) if a not in selections]
-        shape = tuple(t.shape[a] for a in kept)
-        base = sum(strides[a] * v for a, v in selections.items())
-        comps = _view(comps, shape, [strides[a] for a in kept], base)
-    t = TensorValue(shape, comps, t.indices + tuple(named))
-    if t.rank == 0:
-        return t.components[0]
-    return reduce_indices(t)
+            kept.append(axis)
+    kept += range(existing + len(marks), t.rank)
+    shape = tuple(t.shape[a] for a in kept)
+    named, shape, (strides,) = _collapse(named, shape, [tuple(strides[a] for a in kept)])
+    if not shape:
+        return t.components[base]
+    return TensorValue(shape, _view(t.components, shape, strides, base), named)
 
 
 def contract(f: Callable, t):

@@ -27,7 +27,8 @@ directly: every call completes omitted indices and lifts, `+` and `*` fold
 pairwise with zero factors multiplied out, and `contract` folds each run
 through `call`, calling the builtin `+` on a run of one as well.
 `DATACLASS_TWINS` rebuilds every value class of the engine as the
-dataclass it used to be.
+dataclass it used to be.  `tokenize_ref` is the lexer as it was before it
+read tokens with one regular expression: a loop over characters.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from tegi.errors import (
     IndexArityError,
     IndexBoundsError,
     IndexLabelError,
+    LexError,
     ShapeMismatchError,
     TegiArithmeticError,
     TegiTypeError,
@@ -80,6 +82,7 @@ from tegi.symexpr import (
     sqrt,
     symbol,
 )
+from tegi.lang import Token
 from tegi.tensor import (
     SUPERSUBSCRIPT,
     IndexMark,
@@ -558,14 +561,20 @@ def attach_indices_ref(t, marks):
         return t
     existing = len(t.indices)
     if existing + len(marks) > t.rank:
-        raise IndexArityError("too many index marks")
+        free = t.rank - existing
+        raise IndexArityError(
+            f"{len(marks)} index marks on a tensor with {free} free "
+            + ("axis" if free == 1 else "axes")
+        )
     selections = {}
     named = []
     for pos, m in enumerate(marks):
         axis = existing + pos
         if isinstance(m.label, int):
             if not 1 <= m.label <= t.shape[axis]:
-                raise IndexBoundsError("index out of bounds")
+                raise IndexBoundsError(
+                    f"index {m.label} out of bounds for axis of dimension {t.shape[axis]}"
+                )
             selections[axis] = m.label - 1
         else:
             named.append(m)
@@ -812,3 +821,88 @@ def _twin(name):
 # The symexpr twins hash their fields; the engine's atoms hash by identity
 # and an Expr by its terms, so only "equal values hash alike" carries over.
 DATACLASS_TWINS = {name: _twin(name) for name in _TWIN_FIELDS}
+
+
+# ---------------------------------------------------------------- lexer
+
+_DELIMS = set(" \t\r\n()[]{}|~_$%#!^;\"")
+_token = tuple.__new__
+
+
+def tokenize_ref(text: str) -> list[Token]:
+    toks: list[Token] = []
+    i, line, line_start = 0, 1, 0  # a column is 1 plus the offset from line_start
+    glued = False
+    open_tensors: list[tuple[int, int]] = []
+
+    def emit(type_, value, l, c, width):
+        nonlocal glued
+        toks.append(_token(Token, (type_, value, l, c, glued)))
+        glued = True
+        return width
+
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r":
+            i += 1
+            glued = False
+            continue
+        if ch == "\n":
+            i += 1
+            line += 1
+            line_start = i
+            glued = False
+            continue
+        if ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+            glued = False
+            continue
+        l, c = line, i - line_start + 1
+        if ch == "[" and i + 1 < n and text[i + 1] == "|":
+            open_tensors.append((l, c))
+            w = emit("[|", "[|", l, c, 2)
+        elif ch == "|" and i + 1 < n and text[i + 1] == "]":
+            if open_tensors:
+                open_tensors.pop()
+            w = emit("|]", "|]", l, c, 2)
+        elif ch == "|":
+            raise LexError("stray '|'", (l, c))
+        elif ch == "~" and i + 1 < n and text[i + 1] == "_":
+            w = emit("~_", "~_", l, c, 2)
+        elif ch == "*" and i + 1 < n and text[i + 1] == "$":
+            w = emit("*$", "*$", l, c, 2)
+        elif ch in "()[]{}_~!$%#^":
+            w = emit(ch, ch, l, c, 1)
+        elif ch == '"':
+            j = i + 1
+            buf = []
+            while j < n and text[j] != '"':
+                if text[j] == "\\" and j + 1 < n:
+                    buf.append(text[j + 1])
+                    j += 2
+                else:
+                    buf.append(text[j])
+                    j += 1
+            if j >= n:
+                raise LexError("unterminated string", (l, c))
+            w = emit("str", "".join(buf), l, c, j + 1 - i)
+            if "\n" in text[i:j]:
+                line += text.count("\n", i, j)
+                line_start = text.rindex("\n", i, j) + 1
+        elif ch.isdecimal() or (ch == "-" and i + 1 < n and text[i + 1].isdecimal()):
+            j = i + 1
+            while j < n and text[j].isdecimal():
+                j += 1
+            w = emit("int", int(text[i:j]), l, c, j - i)
+        else:
+            j = i
+            while j < n and text[j] not in _DELIMS:  # ch is not a delimiter: j > i
+                j += 1
+            w = emit("sym", text[i:j], l, c, j - i)
+        i += w
+    if open_tensors:
+        raise LexError("unterminated tensor literal", open_tensors[-1])
+    toks.append(_token(Token, ("eof", None, line, n - line_start + 1, False)))
+    return toks

@@ -62,6 +62,29 @@ class TestRun:
         assert r.returncode != 0
         assert "error" in r.stderr
 
+    def test_os_error_spells_the_path_as_pathlib_does(self, tmp_path):
+        # no './', '//' or trailing '/' in the path an OS error names
+        (tmp_path / "a.tegi").mkdir()
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+        def at(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "tegi.cli", *argv],
+                cwd=tmp_path, env=env, capture_output=True, text=True, encoding="utf-8",
+            )
+
+        missing = "error: [Errno 2] No such file or directory: 'nope.tegi'\n"
+        assert at("run", "./nope.tegi").stderr == missing
+        assert at("run", f"{tmp_path}//./a.tegi/").stderr == (
+            f"error: [Errno 21] Is a directory: '{tmp_path}/a.tegi'\n"
+        )
+        (tmp_path / "b.tegi").write_bytes(NOT_UTF8)
+        assert at("check", ".").stdout == (
+            "FAIL a.tegi\n  error: [Errno 21] Is a directory: 'a.tegi'\n"
+            f"FAIL b.tegi\n  {NOT_UTF8_ERROR.format(path='b.tegi')}\n"
+            "checked 2 files: 0 passed, 2 failed\n"
+        )
+
     def test_output_before_error_is_kept(self, tmp_path):
         f = tmp_path / "s.tegi"
         f.write_text("(+ 1 2)\n(derivative r 2)\n", encoding="utf-8")

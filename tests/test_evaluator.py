@@ -470,6 +470,20 @@ class TestHodge:
             " [|(* -1 (sqrt (abs (* r^4 (sin θ)^2)))) 0|]|]"
         )
 
+    def test_where_the_metrics_are_found(self):
+        # the metric is found as g_#_# finds it: longest signature prefix, then
+        # the plain name; the inverse only under a signature ~~ or ~
+        m, inv = "[|[|1 0|] [|0 4|]|]", "[|[|1 0|] [|0 (/ 1 4)|]|]"
+        both = show(f"(define $g__ {m}) (define $g~~ {inv}) (hodge [|1 2|])")
+        assert both == "[|-1 2|]"
+        assert show(f"(define $g {m}) (define $g~~ {inv}) (hodge [|1 2|])") == both
+        assert show(f"(define $g_ {m}) (define $g~ {inv}) (hodge [|1 2|])") == both
+        # a signature binding wins over the plain name
+        assert show(EUCLID + f"(define $g {m}) (hodge [|a b|])") == "[|(* -1 b) a|]"
+        # a plain $g is the metric, not its inverse
+        with pytest.raises(UnboundVariableError, match=r"hodge needs \$g__ and \$g~~"):
+            ev(f"(define $g {m}) (hodge [|1 2|])")
+
 
 S2_PRELUDE = """
 (define $x [| θ φ |])

@@ -75,32 +75,41 @@ def tensors(draw, form_dim=None):
 
 @st.composite
 def attachments(draw):
-    """An unmarked tensor and marks for some leading axes, literals included."""
+    """A tensor, marked or not, and marks for some of its free axes.
+
+    Literal labels run from 0 to one past the axis dimension, so some are
+    out of bounds, and one mark too many may follow the free axes.
+    """
     t = draw(tensors())
-    n_marks = draw(st.integers(0, t.rank))
+    if draw(st.booleans()):
+        t = TensorValue(t.shape, t.components)
+    existing = len(t.indices)
+    n_marks = draw(st.integers(0, t.rank - existing + 1))
     marks = []
-    for axis in range(n_marks):
+    for axis in range(existing, existing + n_marks):
         kind = draw(st.sampled_from(["name", "name", "dummy", "literal"]))
         if kind == "literal":
-            label = draw(st.integers(1, t.shape[axis]))
+            dim = t.shape[axis] if axis < t.rank else 1
+            label = draw(st.integers(0, dim + 1))
         elif kind == "dummy":
             label = draw(DUMMIES)
         else:
             label = draw(NAMES)
         marks.append(IndexMark(draw(VARIANCES), label))
-    return TensorValue(t.shape, t.components), marks
+    return t, marks
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(attachments())
 def test_attach_indices_matches_loops(case):
-    # both raise the same error type, or both return equal values
+    # the same value, or an error of the same class with the same message
     t, marks = case
     try:
         want = attach_indices_ref(t, marks)
     except TegiError as exc:
-        with pytest.raises(type(exc)):
+        with pytest.raises(type(exc)) as got:
             attach_indices(t, marks)
+        assert str(got.value) == str(exc)
         return
     assert attach_indices(t, marks) == want
 

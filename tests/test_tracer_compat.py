@@ -6,6 +6,9 @@ other test noticing.  The tracer is imported from its file, read only.
 """
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ import pytest
 from tegi.evaluator import Interpreter, format_value
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 CORPUS = ROOT / "tests" / "corpus"
 
 
@@ -61,3 +65,42 @@ def test_traced_runs_print_the_same_and_count_the_same(program, counted):
     assert counts["application.kernel_calls"] > 0
     assert counts[counted] > 0
     assert printed(text) == untraced  # uninstalled cleanly
+
+
+# A fresh process traces its first evaluation, with nothing evaluated before
+# the tracer is installed, so state that outlives an `Interpreter` (a memo
+# kept at module level, say) changes the second traced evaluation's counts.
+FRESH = """
+import importlib.util, json, sys
+sys.path.insert(0, sys.argv[1])
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[2])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+from tegi.evaluator import Interpreter, format_value
+tracer = module.Tracer()
+tracer.install()
+text = open(sys.argv[3], encoding="utf-8").read()
+runs = []
+for _ in range(2):
+    interp = Interpreter()
+    tracer.reset()
+    printed = [format_value(v) for v in interp.eval_source(text)]
+    runs.append([printed, tracer.counts()])
+print(json.dumps(runs))
+"""
+
+
+@pytest.mark.parametrize(
+    "program",
+    [ROOT / "bench" / "programs" / "schwarzschild.tegi", CORPUS / "riemann_s2.tegi"],
+    ids=["schwarzschild", "riemann_s2"],
+)
+def test_first_traced_runs_in_a_fresh_process_count_the_same(program):
+    r = subprocess.run(
+        [sys.executable, "-c", FRESH, str(SRC), str(ROOT / "bench" / "tracer.py"), str(program)],
+        capture_output=True, text=True, check=True,
+    )
+    (first, counts), (second, again) = json.loads(r.stdout)
+    assert first == second
+    assert counts == again
+    assert counts["symexpr.calls"] > 0
