@@ -3,8 +3,8 @@
 A single global frame holds the prelude and user definitions, so prelude
 functions like `d` can reference a coordinate frame `x` the user defines
 later.  Tensor-typed variables are stored under (name, variance-signature)
-keys; references try the longest matching signature prefix per frame, then
-the plain name.
+keys; `Environment.lookup`, the one rule for every name, plain or marked,
+tries the longest matching signature prefix per frame, then the plain name.
 
 Every function is a `Function`: a name (None for a lambda), the kind of
 each parameter (None for a variadic scalar builtin) and a Python callable.
@@ -77,6 +77,7 @@ from .tensor import (
     IndexMark,
     TensorValue,
     attach_indices,
+    check_size,
     contract,
     flip_indices,
     format_tensor,
@@ -102,16 +103,21 @@ class Environment:
         self.bindings = bindings if bindings is not None else {}
         self.parent = parent
 
-    def get(self, key, default=None):
+    def lookup(self, name: str, variances: tuple = ()):
+        """name in the nearest frame binding it under the longest signature
+        prefix of variances, else plainly; _MISSING when no frame does."""
         env = self
         while env is not None:
-            if key in env.bindings:
-                return env.bindings[key]
+            bindings = env.bindings
+            if variances:  # without this test every reference cost 1.6–1.9%
+                for k in range(len(variances), 0, -1):
+                    key = (name, variances[:k])
+                    if key in bindings:
+                        return bindings[key]
+            if name in bindings:
+                return bindings[name]
             env = env.parent
-        return default
-
-    def define(self, key, value):
-        self.bindings[key] = value
+        return _MISSING
 
 
 class Function(Record):
@@ -206,7 +212,7 @@ class Interpreter:
     def __init__(self):
         self.global_env = Environment()
         for b in self._builtins():
-            self.global_env.define(b.name, b)
+            self.global_env.bindings[b.name] = b
         path = os.path.join(os.path.dirname(__file__), "prelude.tegi")
         with open(path, encoding="utf-8") as f:
             for node in lang.parse_program(f.read()):
@@ -236,12 +242,8 @@ class Interpreter:
         try:
             # most frequent first: references, then applications
             if isinstance(node, lang.SymbolRef):
-                name, frame = node.name, env
-                while frame is not None:
-                    if name in frame.bindings:
-                        return frame.bindings[name]
-                    frame = frame.parent
-                return symbol(name)
+                v = env.lookup(node.name)
+                return symbol(node.name) if v is _MISSING else v
             if isinstance(node, lang.Apply):
                 fn = self.eval(node.fn, env)
                 args = [self.eval(a, env) for a in node.args]
@@ -317,7 +319,7 @@ class Interpreter:
         def direct(*vals):
             # the body's own call, made without evaluating the body; the name
             # is looked up at each call, because the global frame is dynamic
-            fn = env.get(name, _MISSING)
+            fn = env.lookup(name)
             try:
                 return self.call(symbol(name) if fn is _MISSING else fn, vals)
             except TegiError as exc:
@@ -333,7 +335,7 @@ class Interpreter:
         marks = [self._mark(m, env) for m in node.marks]
         base = node.base
         if isinstance(base, lang.SymbolRef):
-            value = self._lookup_indexed(base.name, [m.variance for m in node.marks], env)
+            value = env.lookup(base.name, tuple(m.variance for m in node.marks))
             if value is _MISSING:
                 raise UnboundVariableError(
                     f"unbound indexed variable: {base.name}", base.loc
@@ -342,22 +344,12 @@ class Interpreter:
             value = self.eval(base, env)
         return attach_indices(value, marks)
 
-    def _lookup_indexed(self, name: str, variances: Sequence, env: Environment):
-        frame = env
-        while frame is not None:
-            for k in range(len(variances), -1, -1):
-                key = (name, tuple(variances[:k])) if k else name
-                if key in frame.bindings:
-                    return frame.bindings[key]
-            frame = frame.parent
-        return _MISSING
-
     def _mark(self, m: lang.MarkAst, env: Environment) -> IndexMark:
         if isinstance(m.label, int):
             return IndexMark(m.variance, m.label)
         if m.label == "#":
             return IndexMark(m.variance, Dummy(fresh_uid()))
-        v = env.get(m.label, _MISSING)
+        v = env.lookup(m.label)
         if v is _MISSING:
             return IndexMark(m.variance, Sym(m.label))
         label = _index_label(v)
@@ -371,7 +363,7 @@ class Interpreter:
         sig = tuple(m.variance for m in node.signature)
         value = self.eval(node.body, env)
         if not sig:
-            env.define(node.name, value)
+            env.bindings[node.name] = value
             return None
         if not isinstance(value, TensorValue):
             raise TegiTypeError(f"define ${node.name}: a signature needs a tensor value")
@@ -382,7 +374,7 @@ class Interpreter:
                 f"define ${node.name}: value of rank {value.rank} cannot satisfy "
                 f"a signature of {len(sig)} indices"
             )
-        env.define((node.name, sig), value)
+        env.bindings[node.name, sig] = value
         return None
 
     # -- builtins --------------------------------------------------------------
@@ -432,6 +424,7 @@ class Interpreter:
             lo, hi = as_int(a), as_int(b)
             if lo is None or hi is None:
                 raise DomainError("between needs integer bounds")
+            check_size(f"between {lo} {hi}", hi - lo + 1)
             return tuple(integer(i) for i in range(lo, hi + 1))
 
         def transpose_by(order, t):
@@ -453,10 +446,10 @@ class Interpreter:
         def hodge_fn(a):
             # g_lower is found as `g_#_#` finds it; the inverse only under its
             # own signature, since a plain $g is the metric, not its inverse
-            g_lower = self._lookup_indexed("g", (-1, -1), self.global_env)
-            g_upper = self.global_env.get(("g", (1, 1)), _MISSING)
+            g_lower = self.global_env.lookup("g", (-1, -1))
+            g_upper = self.global_env.bindings.get(("g", (1, 1)), _MISSING)
             if g_upper is _MISSING:
-                g_upper = self.global_env.get(("g", (1,)), _MISSING)
+                g_upper = self.global_env.bindings.get(("g", (1,)), _MISSING)
             if g_lower is _MISSING or g_upper is _MISSING:
                 raise UnboundVariableError("hodge needs $g__ and $g~~ defined")
             return hodge(_scalars(a), _scalars(g_lower), _scalars(g_upper))

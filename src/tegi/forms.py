@@ -13,7 +13,7 @@ import math
 
 from .errors import DomainError, FormDegreeError, ShapeMismatchError, TegiTypeError
 from .symexpr import ONE, ZERO, Expr, abs_, add, mul, neg, rational, sqrt
-from .tensor import TensorValue, _strides
+from .tensor import MAX_COMPONENTS, TensorValue, _strides, check_size
 
 __all__ = [
     "det",
@@ -22,9 +22,6 @@ __all__ = [
     "hodge",
     "levi_civita",
 ]
-
-LEVI_CIVITA_MAX_COMPONENTS = 10**6  # n = 7 has 823,543; n = 8 has 16,777,216
-
 
 def df_order(v) -> int:
     """Degree of a value as a differential form (unmarked trailing axes)."""
@@ -72,10 +69,10 @@ def levi_civita(n: int) -> TensorValue:
     """The rank-n alternating symbol as an unmarked tensor."""
     if not isinstance(n, int) or n < 1:
         raise DomainError("levi-civita needs a positive integer dimension")
-    if n**n > LEVI_CIVITA_MAX_COMPONENTS:
+    if n**n > MAX_COMPONENTS:
         raise DomainError(
             f"levi-civita {n} would have {n}^{n} components, "
-            f"more than {LEVI_CIVITA_MAX_COMPONENTS}"
+            f"more than {MAX_COMPONENTS}"
         )
     shape = (n,) * n
     comps = [ZERO] * n**n
@@ -109,12 +106,12 @@ def _nonzero_rows(m: TensorValue) -> list:
 
 
 def det(m) -> Expr:
-    """Leibniz-formula determinant of a square rank-2 tensor (marks ignored),
-    summed over the permutations `_transversals` builds; a term is negated
-    where its permutation is odd, never multiplied by a sign."""
+    """Leibniz-formula determinant of a square rank-2 tensor (marks ignored):
+    the one minor on every row and column."""
     if not isinstance(m, TensorValue) or m.rank != 2 or m.shape[0] != m.shape[1]:
         raise ShapeMismatchError("determinant needs a square matrix")
-    return _signed_sum((mul(*factors), odd) for _, odd, factors in _transversals(_nonzero_rows(m)))
+    minors = _minors(_nonzero_rows(m), range(m.shape[0]))
+    return minors[0][1] if minors else ZERO
 
 
 def _minors(rows, lead) -> list:
@@ -190,6 +187,7 @@ def hodge(a, g_lower: TensorValue, g_upper: TensorValue):
         raise FormDegreeError("form degree exceeds the metric dimension")
     if any(d != n for d in shape[m:]):
         raise ShapeMismatchError("form axes must match the metric dimension")
+    check_size("the Hodge star", math.prod(shape[:m]) * n ** (n - k))
     scale = sqrt(abs_(det(g_lower)))
     rows = _nonzero_rows(g_upper)
     outputs = []  # (rest, [(J, minor)]), each minor signed by ε at lead then rest

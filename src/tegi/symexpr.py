@@ -202,8 +202,6 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def _mul_monos(m1: Mono, m2: Mono) -> Mono:
-    if not m1 or not m2:
-        return m1 or m2
     powers: dict[Atom, int] = dict(m1)
     for a, p in m2:
         q = powers.get(a, 0) + p
@@ -313,20 +311,16 @@ def as_symbol(e: Expr) -> Sym | None:
     return None
 
 
-def _fun(tag: str, e: Expr) -> Expr:
-    return _atom(Fun(tag, e))
-
-
 def sin(e: Expr) -> Expr:
     if as_fraction(e) == 0:
         return ZERO
-    return _fun("sin", e)
+    return _atom(Fun("sin", e))
 
 
 def cos(e: Expr) -> Expr:
     if as_fraction(e) == 0:
         return ONE
-    return _fun("cos", e)
+    return _atom(Fun("cos", e))
 
 
 def sqrt(e: Expr) -> Expr:
@@ -337,14 +331,14 @@ def sqrt(e: Expr) -> Expr:
         pn, qd = math.isqrt(c.numerator), math.isqrt(c.denominator)
         if pn * pn == c.numerator and qd * qd == c.denominator:
             return _const(Fraction(pn, qd))
-    return _fun("sqrt", e)
+    return _atom(Fun("sqrt", e))
 
 
 def abs_(e: Expr) -> Expr:
     c = as_fraction(e)
     if c is not None:
         return _const(abs(c))
-    return _fun("abs", e)
+    return _atom(Fun("abs", e))
 
 
 def _d_atom(atom: Atom, s: Sym) -> Expr:

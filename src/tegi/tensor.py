@@ -13,6 +13,7 @@ import math
 from collections.abc import Callable, Sequence
 
 from .errors import (
+    DomainError,
     IndexArityError,
     IndexBoundsError,
     IndexLabelError,
@@ -36,13 +37,14 @@ __all__ = [
     "format_tensor",
     "fresh_uid",
     "labels_equal",
-    "reduce_indices",
     "tensor",
     "tensor_map",
     "transpose",
     "up",
     "updown",
 ]
+
+MAX_COMPONENTS = 10**6  # levi-civita 7 has 823,543 components; 8 has 16,777,216
 
 _uid_counter = itertools.count(1)
 
@@ -124,6 +126,12 @@ class TensorValue(Record):
 
     def __str__(self) -> str:
         return format_tensor(self, str)
+
+
+def check_size(what: str, count: int) -> None:
+    """Refuse, before it is built, a value of more than MAX_COMPONENTS components."""
+    if count > MAX_COMPONENTS:
+        raise DomainError(f"{what} would have {count} components, more than {MAX_COMPONENTS}")
 
 
 def _strides(shape: Sequence[int]) -> tuple[int, ...]:
@@ -234,21 +242,12 @@ def _nest(shape: tuple, marks: tuple, inner_shape: tuple, inner_marks: tuple, st
     return _collapse(marks + inner_marks, shape + inner_shape, strides)
 
 
-def reduce_indices(t):
-    """Collapse repeated index labels pairwise, leftmost pair first.
-
-    A scalar, or a tensor with no repeated label, is returned as it is.
-    """
-    if not isinstance(t, TensorValue) or not _repeats(t.indices):
-        return t
-    return attach_indices(t, ())
-
-
 def attach_indices(t, marks: Sequence[IndexMark]):
     """Bind marks to the leading free axes; literal labels select components.
 
     In one strided layout a literal adds its offset to the base and drops its
-    axis; the other marks, t's own first, collapse as in `reduce_indices`.
+    axis; the other marks, t's own first, collapse as in `_collapse`.  With
+    no new marks this is index reduction: t's repeated labels collapse.
     """
     marks = tuple(marks)
     if not isinstance(t, TensorValue):
@@ -351,7 +350,7 @@ def tensor_map(f: Callable, *ts):
     """Call f on the index-aligned components of ts, once per result component.
 
     The result's axes are those of the outer product of ts, in argument
-    order, with repeated labels collapsed as reduce_indices collapses them.
+    order, with repeated labels collapsed as attach_indices collapses them.
     The collapse works on each tensor's strides, so f runs only on the
     diagonal that the result keeps.  Arguments that are not tensors go to
     every call unchanged.  Marked results hoist their indices to the end.
@@ -367,6 +366,7 @@ def tensor_map(f: Callable, *ts):
             own, zeros = _strides(t.shape), (0,) * t.rank
             strides = [(own if q == n else zeros) + s for q, s in enumerate(strides)]
             marks, shape, strides = _nest(t.shape, t.indices, shape, marks, strides)
+    check_size("the result", math.prod(shape))
     columns = [
         _view(t.components, shape, s) if isinstance(t, TensorValue) else itertools.repeat(t)
         for t, s in zip(ts, strides)
@@ -381,12 +381,11 @@ def tensor_map(f: Callable, *ts):
     for r in inner[1:]:
         if r.shape != first.shape or r.indices != first.indices:
             raise ShapeMismatchError("inconsistent result shapes in tensor-map")
-    comps = tuple(c for r in results for c in r.components)
     full = shape + first.shape
+    check_size("the result", math.prod(full))
+    comps = tuple(c for r in results for c in r.components)
     marks, shape, (strides,) = _nest(shape, marks, first.shape, first.indices, [_strides(full)])
-    if len(shape) != len(full):
-        comps = _view(comps, shape, strides)
-    return TensorValue(shape, comps, marks)
+    return TensorValue(shape, _view(comps, shape, strides), marks)
 
 
 def _mark_str(m: IndexMark) -> str:

@@ -7,9 +7,9 @@ the output coordinates and computes one row-major source offset per
 component, with no shared gather helper.  `apply_with_kinds_ref` lifts a
 function by nesting single-tensor maps, so it calls the function on the
 whole outer product of the lifted arguments and reduction then keeps the
-diagonal.  `det_ref` and `hodge_ref` multiply out every product, zero
-factors included; `hodge_loop_ref` is `hodge` as it was before it summed
-over minors of g^{..}.  `perm_sign_ref` signs any index tuple, 0 when entries
+diagonal.  `det_ref` multiplies out every product, zero factors included,
+and `hodge_ref` every product with no zero factor; `hodge_loop_ref` is
+`hodge` as it was before it summed over minors of g^{..}.  `perm_sign_ref` signs any index tuple, 0 when entries
 repeat, and `levi_civita_ref` signs all n**n tuples of ε with it.
 `to_nested` turns a tensor into nested lists, the inverse of
 `tegi.tensor.tensor`.  `order_key_ref` recomputes the canonical order key of an
@@ -29,6 +29,8 @@ through `call`, calling the builtin `+` on a run of one as well.
 `DATACLASS_TWINS` rebuilds every value class of the engine as the
 dataclass it used to be.  `tokenize_ref` is the lexer as it was before it
 read tokens with one regular expression: a loop over characters.
+`lookup_ref` resolves a name under index marks by the README's rule, from a
+list of every frame's candidate bindings.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from tegi.errors import (
     TegiArithmeticError,
     TegiTypeError,
 )
-from tegi.evaluator import Function, Interpreter, _scalar, format_value
+from tegi.evaluator import _MISSING, Function, Interpreter, _scalar, format_value
 from tegi.forms import _alternate, _signed_permutations, det
 from tegi.symexpr import (
     ONE,
@@ -247,17 +249,17 @@ def hodge_ref(a, g_lower: TensorValue, g_upper: TensorValue):
     out = []
     for coords in _coords(out_shape):
         mc, rest = coords[: len(marked_shape)], coords[len(marked_shape) :]
-        total = ZERO
+        terms = []  # a product with a zero factor adds nothing, so none is made
         for is_ in itertools.product(range(n), repeat=k):
             e = eps.components[_offset(is_ + rest, eps_strides)]
             if not e.terms:
                 continue
             for js in itertools.product(range(n), repeat=k):
-                term = mul(e, comps[_offset(mc + js, src_strides)])
-                for im, jm in zip(is_, js):
-                    term = mul(term, gup[im][jm])
-                total = add(total, term)
-        out.append(mul(scale, total))
+                factors = [e, comps[_offset(mc + js, src_strides)]]
+                factors += [gup[im][jm] for im, jm in zip(is_, js)]
+                if all(f.terms for f in factors):
+                    terms.append(mul(*factors))
+        out.append(mul(scale, add(*terms)))
     if not out_shape:
         return out[0]
     return TensorValue(out_shape, tuple(out), marks)
@@ -906,3 +908,27 @@ def tokenize_ref(text: str) -> list[Token]:
         raise LexError("unterminated tensor literal", open_tensors[-1])
     toks.append(_token(Token, ("eof", None, line, n - line_start + 1, False)))
     return toks
+
+
+def lookup_ref(env, name, variances=()):
+    """The value a reference to `name` with marks of these variances names.
+
+    The nearest frame that binds the name under a signature that is a
+    prefix of the variances, or plainly, wins; within it the longest such
+    signature, the plain name counting as the empty one.  `_MISSING` when no
+    frame binds it.
+    """
+    frames = []
+    while env is not None:
+        frames.append(env.bindings)
+        env = env.parent
+    for bindings in frames:
+        candidates = [
+            (len(key[1]) if isinstance(key, tuple) else 0, value)
+            for key, value in bindings.items()
+            if key == name
+            or isinstance(key, tuple) and key[0] == name and key[1] == variances[: len(key[1])]
+        ]
+        if candidates:
+            return max(candidates, key=lambda c: c[0])[1]
+    return _MISSING

@@ -31,7 +31,6 @@ from tegi.tensor import (
     TensorValue,
     attach_indices,
     flip_indices,
-    reduce_indices,
 )
 
 from oracles import exterior_d
@@ -365,8 +364,8 @@ class TestProperties:
         for _ in range(CASES):
             t = rand_tensor(rng, rng.randint(2, 4), rng.randint(1, 3))
             marked = TensorValue(t.shape, t.components, rand_marks(rng, t.rank))
-            once = reduce_indices(marked)
-            assert reduce_indices(once) == once
+            once = attach_indices(marked, ())
+            assert attach_indices(once, ()) == once
 
     def test_variance_flip_symmetry(self):
         # reduction only compares labels, so superscripts and subscripts
@@ -376,8 +375,8 @@ class TestProperties:
             t = rand_tensor(rng, rng.randint(2, 4), rng.randint(1, 3))
             marks = rand_marks(rng, t.rank)
             flipped = tuple(IndexMark(-m.variance, m.label) for m in marks)
-            a = reduce_indices(TensorValue(t.shape, t.components, marks))
-            b = reduce_indices(TensorValue(t.shape, t.components, flipped))
+            a = attach_indices(TensorValue(t.shape, t.components, marks), ())
+            b = attach_indices(TensorValue(t.shape, t.components, flipped), ())
             assert a.components == b.components
             assert all(
                 ma.label == mb.label and ma.variance == -mb.variance

@@ -425,6 +425,36 @@ class TestBuiltins:
             "line 2, col 3: levi-civita 20 would have 20^20 components, more than 1000000"
         )
 
+    IDENTITY_9 = "[|" + " ".join(
+        "[|" + " ".join("1" if i == j else "0" for j in range(9)) + "|]" for i in range(9)
+    ) + "|]"
+
+    @pytest.mark.parametrize(
+        "setup, src, what",
+        [
+            ("", "(between 1 10000000000)", "between 1 10000000000 would have 10000000000"),
+            ("", "!(* (levi-civita 6) (levi-civita 6))", "the result would have 2176782336"),
+            # two results sharing one tensor of 7**7 components, hoisted as 2 * 7**7
+            (
+                "(define $e (levi-civita 7))",
+                "(tensor-map (lambda [$x] e) [|1 2|])",
+                "the result would have 1647086",
+            ),
+            (
+                f"(define $g__ {IDENTITY_9}) (define $g~~ {IDENTITY_9})",
+                "(hodge 1)",
+                "the Hodge star would have 387420489",
+            ),
+        ],
+        ids=["between", "outer-product", "hoisted-results", "hodge"],
+    )
+    def test_a_huge_value_is_refused_before_it_is_built(self, setup, src, what):
+        # refused by a count before anything of that size is built, and
+        # located at the call
+        with pytest.raises(DomainError) as info:
+            Interpreter().eval_source(f"{setup}\n  {src}")
+        assert str(info.value) == f"line 2, col 3: {what} components, more than 1000000"
+
     def test_det_with_dummy_indices(self):
         src = "(define $g__ [|[|r^2 0|] [|0 (* r^2 (sin θ)^2)|]|]) (M.det g_#_#)"
         assert show(src) == "(* r^4 (sin θ)^2)"
@@ -566,7 +596,7 @@ class TestSphere:
 
     def test_d_agrees_with_direct_exterior_derivative(self, sphere):
         got = sphere.eval_source("(d ω~1_2)")[-1]
-        omega = sphere.global_env.get(("ω", (1, -1)))
+        omega = sphere.global_env.bindings["ω", (1, -1)]
         coords = TensorValue((2,), (symbol("θ"), symbol("φ")))
         row = attach_indices(omega, [up(1), down(2)])
         want = exterior_d(row, coords)
@@ -598,7 +628,7 @@ class TestDirectCalls:
         src = "(with-symbols {i} (. [|1 2 3|]~i [|4 5 6|]_i))"
         for cls, steps in [(Interpreter, 0), (DenseInterpreter, 2)]:
             interp = cls()
-            plus = interp.global_env.get("+")
+            plus = interp.global_env.bindings["+"]
             calls = self.record(monkeypatch, cls, "call")
             assert format_value(interp.eval_source(src)[-1]) == "32"
             assert sum(args[1] is plus for args in calls) == steps

@@ -25,7 +25,6 @@ from tegi.tensor import (
     contract,
     fresh_uid,
     permute_marked_axes,
-    reduce_indices,
 )
 
 from oracles import (
@@ -35,7 +34,6 @@ from oracles import (
     df_normalize_ref,
     hodge_ref,
     permute_marked_axes_ref,
-    reduce_indices_ref,
 )
 
 VARIANCES = st.sampled_from([SUPERSCRIPT, SUBSCRIPT, SUPERSUBSCRIPT])
@@ -99,8 +97,24 @@ def attachments(draw):
     return t, marks
 
 
+def marked(shape, *marks):
+    return TensorValue(shape, symbolic(shape), marks)
+
+
+I_, J_ = Sym("i"), Sym("j")
+SHARED_UID = fresh_uid()
+
+
+# With no new marks, attaching is index reduction of the tensor's own marks.
 @settings(max_examples=300, deadline=None)
 @given(attachments())
+@example((marked((2, 3), IndexMark(SUBSCRIPT, I_), IndexMark(SUPERSCRIPT, J_)), []))  # no repeat
+@example((marked((3, 3), IndexMark(SUBSCRIPT, I_), IndexMark(SUBSCRIPT, I_)), []))  # one pair
+@example((marked((3, 3), IndexMark(SUBSCRIPT, I_), IndexMark(SUPERSCRIPT, I_)), []))  # mixed
+# a three-way repeat, then two dummies with one uid
+@example((marked((2, 2, 2), *(IndexMark(v, I_) for v in (SUBSCRIPT, SUPERSCRIPT, SUBSCRIPT))), []))
+@example((marked((2, 2), *(IndexMark(SUBSCRIPT, Dummy(SHARED_UID)) for _ in range(2))), []))
+@example((marked((2, 3), IndexMark(SUBSCRIPT, I_), IndexMark(SUBSCRIPT, I_)), []))  # dim clash
 def test_attach_indices_matches_loops(case):
     # the same value, or an error of the same class with the same message
     t, marks = case
@@ -112,35 +126,6 @@ def test_attach_indices_matches_loops(case):
         assert str(got.value) == str(exc)
         return
     assert attach_indices(t, marks) == want
-
-
-def marked(shape, *marks):
-    return TensorValue(shape, symbolic(shape), marks)
-
-
-I_, J_ = Sym("i"), Sym("j")
-SHARED_UID = fresh_uid()
-
-
-@settings(max_examples=150, deadline=None)
-@given(tensors())
-@example(marked((2, 3), IndexMark(SUBSCRIPT, I_), IndexMark(SUPERSCRIPT, J_)))  # no repeat
-@example(marked((3, 3), IndexMark(SUBSCRIPT, I_), IndexMark(SUBSCRIPT, I_)))  # one pair
-@example(marked((3, 3), IndexMark(SUBSCRIPT, I_), IndexMark(SUPERSCRIPT, I_)))  # mixed variances
-# a three-way repeat, then two dummies with one uid
-@example(marked((2, 2, 2), *(IndexMark(v, I_) for v in (SUBSCRIPT, SUPERSCRIPT, SUBSCRIPT))))
-@example(marked((2, 2), *(IndexMark(SUBSCRIPT, Dummy(SHARED_UID)) for _ in range(2))))
-@example(marked((2, 3), IndexMark(SUBSCRIPT, I_), IndexMark(SUBSCRIPT, I_)))  # dimension clash
-def test_reduce_indices_matches_the_reference(t):
-    # the same value, or an error of the same class with the same message
-    try:
-        want = reduce_indices_ref(t)
-    except TegiError as exc:
-        with pytest.raises(type(exc)) as got:
-            reduce_indices(t)
-        assert str(got.value) == str(exc)
-        return
-    assert reduce_indices(t) == want
 
 
 @settings(max_examples=150, deadline=None)

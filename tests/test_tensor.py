@@ -25,7 +25,6 @@ from tegi.tensor import (
     down,
     flip_indices,
     permute_marked_axes,
-    reduce_indices,
     tensor,
     tensor_map,
     transpose,
@@ -152,8 +151,8 @@ class TestReduction:
             marks = tuple(
                 IndexMark(rng.choice((1, -1)), rng.choice(labels)) for _ in range(rank)
             )
-            t = reduce_indices(TensorValue(shape, comps, marks))
-            assert reduce_indices(t) == t
+            t = attach_indices(TensorValue(shape, comps, marks), ())
+            assert attach_indices(t, ()) == t
             named = [m.label for m in t.indices]
             assert len(named) == len(set(named))
 
@@ -175,7 +174,7 @@ def diag(k, j, t):
     """The paper's diag(k, j, t), through index reduction: axes k and j share a label."""
     marks = [up(Sym(f"a{n}")) for n in range(t.rank)]
     marks[j - 1] = marks[k - 1]
-    return reduce_indices(TensorValue(t.shape, t.components, tuple(marks)))
+    return attach_indices(TensorValue(t.shape, t.components, tuple(marks)), ())
 
 
 class TestDiag:
