@@ -34,6 +34,7 @@ from oracles import (
     df_normalize_ref,
     hodge_ref,
     permute_marked_axes_ref,
+    reduce_indices_ref,
 )
 
 VARIANCES = st.sampled_from([SUPERSCRIPT, SUBSCRIPT, SUPERSUBSCRIPT])
@@ -105,16 +106,8 @@ I_, J_ = Sym("i"), Sym("j")
 SHARED_UID = fresh_uid()
 
 
-# With no new marks, attaching is index reduction of the tensor's own marks.
 @settings(max_examples=300, deadline=None)
 @given(attachments())
-@example((marked((2, 3), IndexMark(SUBSCRIPT, I_), IndexMark(SUPERSCRIPT, J_)), []))  # no repeat
-@example((marked((3, 3), IndexMark(SUBSCRIPT, I_), IndexMark(SUBSCRIPT, I_)), []))  # one pair
-@example((marked((3, 3), IndexMark(SUBSCRIPT, I_), IndexMark(SUPERSCRIPT, I_)), []))  # mixed
-# a three-way repeat, then two dummies with one uid
-@example((marked((2, 2, 2), *(IndexMark(v, I_) for v in (SUBSCRIPT, SUPERSCRIPT, SUBSCRIPT))), []))
-@example((marked((2, 2), *(IndexMark(SUBSCRIPT, Dummy(SHARED_UID)) for _ in range(2))), []))
-@example((marked((2, 3), IndexMark(SUBSCRIPT, I_), IndexMark(SUBSCRIPT, I_)), []))  # dim clash
 def test_attach_indices_matches_loops(case):
     # the same value, or an error of the same class with the same message
     t, marks = case
@@ -126,6 +119,31 @@ def test_attach_indices_matches_loops(case):
         assert str(got.value) == str(exc)
         return
     assert attach_indices(t, marks) == want
+
+
+# With no new marks, attaching is index reduction of the tensor's own marks.
+@settings(max_examples=150, deadline=None)
+@given(tensors())
+@example(marked((2, 3), IndexMark(SUBSCRIPT, I_), IndexMark(SUPERSCRIPT, J_)))  # no repeat
+@example(marked((3, 3), IndexMark(SUBSCRIPT, I_), IndexMark(SUBSCRIPT, I_)))  # one pair
+@example(marked((3, 3), IndexMark(SUBSCRIPT, I_), IndexMark(SUPERSCRIPT, I_)))  # mixed variances
+# a three-way repeat, then two dummies with one uid
+@example(marked((2, 2, 2), *(IndexMark(v, I_) for v in (SUBSCRIPT, SUPERSCRIPT, SUBSCRIPT))))
+@example(marked((2, 2), *(IndexMark(SUBSCRIPT, Dummy(SHARED_UID)) for _ in range(2))))
+@example(marked((2, 3), IndexMark(SUBSCRIPT, I_), IndexMark(SUBSCRIPT, I_)))  # dimension clash
+def test_reduce_indices_matches_the_reference(t):
+    # the same value, or an error of the same class with the same message;
+    # attach_indices returns a rank-0 result as its one component
+    try:
+        want = reduce_indices_ref(t)
+        if not want.shape:
+            want = want.components[0]
+    except TegiError as exc:
+        with pytest.raises(type(exc)) as got:
+            attach_indices(t, [])
+        assert str(got.value) == str(exc)
+        return
+    assert attach_indices(t, []) == want
 
 
 @settings(max_examples=150, deadline=None)
