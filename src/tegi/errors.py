@@ -3,7 +3,8 @@
 Each error carries an optional (line, column) location.  Errors raised
 without one get the location of the innermost syntax node being evaluated
 when they surfaced.  Recursion too deep for the Python stack, in evaluating
-a top-level form or in printing its value, is an `EvalError` located there.
+a top-level form or in printing its value, is an `EvalError` located there,
+as is an integer too long to print.
 """
 
 from __future__ import annotations
@@ -80,3 +81,7 @@ class FormDegreeError(EvalError):
 
 class DomainError(EvalError):
     """Argument outside a builtin's domain (e.g. levi-civita with n < 1)."""
+
+
+class DigitLimitError(EvalError):
+    """An integer too long to print (more than `symexpr.MAX_DIGITS` digits)."""

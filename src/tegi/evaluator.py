@@ -21,8 +21,8 @@ results.
 Each check on the way to a kernel happens once: `_scalar_args` refuses a
 non-scalar argument before a scalar builtin runs, and the one handler in
 `Interpreter.eval` locates an error at the innermost node being evaluated.
-The prelude is evaluated from nodes without locations, so an error inside a
-prelude function such as `.` or `d` is located at the user's call.
+The prelude is parsed without locations, so an error inside a prelude
+function such as `.` or `d` is located at the user's call.
 The one top-level loop, `Interpreter.run`, hands each value to a printer.
 """
 
@@ -42,6 +42,7 @@ from .application import (
 )
 from .errors import (
     ArityError,
+    DigitLimitError,
     DomainError,
     EvalError,
     IndexLabelError,
@@ -199,15 +200,6 @@ def _one_application(body: lang.Node, names: tuple) -> bool:
     )
 
 
-def _unlocated(x):
-    """A syntax tree rebuilt without source locations (`loc` is not a field)."""
-    if isinstance(x, tuple):
-        return tuple(_unlocated(y) for y in x)
-    if isinstance(x, Record):
-        return type(x)(*(_unlocated(v) for v in x._values(x)))
-    return x
-
-
 class Interpreter:
     def __init__(self):
         self.global_env = Environment()
@@ -215,8 +207,8 @@ class Interpreter:
             self.global_env.bindings[b.name] = b
         path = os.path.join(os.path.dirname(__file__), "prelude.tegi")
         with open(path, encoding="utf-8") as f:
-            for node in lang.parse_program(f.read()):
-                self.eval(_unlocated(node), self.global_env)
+            for node in lang.parse_program(f.read(), located=False):
+                self.eval(node, self.global_env)
 
     # -- entry points --------------------------------------------------------
 
@@ -229,6 +221,9 @@ class Interpreter:
                     emit(v)
             except RecursionError:
                 raise EvalError("recursion too deep", node.loc) from None
+            except DigitLimitError as exc:  # from `emit` it has no location yet
+                exc.location = exc.location or node.loc
+                raise
 
     def eval_source(self, text: str) -> list:
         """Evaluate top-level forms; returns the values of non-define forms."""

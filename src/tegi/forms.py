@@ -131,7 +131,8 @@ def df_normalize(v):
     """Project the form axes onto their antisymmetric part (1/k! alternation).
 
     Only the increasing form-index tuples are summed; `_alternate` writes the
-    other components from them.
+    other components from them.  With fewer dimensions than form axes there
+    is no such tuple, and every component is zero.
     """
     if not isinstance(v, TensorValue):
         return v
@@ -141,6 +142,8 @@ def df_normalize(v):
     m = len(v.indices)
     if len(set(v.shape[m:])) != 1:
         raise ShapeMismatchError("alternation needs form axes of equal dimension")
+    if v.shape[m] < k:
+        return TensorValue(v.shape, (ZERO,) * len(v.components), v.indices)
     scale = rational(1, math.factorial(k))
     signed = _signed_permutations(k)
     st, src = _strides(v.shape)[m:], v.components

@@ -12,6 +12,7 @@ from collections import namedtuple
 
 from .errors import DesugarError, LexError, ParseError
 from .record import Record
+from .symexpr import MAX_DIGITS
 
 __all__ = [
     "Apply",
@@ -85,6 +86,8 @@ def tokenize(text: str) -> list[Token]:
         elif sym:
             toks.append(_token(Token, ("sym", sym, line, c, glued)))
         elif num:
+            if len(num.lstrip("-")) > MAX_DIGITS:
+                raise LexError(f"integer literal of more than {MAX_DIGITS} digits", (line, c))
             toks.append(_token(Token, ("int", int(num), line, c, glued)))
         elif string:
             toks.append(_token(Token, ("str", _ESCAPE.sub(r"\1", string[1:-1]), line, c, glued)))
@@ -176,218 +179,158 @@ Node = (
 
 _MARK_TOKENS = {"_": -1, "~": 1, "~_": 0}
 _SIGILS = {"$", "%", "*$"}
+_SPECIAL_FORMS = {"define", "lambda", "with-symbols", "let", "if"}
 
 
-class _Parser:
-    def __init__(self, toks: list[Token]):
-        self.toks = toks
-        self.pos = 0
+def parse_program(text: str, located: bool = True) -> list[Node]:
+    """Parse source text into a list of (desugared) top-level forms.
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    Each node's `loc` is where it starts in the text.  With `located` false
+    every `loc` is None, so that an error raised while evaluating the nodes
+    (the prelude's) is located at the user's node that reached them; parse
+    and desugar errors are located in the text either way.  A form nested
+    too deeply for the Python stack is a ParseError located at the start of
+    that top-level form; the recursion limit is left alone.
+    """
+    toks = tokenize(text)
+    pos = 0
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, type_: str) -> Token:
-        t = self.next()
+    def expect(type_: str) -> Token:
+        nonlocal pos
+        t = toks[pos]
+        pos += 1
         if t.type != type_:
             raise ParseError(f"expected {type_!r}, found {t.value!r}", (t.line, t.col))
         return t
 
-    def loc(self, t: Token) -> tuple:
-        return (t.line, t.col)
+    def until(close: str, item, opener: Token | None = None) -> tuple:
+        """What `item` reads up to the token `close`, which it then steps over;
+        the end of the input before it is an error at `opener`, if one is given."""
+        nonlocal pos
+        items = []
+        while toks[pos].type != close:
+            if opener is not None and toks[pos].type == "eof":
+                raise ParseError(f"unterminated {opener.type!r}", (opener.line, opener.col))
+            items.append(item())
+        pos += 1
+        return tuple(items)
 
-    # -- expressions --------------------------------------------------------
+    def marks(labeled: bool) -> tuple:
+        """The index marks glued on at the cursor.  A reference's mark needs a
+        glued label; a signature's need not, and there a bare `~_` is two
+        marks, not a supersubscript."""
+        nonlocal pos
+        out = []
+        while toks[pos].type in _MARK_TOKENS and toks[pos].glued:
+            m, t = toks[pos], toks[pos + 1]
+            pos += 1
+            if t.glued and t.type in ("sym", "int", "#"):
+                pos += 1
+                out.append(MarkAst(_MARK_TOKENS[m.type], t.value))
+            elif labeled:
+                raise ParseError("index mark needs a label", (t.line, t.col))
+            elif m.type == "~_":
+                out += (MarkAst(1, None), MarkAst(-1, None))
+            else:
+                out.append(MarkAst(_MARK_TOKENS[m.type], None))
+        return tuple(out)
 
-    def expression(self) -> Node:
-        return self.postfixes(self.primary())
-
-    def primary(self) -> Node:
-        t = self.next()
-        if t.type == "int":
-            return IntLit(t.value, self.loc(t))
-        if t.type == "str":
-            return StrLit(t.value, self.loc(t))
-        if t.type in ("sym", "^"):  # an unglued `^` names the power function
-            return SymbolRef(t.value, self.loc(t))
-        if t.type == "[|":
-            elems = []
-            while self.peek().type != "|]":  # the lexer rejects an unclosed [|
-                elems.append(self.expression())
-            self.next()
-            if not elems:
-                raise ParseError("empty tensor literal", self.loc(t))
-            return TensorLit(tuple(elems), self.loc(t))
-        if t.type == "{":
-            items = []
-            while self.peek().type != "}":
-                if self.peek().type == "eof":
-                    raise ParseError("unterminated '{'", self.loc(t))
-                items.append(self.expression())
-            self.next()
-            return Braces(tuple(items), self.loc(t))
-        if t.type == "!":
-            opener = self.expect("(")
-            form = self.form(opener)
-            if not isinstance(form, Apply):
-                raise ParseError("'!' must precede a function application", self.loc(t))
-            return Apply(form.fn, form.args, True, self.loc(t))
-        if t.type == "(":
-            return self.form(t)
-        raise ParseError(f"unexpected {t.value!r}", (t.line, t.col))
-
-    def postfixes(self, base: Node) -> Node:
-        while True:
-            t = self.peek()
-            if t.type in _MARK_TOKENS and t.glued:
-                marks = []
-                while self.peek().type in _MARK_TOKENS and self.peek().glued:
-                    mt = self.next()
-                    marks.append(MarkAst(_MARK_TOKENS[mt.type], self.mark_label()))
-                base = IndexedRef(base, tuple(marks), self.loc(t))
-            elif t.type == "^" and t.glued:
-                self.next()
-                e = self.peek()
+    def expression() -> Node:
+        """A primary and the index marks and `^` exponents glued after it."""
+        nonlocal pos
+        t = toks[pos]
+        pos += 1
+        kind = t.type
+        loc = (t.line, t.col) if located else None
+        if kind == "int":
+            node = IntLit(t.value, loc)
+        elif kind == "str":
+            node = StrLit(t.value, loc)
+        elif kind == "sym" or kind == "^":  # an unglued `^` names the power function
+            node = SymbolRef(t.value, loc)
+        elif kind == "[|":
+            node = TensorLit(until("|]", expression), loc)  # the lexer rejects an unclosed [|
+            if not node.elements:
+                raise ParseError("empty tensor literal", (t.line, t.col))
+        elif kind == "{":
+            node = Braces(until("}", expression, t), loc)
+        elif kind == "(" or kind == "!":
+            node = form(t if kind == "(" else expect("("), loc, kind == "!")
+            if kind == "!" and not isinstance(node, Apply):
+                raise ParseError("'!' must precede a function application", (t.line, t.col))
+        else:
+            raise ParseError(f"unexpected {t.value!r}", (t.line, t.col))
+        while toks[pos].glued:
+            t = toks[pos]
+            if t.type in _MARK_TOKENS:
+                node = IndexedRef(node, marks(True), (t.line, t.col) if located else None)
+            elif t.type == "^":
+                e = toks[pos + 1]
                 if e.type != "int" or not e.glued:
                     raise ParseError("'^' needs an integer exponent", (e.line, e.col))
-                self.next()
-                base = Apply(
-                    SymbolRef("^", self.loc(t)),
-                    (base, IntLit(e.value, self.loc(e))),
-                    loc=self.loc(t),
-                )
+                pos += 2
+                loc = (t.line, t.col) if located else None
+                exponent = IntLit(e.value, (e.line, e.col) if located else None)
+                node = Apply(SymbolRef("^", loc), (node, exponent), False, loc)
             else:
-                return base
+                break
+        return node
 
-    def glued_label(self) -> Label | None:
-        """Read the label glued onto the mark just read, or None if there is none."""
-        t = self.peek()
-        if t.glued and t.type in ("sym", "int", "#"):
-            self.next()
-            return "#" if t.type == "#" else t.value
-        return None
-
-    def mark_label(self) -> Label:
-        label = self.glued_label()
-        if label is None:
-            t = self.peek()
-            raise ParseError("index mark needs a label", (t.line, t.col))
-        return label
-
-    # -- parenthesized forms -------------------------------------------------
-
-    def form(self, opener: Token) -> Node:
-        head = self.peek()
-        if head.type == "sym":
-            handler = _SPECIAL_FORMS.get(head.value)
-            if handler is not None:
-                self.next()
-                return handler(self, opener)
-        fn = self.expression()
-        args = []
-        while self.peek().type != ")":
-            if self.peek().type == "eof":
-                raise ParseError("unterminated '('", self.loc(opener))
-            args.append(self.expression())
-        self.next()
-        return Apply(fn, tuple(args), loc=self.loc(opener))
-
-    def define_form(self, opener: Token) -> Node:
-        if self.peek().type == "$":
-            self.next()
-        name = self.expect("sym")
-        sig = []
-        while self.peek().type in _MARK_TOKENS and self.peek().glued:
-            mt = self.next()
-            label = self.glued_label()
-            if mt.type == "~_" and label is None:
-                # a bare "~_" in a name is two marks, not a supersubscript
-                sig.append(MarkAst(1, None))
-                sig.append(MarkAst(-1, None))
-            else:
-                sig.append(MarkAst(_MARK_TOKENS[mt.type], label))
-        body = self.expression()
-        self.expect(")")
-        node = Define(name.value, tuple(sig), body, self.loc(opener))
-        return desugar_define_indices(node)
-
-    def lambda_form(self, opener: Token) -> Node:
-        self.expect("[")
-        params = []
-        while self.peek().type != "]":
-            t = self.next()
-            if t.type not in _SIGILS:
-                raise ParseError(
-                    "parameter needs a '$', '%', or '*$' sigil", (t.line, t.col)
-                )
-            name = self.expect("sym")
-            params.append((t.type, name.value))
-        self.next()
-        body = self.expression()
-        self.expect(")")
-        return Lambda(tuple(params), body, self.loc(opener))
-
-    def with_symbols_form(self, opener: Token) -> Node:
-        self.expect("{")
-        names = []
-        while self.peek().type != "}":
-            names.append(self.expect("sym").value)
-        self.next()
-        body = self.expression()
-        self.expect(")")
-        return WithSymbols(tuple(names), body, self.loc(opener))
-
-    def let_form(self, opener: Token) -> Node:
-        self.expect("{")
-        bindings = []
-        while self.peek().type != "}":
-            self.expect("[")
-            if self.peek().type in _SIGILS:
-                self.next()
-            name = self.expect("sym")
-            value = self.expression()
-            self.expect("]")
-            bindings.append((name.value, value))
-        self.next()
-        body = self.expression()
-        self.expect(")")
-        return Let(tuple(bindings), body, self.loc(opener))
-
-    def if_form(self, opener: Token) -> Node:
-        cond = self.expression()
-        then = self.expression()
-        other = self.expression()
-        self.expect(")")
-        return If(cond, then, other, self.loc(opener))
-
-
-# the parser method for each special form, keyed by its head symbol
-_SPECIAL_FORMS = {
-    "define": _Parser.define_form,
-    "lambda": _Parser.lambda_form,
-    "with-symbols": _Parser.with_symbols_form,
-    "let": _Parser.let_form,
-    "if": _Parser.if_form,
-}
-
-
-def parse_program(text: str) -> list[Node]:
-    """Parse source text into a list of (desugared) top-level forms.
-
-    A form nested too deeply for the Python stack is a ParseError located at
-    the start of that top-level form; the recursion limit is left alone.
-    """
-    p = _Parser(tokenize(text))
-    forms = []
-    while p.peek().type != "eof":
-        start = p.peek()
+    def form(opener: Token, loc: tuple | None, distinct: bool) -> Node:
+        """The form after its '(' `opener`; an application is located at `loc`."""
+        nonlocal pos
+        head = toks[pos].value if toks[pos].type == "sym" else None
+        if head not in _SPECIAL_FORMS:
+            return Apply(expression(), until(")", expression, opener), distinct, loc)
+        pos += 1
+        if head == "define":
+            if toks[pos].type == "$":
+                pos += 1
+            node = Define(expect("sym").value, marks(False), expression(), loc)
+        elif head == "lambda":
+            expect("[")
+            node = Lambda(until("]", parameter), expression(), loc)
+        elif head == "with-symbols":
+            expect("{")
+            node = WithSymbols(until("}", lambda: expect("sym").value), expression(), loc)
+        elif head == "let":
+            expect("{")
+            node = Let(until("}", binding), expression(), loc)
+        else:
+            node = If(expression(), expression(), expression(), loc)
+        expect(")")
+        if head != "define":
+            return node
         try:
-            forms.append(p.expression())
+            return desugar_define_indices(node)
+        except DesugarError as exc:  # at the '(', whether or not the nodes are located
+            exc.location = (opener.line, opener.col)
+            raise
+
+    def parameter() -> tuple:
+        nonlocal pos
+        t = toks[pos]
+        pos += 1
+        if t.type not in _SIGILS:
+            raise ParseError("parameter needs a '$', '%', or '*$' sigil", (t.line, t.col))
+        return t.type, expect("sym").value
+
+    def binding() -> tuple:
+        nonlocal pos
+        expect("[")
+        if toks[pos].type in _SIGILS:
+            pos += 1
+        name_value = expect("sym").value, expression()
+        expect("]")
+        return name_value
+
+    forms = []
+    while toks[pos].type != "eof":
+        start = toks[pos]
+        try:
+            forms.append(expression())
         except RecursionError:
-            raise ParseError("nesting too deep", p.loc(start)) from None
+            raise ParseError("nesting too deep", (start.line, start.col)) from None
     return forms
 
 

@@ -34,6 +34,11 @@ order and printed text depend on the order keys alone.  `format_expr`
 memoises the text of each function or inverse atom in a dict its caller may
 share across one printed value; the text is never stored on the atom, so
 printing costs the same each time.
+
+No integer of more than `MAX_DIGITS` digits is printed, on any Python
+version: `int_pow` refuses a power whose one coefficient would certainly be
+longer, judged from bit lengths before it multiplies, and printing refuses
+any longer integer with a `DigitLimitError`.
 """
 
 from __future__ import annotations
@@ -42,11 +47,12 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .errors import EvalError, TegiArithmeticError, TegiTypeError
+from .errors import DigitLimitError, DomainError, EvalError, TegiArithmeticError, TegiTypeError
 from .record import Record
 
 __all__ = [
     "Expr",
+    "MAX_DIGITS",
     "Sym",
     "abs_",
     "add",
@@ -128,6 +134,9 @@ Atom = Sym | Fun | Inv
 Mono = tuple[tuple[Atom, int], ...]
 Coeff = int | Fraction  # an int when integral, else a Fraction
 Term = tuple[Coeff, Mono]
+
+MAX_DIGITS = 4300  # the longest integer read or printed: CPython's default int-str limit
+_TOO_LONG = 10**MAX_DIGITS  # the least integer of more digits
 
 
 class Expr(Record):
@@ -275,6 +284,10 @@ def int_pow(e: Expr, n: int) -> Expr:
         return ONE
     if n < 0:
         return div(ONE, int_pow(e, -n))
+    if len(e.terms) == 1:  # c**n from the one coefficient c, at least 2**(n * (bits - 1))
+        c = e.terms[0][0]
+        if n * (max(abs(c.numerator), c.denominator).bit_length() - 1) >= _TOO_LONG.bit_length():
+            raise DomainError(f"a power with a coefficient of more than {MAX_DIGITS} digits")
     out, base = ONE, e
     while n:
         if n & 1:
@@ -426,14 +439,23 @@ def evaluate_at(e: Expr, env: Mapping[str, float]) -> float:
 # printing: prefix notation matching the worked examples
 
 
+def _int_str(n: int) -> str:
+    if -_TOO_LONG < n < _TOO_LONG:
+        try:
+            return str(n)
+        except ValueError:  # the interpreter's own limit, set lower
+            pass
+    raise DigitLimitError(f"cannot print an integer of more than {MAX_DIGITS} digits")
+
+
 def _pow_str(base: str, p: int) -> str:
-    return base if p == 1 else f"{base}^{p}"
+    return base if p == 1 else f"{base}^{_int_str(p)}"
 
 
 def _product_str(n: int, factors: list[str]) -> str:
     if not factors:
-        return str(n)
-    parts = factors if n == 1 else [str(n), *factors]
+        return _int_str(n)
+    parts = factors if n == 1 else [_int_str(n), *factors]
     if len(parts) == 1:
         return parts[0]
     return "(* " + " ".join(parts) + ")"

@@ -29,6 +29,9 @@ through `call`, calling the builtin `+` on a run of one as well.
 `DATACLASS_TWINS` rebuilds every value class of the engine as the
 dataclass it used to be.  `tokenize_ref` is the lexer as it was before it
 read tokens with one regular expression: a loop over characters.
+`parse_ref` is the parser as it was before it read each construct once:
+a class with a method per construct and per special form, and a loop of
+its own for each bracketed sequence.
 `lookup_ref` resolves a name under index marks by the README's rule, from a
 list of every frame's candidate bindings.
 """
@@ -55,6 +58,7 @@ from tegi.errors import (
     IndexBoundsError,
     IndexLabelError,
     LexError,
+    ParseError,
     ShapeMismatchError,
     TegiArithmeticError,
     TegiTypeError,
@@ -84,7 +88,25 @@ from tegi.symexpr import (
     sqrt,
     symbol,
 )
-from tegi.lang import Token
+from tegi.lang import (
+    Apply,
+    Braces,
+    Define,
+    If,
+    IndexedRef,
+    IntLit,
+    Lambda,
+    Let,
+    MarkAst,
+    Node,
+    StrLit,
+    SymbolRef,
+    TensorLit,
+    Token,
+    WithSymbols,
+    desugar_define_indices,
+    tokenize,
+)
 from tegi.tensor import (
     SUPERSUBSCRIPT,
     IndexMark,
@@ -908,6 +930,225 @@ def tokenize_ref(text: str) -> list[Token]:
         raise LexError("unterminated tensor literal", open_tensors[-1])
     toks.append(_token(Token, ("eof", None, line, n - line_start + 1, False)))
     return toks
+
+
+# ---------------------------------------------------------------- parser
+
+_MARK_TOKENS = {"_": -1, "~": 1, "~_": 0}
+_SIGILS = {"$", "%", "*$"}
+
+
+class _Parser:
+    def __init__(self, toks: list[Token]):
+        self.toks = toks
+        self.pos = 0
+
+    def peek(self) -> Token:
+        return self.toks[self.pos]
+
+    def next(self) -> Token:
+        t = self.toks[self.pos]
+        self.pos += 1
+        return t
+
+    def expect(self, type_: str) -> Token:
+        t = self.next()
+        if t.type != type_:
+            raise ParseError(f"expected {type_!r}, found {t.value!r}", (t.line, t.col))
+        return t
+
+    def loc(self, t: Token) -> tuple:
+        return (t.line, t.col)
+
+    # -- expressions --------------------------------------------------------
+
+    def expression(self) -> Node:
+        return self.postfixes(self.primary())
+
+    def primary(self) -> Node:
+        t = self.next()
+        if t.type == "int":
+            return IntLit(t.value, self.loc(t))
+        if t.type == "str":
+            return StrLit(t.value, self.loc(t))
+        if t.type in ("sym", "^"):  # an unglued `^` names the power function
+            return SymbolRef(t.value, self.loc(t))
+        if t.type == "[|":
+            elems = []
+            while self.peek().type != "|]":  # the lexer rejects an unclosed [|
+                elems.append(self.expression())
+            self.next()
+            if not elems:
+                raise ParseError("empty tensor literal", self.loc(t))
+            return TensorLit(tuple(elems), self.loc(t))
+        if t.type == "{":
+            items = []
+            while self.peek().type != "}":
+                if self.peek().type == "eof":
+                    raise ParseError("unterminated '{'", self.loc(t))
+                items.append(self.expression())
+            self.next()
+            return Braces(tuple(items), self.loc(t))
+        if t.type == "!":
+            opener = self.expect("(")
+            form = self.form(opener)
+            if not isinstance(form, Apply):
+                raise ParseError("'!' must precede a function application", self.loc(t))
+            return Apply(form.fn, form.args, True, self.loc(t))
+        if t.type == "(":
+            return self.form(t)
+        raise ParseError(f"unexpected {t.value!r}", (t.line, t.col))
+
+    def postfixes(self, base: Node) -> Node:
+        while True:
+            t = self.peek()
+            if t.type in _MARK_TOKENS and t.glued:
+                marks = []
+                while self.peek().type in _MARK_TOKENS and self.peek().glued:
+                    mt = self.next()
+                    marks.append(MarkAst(_MARK_TOKENS[mt.type], self.mark_label()))
+                base = IndexedRef(base, tuple(marks), self.loc(t))
+            elif t.type == "^" and t.glued:
+                self.next()
+                e = self.peek()
+                if e.type != "int" or not e.glued:
+                    raise ParseError("'^' needs an integer exponent", (e.line, e.col))
+                self.next()
+                base = Apply(
+                    SymbolRef("^", self.loc(t)),
+                    (base, IntLit(e.value, self.loc(e))),
+                    loc=self.loc(t),
+                )
+            else:
+                return base
+
+    def glued_label(self) -> Label | None:
+        """Read the label glued onto the mark just read, or None if there is none."""
+        t = self.peek()
+        if t.glued and t.type in ("sym", "int", "#"):
+            self.next()
+            return "#" if t.type == "#" else t.value
+        return None
+
+    def mark_label(self) -> Label:
+        label = self.glued_label()
+        if label is None:
+            t = self.peek()
+            raise ParseError("index mark needs a label", (t.line, t.col))
+        return label
+
+    # -- parenthesized forms -------------------------------------------------
+
+    def form(self, opener: Token) -> Node:
+        head = self.peek()
+        if head.type == "sym":
+            handler = _SPECIAL_FORMS.get(head.value)
+            if handler is not None:
+                self.next()
+                return handler(self, opener)
+        fn = self.expression()
+        args = []
+        while self.peek().type != ")":
+            if self.peek().type == "eof":
+                raise ParseError("unterminated '('", self.loc(opener))
+            args.append(self.expression())
+        self.next()
+        return Apply(fn, tuple(args), loc=self.loc(opener))
+
+    def define_form(self, opener: Token) -> Node:
+        if self.peek().type == "$":
+            self.next()
+        name = self.expect("sym")
+        sig = []
+        while self.peek().type in _MARK_TOKENS and self.peek().glued:
+            mt = self.next()
+            label = self.glued_label()
+            if mt.type == "~_" and label is None:
+                # a bare "~_" in a name is two marks, not a supersubscript
+                sig.append(MarkAst(1, None))
+                sig.append(MarkAst(-1, None))
+            else:
+                sig.append(MarkAst(_MARK_TOKENS[mt.type], label))
+        body = self.expression()
+        self.expect(")")
+        node = Define(name.value, tuple(sig), body, self.loc(opener))
+        return desugar_define_indices(node)
+
+    def lambda_form(self, opener: Token) -> Node:
+        self.expect("[")
+        params = []
+        while self.peek().type != "]":
+            t = self.next()
+            if t.type not in _SIGILS:
+                raise ParseError(
+                    "parameter needs a '$', '%', or '*$' sigil", (t.line, t.col)
+                )
+            name = self.expect("sym")
+            params.append((t.type, name.value))
+        self.next()
+        body = self.expression()
+        self.expect(")")
+        return Lambda(tuple(params), body, self.loc(opener))
+
+    def with_symbols_form(self, opener: Token) -> Node:
+        self.expect("{")
+        names = []
+        while self.peek().type != "}":
+            names.append(self.expect("sym").value)
+        self.next()
+        body = self.expression()
+        self.expect(")")
+        return WithSymbols(tuple(names), body, self.loc(opener))
+
+    def let_form(self, opener: Token) -> Node:
+        self.expect("{")
+        bindings = []
+        while self.peek().type != "}":
+            self.expect("[")
+            if self.peek().type in _SIGILS:
+                self.next()
+            name = self.expect("sym")
+            value = self.expression()
+            self.expect("]")
+            bindings.append((name.value, value))
+        self.next()
+        body = self.expression()
+        self.expect(")")
+        return Let(tuple(bindings), body, self.loc(opener))
+
+    def if_form(self, opener: Token) -> Node:
+        cond = self.expression()
+        then = self.expression()
+        other = self.expression()
+        self.expect(")")
+        return If(cond, then, other, self.loc(opener))
+
+
+# the parser method for each special form, keyed by its head symbol
+_SPECIAL_FORMS = {
+    "define": _Parser.define_form,
+    "lambda": _Parser.lambda_form,
+    "with-symbols": _Parser.with_symbols_form,
+    "let": _Parser.let_form,
+    "if": _Parser.if_form,
+}
+
+
+def parse_ref(text: str) -> list[Node]:
+    """Parse source text into a list of (desugared) top-level forms.
+
+    A form nested too deeply for the Python stack is a ParseError located at
+    the start of that top-level form; the recursion limit is left alone.
+    """
+    p = _Parser(tokenize(text))
+    forms = []
+    while p.peek().type != "eof":
+        start = p.peek()
+        try:
+            forms.append(p.expression())
+        except RecursionError:
+            raise ParseError("nesting too deep", p.loc(start)) from None
+    return forms
 
 
 def lookup_ref(env, name, variances=()):

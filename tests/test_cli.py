@@ -263,6 +263,26 @@ class TestRun:
         assert r.stdout == "20\n"
         assert r.stderr == "error: line 3, col 1: recursion too deep\n"
 
+    @pytest.mark.parametrize(
+        "program",
+        [
+            "(* (^ 10 3000) (^ 10 3000))",
+            "(/ 1 (* (^ 10 3000) (^ 10 3000)))",
+            "(^ x (* (^ 10 3000) (^ 10 3000)))",
+        ],
+        ids=["numerator", "denominator", "exponent"],
+    )
+    def test_an_integer_too_long_to_print_is_a_located_error(self, tmp_path, program):
+        # located at the start of the top-level form, as a value too deep to print is
+        f = tmp_path / "s.tegi"
+        f.write_text(f"(+ 1 1)\n  {program}\n", encoding="utf-8")
+        r = tegi("run", str(f))
+        assert r.returncode == 1
+        assert r.stdout == "2\n"
+        assert r.stderr == (
+            "error: line 2, col 3: cannot print an integer of more than 4300 digits\n"
+        )
+
     def test_deep_nesting_is_a_located_parse_error(self, tmp_path):
         f = tmp_path / "s.tegi"
         f.write_text("(+ 1 2)\n" + "(+ 1 " * 1000 + "0" + ")" * 1000 + "\n", encoding="utf-8")

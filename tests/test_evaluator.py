@@ -1,10 +1,13 @@
 """Tests for the interpreter: environments, application semantics, builtins."""
 
+import sys
+
 import pytest
 
 from tegi.errors import (
     ArityError,
     CompletionMismatchError,
+    DigitLimitError,
     DomainError,
     IndexArityError,
     ShapeMismatchError,
@@ -455,6 +458,27 @@ class TestBuiltins:
             Interpreter().eval_source(f"{setup}\n  {src}")
         assert str(info.value) == f"line 2, col 3: {what} components, more than 1000000"
 
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "(^ 2 100000000000)",
+            "(^ 2 -100000000000)",
+            "(^ 2 14285)",
+            "(^ (/ 1 2) 20000)",
+            "(^ (* 3 x) 100000000000)",
+        ],
+    )
+    def test_a_power_too_long_to_print_is_refused_before_it_is_built(self, src):
+        # judged from bit lengths before any squaring, and located at the call
+        with pytest.raises(DomainError) as info:
+            Interpreter().eval_source(f"(+ 1 2)\n  {src}")
+        assert str(info.value) == (
+            "line 2, col 3: a power with a coefficient of more than 4300 digits"
+        )
+
+    def test_the_longest_power_of_two_that_prints_is_built(self):
+        assert len(show("(^ 2 14284)")) == 4300
+
     def test_det_with_dummy_indices(self):
         src = "(define $g__ [|[|r^2 0|] [|0 (* r^2 (sin θ)^2)|]|]) (M.det g_#_#)"
         assert show(src) == "(* r^4 (sin θ)^2)"
@@ -687,6 +711,20 @@ class TestErrors:
         with pytest.raises(TegiTypeError) as exc:
             ev(src.replace("B", "(less-than? 1 2)"))
         assert exc.value.message == "expected a scalar, got #t"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-str limit to lower"
+    )
+    def test_an_integer_past_the_interpreters_own_limit_is_the_same_error(self):
+        # the conversion's own ValueError, with the limit set below MAX_DIGITS
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(DigitLimitError) as info:
+                Interpreter().run("(+ 1 2)\n  (^ 10 1000)", format_value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(info.value) == "line 2, col 3: cannot print an integer of more than 4300 digits"
 
     def test_power_checks_its_exponent_before_its_base(self):
         with pytest.raises(TegiTypeError) as exc:

@@ -309,6 +309,25 @@ class TestDfNormalize:
         assert len(sums) == 1 and len(sums[0]) == 6
         assert got == df_normalize_ref(t)
 
+    @pytest.mark.parametrize(
+        "t",
+        [
+            TensorValue((2,) + (1,) * 12, (A_, B_), (up(I),)),
+            TensorValue((2, 2, 2), tuple(integer(v) for v in range(8)), ()),
+        ],
+        ids=["12-axes-of-1", "3-axes-of-2"],
+    )
+    def test_fewer_dimensions_than_form_axes_is_zero_at_once(self, monkeypatch, t):
+        # [DERIVED] no increasing form-index tuple exists, so every component
+        # alternates to zero and no table of the k! permutations is built
+        calls = []
+        monkeypatch.setattr(forms, "_signed_permutations", lambda k: calls.append(k) or [])
+        got = df_normalize(t)
+        assert calls == []
+        assert got == TensorValue(t.shape, (ZERO,) * len(t.components), t.indices)
+        if len(t.shape) <= 5:
+            assert got == df_normalize_ref(t)
+
     def test_unequal_form_axes(self):
         t = TensorValue((2, 3), tuple(integer(v) for v in range(6)), ())
         with pytest.raises(ShapeMismatchError):

@@ -106,6 +106,15 @@ class TestTokenize:
             tokenize("[|1 2")
         assert "line 1" in str(ei.value)
 
+    @pytest.mark.parametrize("literal", ["7" * 4301, "-" + "7" * 4344, "0" * 4301])
+    def test_an_integer_literal_of_more_than_4300_digits_is_refused(self, literal):
+        with pytest.raises(LexError) as ei:
+            tokenize(f"(+ 1\n  {literal})")
+        assert str(ei.value) == "line 2, col 3: integer literal of more than 4300 digits"
+
+    def test_an_integer_literal_of_4300_digits_is_read(self):
+        assert tokenize("-" + "9" * 4300)[0].value == -(10**4300 - 1)
+
     def test_unterminated_string(self):
         with pytest.raises(LexError):
             tokenize('"oops')
