@@ -137,5 +137,4 @@ def with_symbols_scope(symbols: Sequence[Sym], result):
     if not positions:
         return result
     rest = [i for i in range(len(result.indices)) if i not in positions]
-    t = permute_marked_axes(result, rest + positions)
-    return TensorValue(t.shape, t.components, t.indices[: len(rest)])
+    return permute_marked_axes(result, rest + positions, len(rest))

@@ -419,7 +419,7 @@ class Interpreter:
             lo, hi = as_int(a), as_int(b)
             if lo is None or hi is None:
                 raise DomainError("between needs integer bounds")
-            check_size(f"between {lo} {hi}", hi - lo + 1)
+            check_size(hi - lo + 1, "between", lo, hi)
             return tuple(integer(i) for i in range(lo, hi + 1))
 
         def transpose_by(order, t):

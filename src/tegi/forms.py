@@ -13,7 +13,7 @@ import math
 
 from .errors import DomainError, FormDegreeError, ShapeMismatchError, TegiTypeError
 from .symexpr import ONE, ZERO, Expr, abs_, add, mul, neg, rational, sqrt
-from .tensor import MAX_COMPONENTS, TensorValue, _strides, check_size
+from .tensor import MAX_LEVI_CIVITA, TensorValue, _strides, check_size
 
 __all__ = [
     "det",
@@ -66,14 +66,10 @@ def _alternating_sum(src, base: int, strides, signed, idx) -> Expr:
 
 
 def levi_civita(n: int) -> TensorValue:
-    """The rank-n alternating symbol as an unmarked tensor."""
-    if not isinstance(n, int) or n < 1:
-        raise DomainError("levi-civita needs a positive integer dimension")
-    if n**n > MAX_COMPONENTS:
-        raise DomainError(
-            f"levi-civita {n} would have {n}^{n} components, "
-            f"more than {MAX_COMPONENTS}"
-        )
+    """The rank-n alternating symbol as an unmarked tensor, for 1 ≤ n ≤ 7; any
+    other n is refused before n**n is computed (see MAX_LEVI_CIVITA)."""
+    if not (isinstance(n, int) and 1 <= n <= MAX_LEVI_CIVITA):
+        raise DomainError(f"levi-civita needs an integer dimension from 1 to {MAX_LEVI_CIVITA}")
     shape = (n,) * n
     comps = [ZERO] * n**n
     _alternate(comps, 0, _strides(shape), _signed_permutations(n), range(n), ONE)
@@ -190,7 +186,7 @@ def hodge(a, g_lower: TensorValue, g_upper: TensorValue):
         raise FormDegreeError("form degree exceeds the metric dimension")
     if any(d != n for d in shape[m:]):
         raise ShapeMismatchError("form axes must match the metric dimension")
-    check_size("the Hodge star", math.prod(shape[:m]) * n ** (n - k))
+    check_size(math.prod(shape[:m]) * n ** (n - k), "the Hodge star")
     scale = sqrt(abs_(det(g_lower)))
     rows = _nonzero_rows(g_upper)
     outputs = []  # (rest, [(J, minor)]), each minor signed by ε at lead then rest

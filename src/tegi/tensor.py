@@ -21,7 +21,7 @@ from .errors import (
 )
 from .lang import VARIANCE_STR
 from .record import Record
-from .symexpr import Sym, integer
+from .symexpr import Sym, _int_str, integer
 
 __all__ = [
     "Dummy",
@@ -44,7 +44,8 @@ __all__ = [
     "updown",
 ]
 
-MAX_COMPONENTS = 10**6  # levi-civita 7 has 823,543 components; 8 has 16,777,216
+MAX_COMPONENTS = 10**6  # the most components a value may have
+MAX_LEVI_CIVITA = 7  # the largest n with n**n <= MAX_COMPONENTS (7**7 = 823,543; 8**8 = 16,777,216)
 
 _uid_counter = itertools.count(1)
 
@@ -128,10 +129,12 @@ class TensorValue(Record):
         return format_tensor(self, str)
 
 
-def check_size(what: str, count: int) -> None:
-    """Refuse, before it is built, a value of more than MAX_COMPONENTS components."""
+def check_size(count: int, what: str, *numbers: int) -> None:
+    """Refuse, before it is built, a value of more than MAX_COMPONENTS components.
+    Only a refusal spells its message, `what` then `numbers`, each by `_int_str`."""
     if count > MAX_COMPONENTS:
-        raise DomainError(f"{what} would have {count} components, more than {MAX_COMPONENTS}")
+        words = " ".join([what, *map(_int_str, numbers), "would have", _int_str(count)])
+        raise DomainError(f"{words} components, more than {MAX_COMPONENTS}")
 
 
 def _strides(shape: Sequence[int]) -> tuple[int, ...]:
@@ -319,13 +322,14 @@ def flip_indices(t):
     return TensorValue(t.shape, t.components, flipped)
 
 
-def permute_marked_axes(t: TensorValue, perm: Sequence[int]) -> TensorValue:
-    """Reorder the marked axes by 0-based source positions; form axes stay."""
+def permute_marked_axes(t: TensorValue, perm: Sequence[int], keep=None) -> TensorValue:
+    """Reorder the marked axes by 0-based source positions; form axes stay.  The
+    first `keep` marks of the new order stay, all by default; the rest free their axes."""
     axis_src = list(perm) + list(range(len(t.indices), t.rank))
     new_shape = tuple(t.shape[a] for a in axis_src)
     strides = _strides(t.shape)
     comps = _view(t.components, new_shape, [strides[a] for a in axis_src])
-    return TensorValue(new_shape, comps, tuple(t.indices[a] for a in perm))
+    return TensorValue(new_shape, comps, tuple(t.indices[a] for a in perm[:keep]))
 
 
 def transpose(order: Sequence[Label], t: TensorValue):
@@ -366,7 +370,7 @@ def tensor_map(f: Callable, *ts):
             own, zeros = _strides(t.shape), (0,) * t.rank
             strides = [(own if q == n else zeros) + s for q, s in enumerate(strides)]
             marks, shape, strides = _nest(t.shape, t.indices, shape, marks, strides)
-    check_size("the result", math.prod(shape))
+    check_size(math.prod(shape), "the result")
     columns = [
         _view(t.components, shape, s) if isinstance(t, TensorValue) else itertools.repeat(t)
         for t, s in zip(ts, strides)
@@ -382,7 +386,7 @@ def tensor_map(f: Callable, *ts):
         if r.shape != first.shape or r.indices != first.indices:
             raise ShapeMismatchError("inconsistent result shapes in tensor-map")
     full = shape + first.shape
-    check_size("the result", math.prod(full))
+    check_size(math.prod(full), "the result")
     comps = tuple(c for r in results for c in r.components)
     marks, shape, (strides,) = _nest(shape, marks, first.shape, first.indices, [_strides(full)])
     return TensorValue(shape, _view(comps, shape, strides), marks)

@@ -33,7 +33,11 @@ read tokens with one regular expression: a loop over characters.
 a class with a method per construct and per special form, and a loop of
 its own for each bracketed sequence.
 `lookup_ref` resolves a name under index marks by the README's rule, from a
-list of every frame's candidate bindings.
+list of every frame's candidate bindings.  `evaluate_mod` evaluates an
+expression modulo the prime `MOD_P` at a random point, an exact zero test
+(Gonnet's signature method).  `with_symbols_scope_ref` drops a
+scope's marks in two steps, a permuted tensor that keeps every mark and then
+one without the scope's marks, where the engine builds one tensor.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from tegi.application import (
@@ -664,6 +669,24 @@ def permute_marked_axes_ref(t: TensorValue, perm) -> TensorValue:
     return TensorValue(new_shape, tuple(comps), tuple(t.indices[a] for a in perm))
 
 
+def with_symbols_scope_ref(symbols, result):
+    """`with_symbols_scope` in two steps: permute keeping every mark, then
+    rebuild the tensor without the scope's marks."""
+    if not isinstance(result, TensorValue):
+        return result
+    positions = []
+    for s in symbols:
+        for i, m in enumerate(result.indices):
+            if labels_equal(m.label, s):
+                positions.append(i)
+                break
+    if not positions:
+        return result
+    rest = [i for i in range(len(result.indices)) if i not in positions]
+    t = permute_marked_axes_ref(result, rest + positions)
+    return TensorValue(t.shape, t.components, t.indices[: len(rest)])
+
+
 # ---------------------------------------------------------------- lifting
 
 
@@ -1173,3 +1196,75 @@ def lookup_ref(env, name, variances=()):
         if candidates:
             return max(candidates, key=lambda c: c[0])[1]
     return _MISSING
+
+
+# ---------------------------------------------------------------- modular evaluation
+
+MOD_P = 2**61 - 1  # a Mersenne prime; P % 4 == 3, so a square root is one power
+
+
+class _NewPoint(Exception):
+    """The point is a pole, or a radicand there has no square root."""
+
+
+def evaluate_mod(e: Expr, seed: int = 0) -> int:
+    """e mod MOD_P at a random point drawn from seed.
+
+    Each symbol gets a residue, each distinct sin/cos argument u one t, with
+    sin u = 2t/(1+t²) and cos u = (1−t²)/(1+t²) on the rational circle, so
+    sin² + cos² = 1 holds exactly; each abs atom is a free residue.  An
+    `Inv` is a modular inverse and a sqrt the root r**((P+1)/4) of its
+    radicand r.  Each residue is a function of seed and the atom's
+    structure alone, so expressions evaluated with one seed share a point.
+    A pole or a radicand with no root draws a new point, up to 20 points.
+    By Schwartz–Zippel a nonzero e of degree D after the substitution is 0
+    at one point with probability at most D/P; a sin of a composite
+    argument gets its own t, which errs only toward nonzero.
+    """
+    for attempt in range(20):
+        values = {}
+
+        def draw(key) -> int:
+            return random.Random(repr((seed, attempt, key))).randrange(MOD_P)
+
+        def atom_value(a) -> int:
+            if a in values:
+                return values[a]
+            if isinstance(a, Sym):
+                v = draw(a.key())
+            elif isinstance(a, Inv):
+                v = value(a.arg)
+                if not v:
+                    raise _NewPoint
+                v = pow(v, -1, MOD_P)
+            elif a.tag in ("sin", "cos"):
+                t = draw(("t", a.arg.key()))
+                num = 2 * t if a.tag == "sin" else 1 - t * t
+                v = num * pow(1 + t * t, -1, MOD_P) % MOD_P  # -1 is no square mod P
+            elif a.tag == "sqrt":
+                r = value(a.arg)
+                v = pow(r, (MOD_P + 1) // 4, MOD_P)
+                if v * v % MOD_P != r:
+                    raise _NewPoint
+            else:  # abs
+                v = draw(a.key())
+            values[a] = v
+            return v
+
+        def value(x: Expr) -> int:
+            total = 0
+            for c, mono in x.terms:
+                term = c.numerator * pow(c.denominator, -1, MOD_P)
+                for a, p in mono:
+                    base = atom_value(a)
+                    if p < 0 and not base:
+                        raise _NewPoint
+                    term = term * pow(base, p, MOD_P) % MOD_P
+                total += term
+            return total % MOD_P
+
+        try:
+            return value(e)
+        except _NewPoint:
+            continue
+    raise ValueError("no point without a pole or a rootless radicand in 20 tries")

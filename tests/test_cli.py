@@ -22,6 +22,7 @@ NOT_UTF8_ERROR = "error: {path}: 'utf-8' codec can't decode byte 0xff in positio
 DEEP_TUPLE = "(define $b {})\n" + "(define $b {b})\n" * 1500 + "b\n"
 DEEP_SIN = "(define $s x)\n" + "(define $s (sin s))\n" * 1500 + "s\n"
 TOO_DEEP_ERROR = "error: line 1502, col 1: recursion too deep"
+HUGE = "(* (^ 10 3000) (^ 10 3000))"  # 10**6000: more than 4300 digits
 
 
 def tegi(*argv, stdin=None):
@@ -282,6 +283,30 @@ class TestRun:
         assert r.stderr == (
             "error: line 2, col 3: cannot print an integer of more than 4300 digits\n"
         )
+
+    @pytest.mark.parametrize(
+        "program, message",
+        [
+            ("(levi-civita 8)", "levi-civita needs an integer dimension from 1 to 7"),
+            ("(levi-civita 0)", "levi-civita needs an integer dimension from 1 to 7"),
+            (f"(levi-civita {HUGE})", "levi-civita needs an integer dimension from 1 to 7"),
+            (f"(between 0 {HUGE})", "cannot print an integer of more than 4300 digits"),
+        ],
+        ids=["levi-civita-8", "levi-civita-0", "levi-civita-huge", "between-huge"],
+    )
+    def test_a_size_refusal_is_one_located_error(self, tmp_path, program, message):
+        f = tmp_path / "s.tegi"
+        f.write_text(f"(+ 1 1)\n  {program}\n", encoding="utf-8")
+        r = tegi("run", str(f))
+        assert r.returncode == 1
+        assert r.stdout == "2\n"
+        assert r.stderr == f"error: line 2, col 3: {message}\n"
+
+    def test_a_collection_with_a_huge_bound_is_not_refused(self, tmp_path):
+        f = tmp_path / "s.tegi"
+        f.write_text(f"(map (lambda [$n] (- n n)) (between {HUGE} {HUGE}))\n", encoding="utf-8")
+        r = tegi("run", str(f))
+        assert (r.returncode, r.stdout, r.stderr) == (0, "{0}\n", "")
 
     def test_deep_nesting_is_a_located_parse_error(self, tmp_path):
         f = tmp_path / "s.tegi"

@@ -18,10 +18,12 @@ from tegi import evaluator
 from tegi.evaluator import Interpreter, format_value
 from tegi.lang import unparse
 from tegi.symexpr import Sym, as_int, int_pow, mul, rational, sin, symbol
-from tegi.tensor import TensorValue, attach_indices, down, up
+from tegi.tensor import MAX_COMPONENTS, MAX_LEVI_CIVITA, TensorValue, attach_indices, down, up
 
 import oracles
 from oracles import DenseInterpreter, exterior_d, to_nested
+
+HUGE = "(* (^ 10 3000) (^ 10 3000))"  # 10**6000: built, but too long to print
 
 
 def ev(src):
@@ -418,15 +420,44 @@ class TestBuiltins:
     def test_levi_civita_needs_a_positive_integer(self, n):
         with pytest.raises(DomainError) as info:
             ev(f"(levi-civita {n})")
-        assert info.value.message == "levi-civita needs a positive integer dimension"
+        assert info.value.message == "levi-civita needs an integer dimension from 1 to 7"
 
     def test_levi_civita_refuses_a_huge_tensor_before_allocating(self):
-        # 20**20 components: refused by a count, located at the call
+        # 20**20 components: refused by the dimension bound, located at the call
         with pytest.raises(DomainError) as info:
             Interpreter().eval_source("(+ 1 2)\n  (levi-civita 20)")
         assert str(info.value) == (
-            "line 2, col 3: levi-civita 20 would have 20^20 components, more than 1000000"
+            "line 2, col 3: levi-civita needs an integer dimension from 1 to 7"
         )
+
+    def test_the_levi_civita_bound_is_the_largest_within_the_size_limit(self):
+        n = MAX_LEVI_CIVITA
+        assert n**n <= MAX_COMPONENTS < (n + 1) ** (n + 1)
+
+    @pytest.mark.parametrize(
+        "src, error, message",
+        [
+            ("(levi-civita 8)", DomainError, "levi-civita needs an integer dimension from 1 to 7"),
+            # n**n is never computed, and n is never printed
+            (
+                f"(levi-civita {HUGE})",
+                DomainError,
+                "levi-civita needs an integer dimension from 1 to 7",
+            ),
+            # the bound is spelled only to refuse, and it is too long to print
+            (
+                f"(between 0 {HUGE})",
+                DigitLimitError,
+                "cannot print an integer of more than 4300 digits",
+            ),
+        ],
+        ids=["levi-civita-8", "levi-civita-huge", "between-huge"],
+    )
+    def test_a_size_refusal_is_made_before_the_work(self, src, error, message):
+        with pytest.raises(error) as info:
+            Interpreter().eval_source(f"(+ 1 2)\n  {src}")
+        assert type(info.value) is error
+        assert str(info.value) == f"line 2, col 3: {message}"
 
     IDENTITY_9 = "[|" + " ".join(
         "[|" + " ".join("1" if i == j else "0" for j in range(9)) + "|]" for i in range(9)

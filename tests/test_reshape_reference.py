@@ -11,6 +11,7 @@ from functools import reduce
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tegi.application import with_symbols_scope
 from tegi.errors import TegiError
 from tegi.forms import det, df_normalize, hodge
 from tegi.symexpr import ZERO, Sym, integer, sub, symbol
@@ -35,6 +36,7 @@ from oracles import (
     hodge_ref,
     permute_marked_axes_ref,
     reduce_indices_ref,
+    with_symbols_scope_ref,
 )
 
 VARIANCES = st.sampled_from([SUPERSCRIPT, SUBSCRIPT, SUPERSUBSCRIPT])
@@ -169,6 +171,14 @@ def test_permute_marked_axes_matches_loops(t, rng):
     perm = list(range(len(t.indices)))
     rng.shuffle(perm)
     assert permute_marked_axes(t, perm) == permute_marked_axes_ref(t, perm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tensors(), st.lists(st.sampled_from([I_, J_, Sym("k"), Sym("t")]), unique=True))
+def test_with_symbols_scope_matches_two_steps(t, symbols):
+    # the scope's marks, found or not, in any order; repeated labels and
+    # dummies among the marks
+    assert with_symbols_scope(symbols, t) == with_symbols_scope_ref(symbols, t)
 
 
 @settings(max_examples=100, deadline=None)
