@@ -18,6 +18,7 @@ from . import __version__, lang
 from .errors import EvalError, LexError, TegiError
 from .evaluator import Interpreter, format_value
 from .symexpr import evaluate_at
+from .tensor import VARIANCE_STR
 
 PROMPT = "tegi> "
 
@@ -114,7 +115,7 @@ def _incomplete(src: str) -> bool:
 def _signature_name(key) -> str:
     if isinstance(key, tuple):
         name, sig = key
-        return name + "".join(lang.VARIANCE_STR[v] for v in sig)
+        return name + "".join(VARIANCE_STR[v] for v in sig)
     return key
 
 

@@ -149,9 +149,7 @@ def format_value(v, scalar: Callable[[Expr], str] | None = None) -> str:
         return f'"{escaped}"'
     if isinstance(v, tuple):
         return "{" + " ".join(format_value(x, scalar) for x in v) + "}"
-    if isinstance(v, Function):
-        return "#<function>" if v.name is None else f"#<function {v.name}>"
-    return repr(v)
+    return "#<function>" if v.name is None else f"#<function {v.name}>"
 
 
 def _scalar(v) -> Expr:
@@ -339,9 +337,9 @@ class Interpreter:
             value = self.eval(base, env)
         return attach_indices(value, marks)
 
-    def _mark(self, m: lang.MarkAst, env: Environment) -> IndexMark:
+    def _mark(self, m: IndexMark, env: Environment) -> IndexMark:
         if isinstance(m.label, int):
-            return IndexMark(m.variance, m.label)
+            return m
         if m.label == "#":
             return IndexMark(m.variance, Dummy(fresh_uid()))
         v = env.lookup(m.label)

@@ -13,6 +13,7 @@ from collections import namedtuple
 from .errors import DesugarError, LexError, ParseError
 from .record import Record
 from .symexpr import MAX_DIGITS
+from .tensor import VARIANCE_STR, IndexMark, mark_str
 
 __all__ = [
     "Apply",
@@ -23,12 +24,10 @@ __all__ = [
     "IntLit",
     "Lambda",
     "Let",
-    "MarkAst",
     "StrLit",
     "SymbolRef",
     "TensorLit",
     "Token",
-    "VARIANCE_STR",
     "WithSymbols",
     "desugar_define_indices",
     "parse_program",
@@ -107,19 +106,6 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # abstract syntax
 
-Label = str | int  # symbol name, 1-based component, or "#" for a dummy
-
-
-class MarkAst(Record):
-    """An index mark in the source.
-
-    `variance` is 1 superscript, -1 subscript, 0 supersubscript; `label` is
-    a Label, or None only in define signatures.
-    """
-
-    __slots__ = ("variance", "label")
-
-
 # A node's `loc` is its source (line, col), or None.
 
 
@@ -136,7 +122,7 @@ class SymbolRef(Record):
 
 
 class IndexedRef(Record):
-    __slots__ = ("base", "marks", "loc")  # marks: tuple of MarkAst
+    __slots__ = ("base", "marks", "loc")  # marks: tuple of IndexMark
 
 
 class TensorLit(Record):
@@ -157,7 +143,7 @@ class Lambda(Record):
 
 
 class Define(Record):
-    __slots__ = ("name", "signature", "body", "loc")  # signature: tuple of MarkAst
+    __slots__ = ("name", "signature", "body", "loc")  # signature: tuple of IndexMark
 
 
 class WithSymbols(Record):
@@ -177,7 +163,8 @@ Node = (
     | Apply | Lambda | Define | WithSymbols | Let | If
 )
 
-_MARK_TOKENS = {"_": -1, "~": 1, "~_": 0}
+_MARK_TOKENS = {spelling: v for v, spelling in VARIANCE_STR.items()}
+_SUFFIXES = {*_MARK_TOKENS, "^"}  # the tokens that glue onto an expression
 _SIGILS = {"$", "%", "*$"}
 _SPECIAL_FORMS = {"define", "lambda", "with-symbols", "let", "if"}
 
@@ -226,17 +213,18 @@ def parse_program(text: str, located: bool = True) -> list[Node]:
             pos += 1
             if t.glued and t.type in ("sym", "int", "#"):
                 pos += 1
-                out.append(MarkAst(_MARK_TOKENS[m.type], t.value))
+                out.append(IndexMark(_MARK_TOKENS[m.type], t.value))
             elif labeled:
                 raise ParseError("index mark needs a label", (t.line, t.col))
             elif m.type == "~_":
-                out += (MarkAst(1, None), MarkAst(-1, None))
+                out += (IndexMark(1, None), IndexMark(-1, None))
             else:
-                out.append(MarkAst(_MARK_TOKENS[m.type], None))
+                out.append(IndexMark(_MARK_TOKENS[m.type], None))
         return tuple(out)
 
-    def expression() -> Node:
-        """A primary and the index marks and `^` exponents glued after it."""
+    def expression(top: bool = False) -> Node:
+        """A primary and the index marks and `^` exponents glued after it;
+        only a `top` expression, a whole top-level form, may be a define."""
         nonlocal pos
         t = toks[pos]
         pos += 1
@@ -258,6 +246,10 @@ def parse_program(text: str, located: bool = True) -> list[Node]:
             node = form(t if kind == "(" else expect("("), loc, kind == "!")
             if kind == "!" and not isinstance(node, Apply):
                 raise ParseError("'!' must precede a function application", (t.line, t.col))
+            if isinstance(node, Define):
+                after = toks[pos]
+                if not top or after.glued and after.type in _SUFFIXES:
+                    raise ParseError("define must be a top-level form", (t.line, t.col))
         else:
             raise ParseError(f"unexpected {t.value!r}", (t.line, t.col))
         while toks[pos].glued:
@@ -328,7 +320,7 @@ def parse_program(text: str, located: bool = True) -> list[Node]:
     while toks[pos].type != "eof":
         start = toks[pos]
         try:
-            forms.append(expression())
+            forms.append(expression(True))
         except RecursionError:
             raise ParseError("nesting too deep", (start.line, start.col)) from None
     return forms
@@ -370,20 +362,12 @@ def desugar_define_indices(node: Define) -> Define:
         Apply(SymbolRef("transpose", loc), (refs, node.body), loc=loc),
         loc,
     )
-    signature = tuple(MarkAst(m.variance, None) for m in node.signature)
+    signature = tuple(IndexMark(m.variance, None) for m in node.signature)
     return Define(node.name, signature, body, node.loc)
 
 
 # ---------------------------------------------------------------------------
 # unparser
-
-# How each variance is spelled, in source and in everything printed.
-VARIANCE_STR = {1: "~", -1: "_", 0: "~_"}
-
-
-def _mark_str(m: MarkAst) -> str:
-    return VARIANCE_STR[m.variance] + ("" if m.label is None else str(m.label))
-
 
 def unparse(node: Node) -> str:
     """Render a node back to surface syntax (canonical spacing)."""
@@ -395,7 +379,7 @@ def unparse(node: Node) -> str:
     if isinstance(node, SymbolRef):
         return node.name
     if isinstance(node, IndexedRef):
-        return unparse(node.base) + "".join(_mark_str(m) for m in node.marks)
+        return unparse(node.base) + "".join(mark_str(m) for m in node.marks)
     if isinstance(node, TensorLit):
         return "[|" + " ".join(unparse(e) for e in node.elements) + "|]"
     if isinstance(node, Braces):
@@ -415,7 +399,7 @@ def unparse(node: Node) -> str:
         params = " ".join(sigil + name for sigil, name in node.params)
         return f"(lambda [{params}] {unparse(node.body)})"
     if isinstance(node, Define):
-        marks = "".join(_mark_str(m) for m in node.signature)
+        marks = "".join(mark_str(m) for m in node.signature)
         return f"(define ${node.name}{marks} {unparse(node.body)})"
     if isinstance(node, WithSymbols):
         return f"(with-symbols {{{' '.join(node.names)}}} {unparse(node.body)})"

@@ -19,7 +19,6 @@ from .errors import (
     IndexLabelError,
     ShapeMismatchError,
 )
-from .lang import VARIANCE_STR
 from .record import Record
 from .symexpr import Sym, _int_str, integer
 
@@ -30,6 +29,7 @@ __all__ = [
     "SUPERSCRIPT",
     "SUPERSUBSCRIPT",
     "TensorValue",
+    "VARIANCE_STR",
     "attach_indices",
     "contract",
     "down",
@@ -70,12 +70,29 @@ Label = Sym | int | Dummy
 SUPERSCRIPT = 1
 SUBSCRIPT = -1
 SUPERSUBSCRIPT = 0
+# How each variance is spelled, in source and in everything printed.
+VARIANCE_STR = {SUPERSCRIPT: "~", SUBSCRIPT: "_", SUPERSUBSCRIPT: "~_"}
 
 
 class IndexMark(Record):
-    """A Label with its variance: SUPERSCRIPT, SUBSCRIPT or SUPERSUBSCRIPT."""
+    """A label with its variance: SUPERSCRIPT, SUBSCRIPT or SUPERSUBSCRIPT.
+
+    On a value the label is a Label.  The parser keeps it as written: a
+    symbol name, a 1-based integer, "#" for a dummy, or None in a define
+    signature; `Interpreter._mark` resolves it to a Label.
+    """
 
     __slots__ = ("variance", "label")
+
+
+def mark_str(m: IndexMark) -> str:
+    """The mark as source spells it; a signature's mark has no label."""
+    label = m.label
+    if isinstance(label, Dummy):
+        label = "#"
+    elif isinstance(label, Sym):
+        label = label.name
+    return VARIANCE_STR[m.variance] + ("" if label is None else str(label))
 
 
 def up(label: Label) -> IndexMark:
@@ -392,15 +409,6 @@ def tensor_map(f: Callable, *ts):
     return TensorValue(shape, _view(comps, shape, strides), marks)
 
 
-def _mark_str(m: IndexMark) -> str:
-    head = VARIANCE_STR[m.variance]
-    if isinstance(m.label, Dummy):
-        return head + "#"
-    if isinstance(m.label, Sym):
-        return head + m.label.name
-    return head + str(m.label)
-
-
 def format_tensor(t: TensorValue, fmt: Callable[[object], str]) -> str:
     def body(shape, comps):
         if not shape:
@@ -414,4 +422,4 @@ def format_tensor(t: TensorValue, fmt: Callable[[object], str]) -> str:
         ]
         return "[|" + " ".join(rows) + "|]"
 
-    return body(t.shape, t.components) + "".join(_mark_str(m) for m in t.indices)
+    return body(t.shape, t.components) + "".join(mark_str(m) for m in t.indices)

@@ -38,6 +38,8 @@ expression modulo the prime `MOD_P` at a random point, an exact zero test
 (Gonnet's signature method).  `with_symbols_scope_ref` drops a
 scope's marks in two steps, a permuted tensor that keeps every mark and then
 one without the scope's marks, where the engine builds one tensor.
+`curvature_ref` computes Christoffel symbols, the Riemann tensor and the
+Ricci tensor of a sympy metric by loops over index tuples.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ import itertools
 import math
 import random
 from fractions import Fraction
+
+import sympy as sp
 
 from tegi.application import (
     INVERTED,
@@ -102,7 +106,6 @@ from tegi.lang import (
     IntLit,
     Lambda,
     Let,
-    MarkAst,
     Node,
     StrLit,
     SymbolRef,
@@ -805,7 +808,6 @@ class DenseInterpreter(Interpreter):
 
 _TWIN_FIELDS = {
     # lang
-    "MarkAst": "variance label",
     "IntLit": "value loc",
     "StrLit": "value loc",
     "SymbolRef": "name loc",
@@ -985,8 +987,13 @@ class _Parser:
 
     # -- expressions --------------------------------------------------------
 
-    def expression(self) -> Node:
-        return self.postfixes(self.primary())
+    def expression(self, top: bool = False) -> Node:
+        node = self.primary()
+        if isinstance(node, Define):
+            t = self.peek()
+            if not top or t.glued and (t.type in _MARK_TOKENS or t.type == "^"):
+                raise ParseError("define must be a top-level form", node.loc)
+        return self.postfixes(node)
 
     def primary(self) -> Node:
         t = self.next()
@@ -1029,7 +1036,7 @@ class _Parser:
                 marks = []
                 while self.peek().type in _MARK_TOKENS and self.peek().glued:
                     mt = self.next()
-                    marks.append(MarkAst(_MARK_TOKENS[mt.type], self.mark_label()))
+                    marks.append(IndexMark(_MARK_TOKENS[mt.type], self.mark_label()))
                 base = IndexedRef(base, tuple(marks), self.loc(t))
             elif t.type == "^" and t.glued:
                 self.next()
@@ -1045,7 +1052,7 @@ class _Parser:
             else:
                 return base
 
-    def glued_label(self) -> Label | None:
+    def glued_label(self) -> str | int | None:
         """Read the label glued onto the mark just read, or None if there is none."""
         t = self.peek()
         if t.glued and t.type in ("sym", "int", "#"):
@@ -1053,7 +1060,7 @@ class _Parser:
             return "#" if t.type == "#" else t.value
         return None
 
-    def mark_label(self) -> Label:
+    def mark_label(self) -> str | int:
         label = self.glued_label()
         if label is None:
             t = self.peek()
@@ -1088,10 +1095,10 @@ class _Parser:
             label = self.glued_label()
             if mt.type == "~_" and label is None:
                 # a bare "~_" in a name is two marks, not a supersubscript
-                sig.append(MarkAst(1, None))
-                sig.append(MarkAst(-1, None))
+                sig.append(IndexMark(1, None))
+                sig.append(IndexMark(-1, None))
             else:
-                sig.append(MarkAst(_MARK_TOKENS[mt.type], label))
+                sig.append(IndexMark(_MARK_TOKENS[mt.type], label))
         body = self.expression()
         self.expect(")")
         node = Define(name.value, tuple(sig), body, self.loc(opener))
@@ -1161,14 +1168,15 @@ def parse_ref(text: str) -> list[Node]:
     """Parse source text into a list of (desugared) top-level forms.
 
     A form nested too deeply for the Python stack is a ParseError located at
-    the start of that top-level form; the recursion limit is left alone.
+    the start of that top-level form; the recursion limit is left alone.  A
+    define that is not a whole top-level form is a ParseError at its '('.
     """
     p = _Parser(tokenize(text))
     forms = []
     while p.peek().type != "eof":
         start = p.peek()
         try:
-            forms.append(p.expression())
+            forms.append(p.expression(top=True))
         except RecursionError:
             raise ParseError("nesting too deep", p.loc(start)) from None
     return forms
@@ -1268,3 +1276,36 @@ def evaluate_mod(e: Expr, seed: int = 0) -> int:
         except _NewPoint:
             continue
     raise ValueError("no point without a pole or a rootless radicand in 20 tries")
+
+
+# ---------------------------------------------------------------- curvature
+
+
+def curvature_ref(x, g) -> list[list]:
+    """Γ_ijk, Γ^i_jk, R^i_jkl and Ric_jl (= R^i_jil) of the sympy metric
+    matrix g in the coordinate symbols x, each as its row-major list of
+    components: loops over index tuples, with sympy's inverse and
+    derivatives, and nothing simplified."""
+    n, d, gi = len(x), sp.diff, g.inv()
+
+    def idx(rank):
+        return itertools.product(range(n), repeat=rank)
+
+    first = {
+        (i, j, k): (d(g[i, k], x[j]) + d(g[i, j], x[k]) - d(g[j, k], x[i])) / 2
+        for i, j, k in idx(3)
+    }
+    second = {
+        (i, j, k): sum(gi[i, m] * first[m, j, k] for m in range(n)) for i, j, k in idx(3)
+    }
+    riemann = {
+        (i, j, k, l): d(second[i, j, l], x[k])
+        - d(second[i, j, k], x[l])
+        + sum(
+            second[m, j, l] * second[i, m, k] - second[m, j, k] * second[i, m, l]
+            for m in range(n)
+        )
+        for i, j, k, l in idx(4)
+    }
+    ricci = {(j, l): sum(riemann[i, j, i, l] for i in range(n)) for j, l in idx(2)}
+    return [list(t.values()) for t in (first, second, riemann, ricci)]

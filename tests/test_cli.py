@@ -199,6 +199,16 @@ class TestRun:
             pytest.param("r^x", 3, "'^' needs an integer exponent", id="parse-exponent"),
             pytest.param("(lambda [x] x)", 10, "parameter needs a '$', '%', or '*$' sigil",
                          id="parse-parameter-sigil"),
+            pytest.param("{(define $y 2)}", 2, "define must be a top-level form",
+                         id="parse-define-in-braces"),
+            pytest.param("(+ 1 (define $y 2))", 6, "define must be a top-level form",
+                         id="parse-define-as-an-argument"),
+            pytest.param("(let {[$a (define $y 5)]} y)", 11, "define must be a top-level form",
+                         id="parse-define-in-a-let-binding"),
+            pytest.param("(define $y A)_i", 1, "define must be a top-level form",
+                         id="parse-define-with-marks"),
+            pytest.param("(define $y 2)^2", 1, "define must be a top-level form",
+                         id="parse-define-with-an-exponent"),
         ],
     )
     def test_error_is_located_by_node_kind(self, tmp_path, line, col, message):

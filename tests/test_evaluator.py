@@ -10,6 +10,7 @@ from tegi.errors import (
     DigitLimitError,
     DomainError,
     IndexArityError,
+    ParseError,
     ShapeMismatchError,
     TegiTypeError,
     UnboundVariableError,
@@ -206,6 +207,24 @@ class TestDefines:
         with pytest.raises(TegiTypeError):
             Interpreter().run("(define $two 2) (* two 3) (derivative r 2)", values.append)
         assert [format_value(v) for v in values] == ["6"]
+
+    @pytest.mark.parametrize(
+        "src, col",
+        [
+            ("{(define $y 2)}", 2),
+            ("(+ 1 (define $y 2))", 6),
+            ("(let {[$a (define $y 5)]} y)", 11),
+            ("(define $y 2)_i", 1),
+            ("(define $y 2)^2", 1),
+        ],
+    )
+    def test_a_define_inside_an_expression_is_refused_before_anything_runs(self, src, col):
+        interp, values = Interpreter(), []
+        with pytest.raises(ParseError) as exc:
+            interp.run(f"(+ 1 1)\n  {src}", values.append)
+        assert str(exc.value) == f"line 2, col {col + 2}: define must be a top-level form"
+        assert values == []
+        assert format_value(interp.eval_source("y")[-1]) == "y"  # y stays unbound
 
     def test_definitions_persist(self):
         interp = Interpreter()
@@ -410,6 +429,11 @@ class TestBuiltins:
     def test_df_order(self):
         assert show("(df-order (wedge [|1 2|] [|3 4|]))") == "2"
 
+    def test_df_order_refuses_a_string(self):
+        with pytest.raises(TegiTypeError) as exc:
+            ev('(df-order "s")')
+        assert str(exc.value) == "line 1, col 1: df-order expects a scalar or tensor value"
+
     def test_levi_civita(self):
         assert show("(levi-civita 2)") == "[|[|0 1|] [|-1 0|]|]"
         assert show("(ε 2)") == "[|[|0 1|] [|-1 0|]|]"
@@ -523,6 +547,7 @@ class TestBuiltins:
         assert got == "[|10 20|]_i"
 
 
+I2 = "[|[|1 0|] [|0 1|]|]"
 EUCLID = """
 (define $g__ [|[|1 0|] [|0 1|]|])
 (define $g~~ [|[|1 0|] [|0 1|]|])
@@ -542,6 +567,24 @@ class TestHodge:
     def test_needs_metric(self):
         with pytest.raises(UnboundVariableError):
             ev("(hodge [|1 2|])")
+
+    @pytest.mark.parametrize(
+        "g_lower, g_upper, form, error, message",
+        [
+            ("[|[|1 0 0|] [|0 1 0|]|]", I2, "1", ShapeMismatchError,
+             "hodge star needs square metric matrices"),
+            (I2, "[|[|1 0 0|] [|0 1 0|] [|0 0 1|]|]", "1", ShapeMismatchError,
+             "metric and inverse metric disagree on dimension"),
+            (I2, I2, "{1}", TegiTypeError, "hodge star of a non-form value"),
+            (I2, I2, "[|1 2 3|]", ShapeMismatchError, "form axes must match the metric dimension"),
+        ],
+        ids=["non-square-metric", "dimensions-disagree", "non-form", "form-axes"],
+    )
+    def test_a_refusal_is_located_at_the_call(self, g_lower, g_upper, form, error, message):
+        src = f"(define $g__ {g_lower})\n(define $g~~ {g_upper})\n(hodge {form})"
+        with pytest.raises(error) as exc:
+            ev(src)
+        assert str(exc.value) == f"line 3, col 1: {message}"
 
     def test_curved_scale(self):
         src = (

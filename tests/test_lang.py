@@ -13,7 +13,6 @@ from tegi.lang import (
     IntLit,
     Lambda,
     Let,
-    MarkAst,
     SymbolRef,
     TensorLit,
     WithSymbols,
@@ -22,6 +21,7 @@ from tegi.lang import (
     tokenize,
     unparse,
 )
+from tegi.tensor import IndexMark
 
 
 def kinds(text):
@@ -177,17 +177,17 @@ class TestParse:
                 TensorLit((IntLit(1), IntLit(2))),
                 TensorLit((IntLit(3), IntLit(4))),
             )),
-            (MarkAst(-1, "j"), MarkAst(-1, "i")),
+            (IndexMark(-1, "j"), IndexMark(-1, "i")),
         )
 
     def test_mark_variances(self):
-        assert parse1("v~i") == IndexedRef(SymbolRef("v"), (MarkAst(1, "i"),))
-        assert parse1("v~_i") == IndexedRef(SymbolRef("v"), (MarkAst(0, "i"),))
+        assert parse1("v~i") == IndexedRef(SymbolRef("v"), (IndexMark(1, "i"),))
+        assert parse1("v~_i") == IndexedRef(SymbolRef("v"), (IndexMark(0, "i"),))
         assert parse1("M_2_1") == IndexedRef(
-            SymbolRef("M"), (MarkAst(-1, 2), MarkAst(-1, 1))
+            SymbolRef("M"), (IndexMark(-1, 2), IndexMark(-1, 1))
         )
         assert parse1("g_#_#") == IndexedRef(
-            SymbolRef("g"), (MarkAst(-1, "#"), MarkAst(-1, "#"))
+            SymbolRef("g"), (IndexMark(-1, "#"), IndexMark(-1, "#"))
         )
 
     def test_with_symbols(self):
@@ -217,7 +217,7 @@ class TestParse:
 
     def test_signature_define(self):
         got = parse1("(define $g__ M)")
-        assert got == Define("g", (MarkAst(-1, None), MarkAst(-1, None)), SymbolRef("M"))
+        assert got == Define("g", (IndexMark(-1, None), IndexMark(-1, None)), SymbolRef("M"))
 
     def test_braces_argument(self):
         got = parse1("(transpose {i j} M)")
@@ -229,7 +229,7 @@ class TestParse:
     def test_marks_on_parenthesized_form(self):
         got = parse1("(f x)_i")
         assert got == IndexedRef(
-            Apply(SymbolRef("f"), (SymbolRef("x"),)), (MarkAst(-1, "i"),)
+            Apply(SymbolRef("f"), (SymbolRef("x"),)), (IndexMark(-1, "i"),)
         )
 
     def test_multiple_top_level_forms(self):
@@ -288,9 +288,9 @@ class TestDesugarDefineIndices:
             parse_program("(define $T_1 E)")
 
     def test_direct_call(self):
-        node = Define("R", (MarkAst(1, "i"), MarkAst(-1, "j")), SymbolRef("E"))
+        node = Define("R", (IndexMark(1, "i"), IndexMark(-1, "j")), SymbolRef("E"))
         got = desugar_define_indices(node)
-        assert got.signature == (MarkAst(1, None), MarkAst(-1, None))
+        assert got.signature == (IndexMark(1, None), IndexMark(-1, None))
         assert isinstance(got.body, WithSymbols)
 
 

@@ -26,7 +26,6 @@ UNHASHABLE = {"Function"}
 # classes whose instances can hold the same field values
 SHARED_FIELDS = [
     ("IntLit", "StrLit", "SymbolRef", "TensorLit", "Braces"),
-    ("MarkAst", "IndexMark"),
     ("Lambda", "WithSymbols", "Let"),
     ("Fun", "Sym"),
     ("Inv", "Expr"),
