@@ -16,7 +16,7 @@ a named function, without `!`, to exactly its own parameters, as `∂/∂`'s
 `(derivative f x)` does, is a direct kernel: it skips evaluating the body
 and makes the body's call through `Interpreter.call`, so values and errors
 are the body's.  Each `Interpreter` keeps one bounded memo of `derivative`
-results.
+results, and the Hodge star of the last metric `hodge` used.
 
 Each check on the way to a kernel happens once: `_scalar_args` refuses a
 non-scalar argument before a scalar builtin runs, and the one handler in
@@ -50,7 +50,7 @@ from .errors import (
     TegiTypeError,
     UnboundVariableError,
 )
-from .forms import det, df_normalize, df_order, hodge, levi_civita
+from .forms import det, df_normalize, df_order, hodge_star, levi_civita
 from .record import Record
 from .symexpr import (
     Expr,
@@ -436,6 +436,8 @@ class Interpreter:
                 raise TegiTypeError("map needs a {…} collection")
             return tuple(self.call(f, [x]) for x in coll)
 
+        star = [None, None, None]  # g_lower, g_upper and the star of the last hodge call
+
         def hodge_fn(a):
             # g_lower is found as `g_#_#` finds it; the inverse only under its
             # own signature, since a plain $g is the metric, not its inverse
@@ -445,7 +447,10 @@ class Interpreter:
                 g_upper = self.global_env.bindings.get(("g", (1,)), _MISSING)
             if g_lower is _MISSING or g_upper is _MISSING:
                 raise UnboundVariableError("hodge needs $g__ and $g~~ defined")
-            return hodge(_scalars(a), _scalars(g_lower), _scalars(g_upper))
+            _scalars(a)
+            if g_lower is not star[0] or g_upper is not star[1]:  # a new or redefined metric
+                star[:] = g_lower, g_upper, hodge_star(_scalars(g_lower), _scalars(g_upper))
+            return star[2](a)
 
         return [
             plus,

@@ -4,6 +4,10 @@ A k-form here is any value whose trailing unmarked axes hold the form slots;
 marked leading axes ride along untouched, which is what makes matrix-valued
 forms (curvature, connection coefficients) work with no extra machinery.
 The wedge product and exterior derivative are prelude definitions.
+
+The Hodge star is a linear map that the metric alone fixes, so `hodge_star`
+does the metric's share of the work once per metric.  Every product here
+multiplies monomials kept sorted by atom key (see `symexpr`): one merge each.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ __all__ = [
     "det",
     "df_normalize",
     "df_order",
+    "apply_star",
     "hodge",
+    "hodge_star",
     "levi_civita",
 ]
 
@@ -130,8 +136,10 @@ def df_normalize(v):
     other components from them.  With fewer dimensions than form axes there
     is no such tuple, and every component is zero.
     """
-    if not isinstance(v, TensorValue):
+    if isinstance(v, Expr):
         return v
+    if not isinstance(v, TensorValue):
+        raise TegiTypeError("df-normalize expects a scalar or tensor value")
     k = v.form_degree
     if k <= 1:
         return v
@@ -151,22 +159,14 @@ def df_normalize(v):
     return TensorValue(v.shape, tuple(comps), v.indices)
 
 
-def hodge(a, g_lower: TensorValue, g_upper: TensorValue):
-    """Hodge star of a k-form against a metric and its inverse.
+def hodge_star(g_lower: TensorValue, g_upper: TensorValue):
+    """The Hodge star of one metric, as a function of a form.
 
-    (*A)_{i_{k+1}..i_n} = sqrt|det g| ε_{i_1..i_n} A_{j_1..j_k} g^{i_1 j_1}..g^{i_k j_k}
-
-    summed over repeated indices, with no 1/k! factor.  Only the increasing
-    output tuples are summed; `_alternate` writes the rest.  For an output
-    whose left-out indices are L, the sum is, by Cauchy–Binet,
-
-        Σ_J det g^{L,J} · Σ_p sign(p) A_{J∘p}
-
-    over increasing column tuples J and permutations p, for any A and any
-    metric: one product per nonzero minor, computed once per call, and one
-    alternating sum per marked block and J, shared by the outputs that need
-    it.  A zero minor or alternating sum is never multiplied.  Marked axes of
-    A pass through unchanged, so matrix-valued forms star componentwise.
+    `hodge_star(g_lower, g_upper)(a)` is `hodge(a, g_lower, g_upper)`.  The
+    metric is checked and √|det g| computed here, once.  The table for
+    k-forms, √|det g| times each signed nonzero minor of g^{..}, is built at
+    the first k-form and kept, so a form costs only its alternating sums,
+    one product per nonzero (minor, alternating sum) pair, and the writes.
     """
     for g in (g_lower, g_upper):
         if not isinstance(g, TensorValue) or g.rank != 2 or g.shape[0] != g.shape[1]:
@@ -174,6 +174,38 @@ def hodge(a, g_lower: TensorValue, g_upper: TensorValue):
     n = g_lower.shape[0]
     if g_upper.shape[0] != n:
         raise ShapeMismatchError("metric and inverse metric disagree on dimension")
+    scale = sqrt(abs_(det(g_lower)))
+    rows = _nonzero_rows(g_upper)
+    tables: dict = {}  # k -> the star's table for k-forms
+
+    def table(k: int) -> tuple:
+        if k not in tables:
+            tables[k] = _star_table(n, k, scale, rows)
+        return tables[k]
+
+    # through the module's public `apply_star`, so a wrapper of the forms
+    # layer's public functions sees each application
+    return lambda a: apply_star(a, n, table)
+
+
+def _star_table(n: int, k: int, scale: Expr, rows) -> tuple:
+    """The star's table for k-forms: the outputs, each (rest, [(J, minor)])
+    with √|det g| · det g^{lead,J} signed by ε at lead then rest, the column
+    tuples J, the signed permutations of k and n - k indices, the strides."""
+    outputs = []
+    for rest in itertools.combinations(range(n), n - k):
+        lead = [i for i in range(n) if i not in rest]
+        odd_lead = sum(i > j for i in lead for j in rest) % 2
+        minors = [(cols, neg(mi) if odd_lead else mi) for cols, mi in _minors(rows, lead)]
+        outputs.append((rest, [(cols, mul(scale, mi)) for cols, mi in minors]))
+    columns = {cols for _, minors in outputs for cols, _ in minors}
+    orderings, signed = _signed_permutations(k), _signed_permutations(n - k)
+    return outputs, columns, orderings, signed, _strides((n,) * k), _strides((n,) * (n - k))
+
+
+def apply_star(a, n: int, table):
+    """The Hodge star of the form a in dimension n, where table(k) is the
+    star's table for k-forms (see `hodge_star`, which builds both)."""
     if isinstance(a, Expr):
         shape, marks, comps = (), (), (a,)
     elif isinstance(a, TensorValue):
@@ -187,17 +219,7 @@ def hodge(a, g_lower: TensorValue, g_upper: TensorValue):
     if any(d != n for d in shape[m:]):
         raise ShapeMismatchError("form axes must match the metric dimension")
     check_size(math.prod(shape[:m]) * n ** (n - k), "the Hodge star")
-    scale = sqrt(abs_(det(g_lower)))
-    rows = _nonzero_rows(g_upper)
-    outputs = []  # (rest, [(J, minor)]), each minor signed by ε at lead then rest
-    for rest in itertools.combinations(range(n), n - k):
-        lead = [i for i in range(n) if i not in rest]
-        odd_lead = sum(i > j for i in lead for j in rest) % 2
-        minors = _minors(rows, lead)
-        outputs.append((rest, [(cols, neg(mi) if odd_lead else mi) for cols, mi in minors]))
-    columns = {cols for _, minors in outputs for cols, _ in minors}
-    orderings, signed = _signed_permutations(k), _signed_permutations(n - k)
-    st, out_st = _strides((n,) * k), _strides((n,) * (n - k))
+    outputs, columns, orderings, signed, st, out_st = table(k)
     out = []
     for b in range(0, len(comps), n**k):  # each marked block is n**k form components
         # J -> Σ_p sign(p) A_{J∘p} in this block
@@ -210,7 +232,29 @@ def hodge(a, g_lower: TensorValue, g_upper: TensorValue):
                 if alternating[cols].terms
             )
             if total.terms:  # else the slots keep their ZERO
-                _alternate(slots, 0, out_st, signed, rest, mul(scale, total))
+                _alternate(slots, 0, out_st, signed, rest, total)
         out.extend(slots)
     out_shape = shape[:m] + (n,) * (n - k)
     return TensorValue(out_shape, tuple(out), marks) if out_shape else out[0]
+
+
+def hodge(a, g_lower: TensorValue, g_upper: TensorValue):
+    """Hodge star of a k-form against a metric and its inverse.
+
+    (*A)_{i_{k+1}..i_n} = sqrt|det g| ε_{i_1..i_n} A_{j_1..j_k} g^{i_1 j_1}..g^{i_k j_k}
+
+    summed over repeated indices, with no 1/k! factor.  Only the increasing
+    output tuples are summed; `_alternate` writes the rest.  For an output
+    whose left-out indices are L, the sum is, by Cauchy–Binet,
+
+        Σ_J det g^{L,J} · Σ_p sign(p) A_{J∘p}
+
+    over increasing column tuples J and permutations p, for any A and any
+    metric: one product per nonzero minor, made once per star, and one
+    alternating sum per marked block and J, shared by the outputs that need
+    it.  A zero minor or alternating sum is never multiplied.  Marked axes of
+    A pass through unchanged, so matrix-valued forms star componentwise.
+    The metric is checked before the form.  A caller starring several forms
+    against one metric keeps `hodge_star(g_lower, g_upper)` instead.
+    """
+    return hodge_star(g_lower, g_upper)(a)

@@ -20,6 +20,10 @@ only: the evaluator checks its scalars.  Inside the module, `_const` builds
 a constant and `_atom` an atom to the first power; products, quotients and
 `neg` build their terms directly.  A constructed value is canonical, so
 `differentiate` uses the atoms it meets as they are, without rebuilding them.
+In a canonical value every monomial lists its atoms once each, in ascending
+order of their keys, with nonzero powers; each constructor keeps that order
+(a subsequence, a negation of powers or a merge of sorted monomials stays
+sorted), so the product of two monomials is one merge, with no re-sort.
 
 Nodes (expressions and atoms) are immutable records.  Atoms are interned
 (hash-consed): building an atom whose structure is live hands back the live
@@ -211,14 +215,28 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def _mul_monos(m1: Mono, m2: Mono) -> Mono:
-    powers: dict[Atom, int] = dict(m1)
-    for a, p in m2:
-        q = powers.get(a, 0) + p
-        if q:
-            powers[a] = q
-        elif a in powers:
-            del powers[a]
-    return tuple(sorted(powers.items(), key=lambda ap: ap[0]._key))
+    """m1 * m2 by one merge of the two atom-key-sorted monomials; an atom
+    whose powers sum to 0 drops out.  Interning makes an atom on both sides
+    the same object."""
+    if not m1 or not m2:
+        return m1 or m2
+    out = []
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        a, p = m1[i]
+        b, q = m2[j]
+        if a is b:
+            if p + q:
+                out.append((a, p + q))
+            i += 1
+            j += 1
+        elif a._key < b._key:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return (*out, *m1[i:], *m2[j:])
 
 
 def _scale(c: Coeff, e: Expr) -> Expr:

@@ -290,7 +290,7 @@ def attach_indices(t, marks: Sequence[IndexMark]):
             dim = t.shape[axis]
             if not 1 <= m.label <= dim:
                 raise IndexBoundsError(
-                    f"index {m.label} out of bounds for axis of dimension {dim}"
+                    f"index {_int_str(m.label)} out of bounds for axis of dimension {_int_str(dim)}"
                 )
             base += strides[axis] * (m.label - 1)
         else:

@@ -18,7 +18,9 @@ expression from the dataclass twins below, compared and hashed by structure
 with nothing interned, and `format_ref` prints it with no memo.  `add_ref`, `mul_ref`,
 `div_ref` and `int_pow_ref` are the scalar kernel as it was with every
 coefficient a `Fraction`: no integer fast path and no constant-factor
-shortcut.  `canonicalize` rebuilds an expression bottom-up through the
+shortcut; `mul_monos_ref` is their product of two monomials, a dict of
+powers re-sorted, as `symexpr` made it before it merged sorted monomials.
+`canonicalize` rebuilds an expression bottom-up through the
 public constructors, and `differentiate_ref` is differentiation as it was
 when it rebuilt every atom it met that way.  `find_identical_pairs` lists
 the 1-based label pairs that `reduce_indices_ref` collapses one at a time.
@@ -409,7 +411,10 @@ def _mk_ref(termmap):
     return Expr(tuple(terms))
 
 
-def _mul_monos_ref(m1, m2):
+def mul_monos_ref(m1, m2):
+    """m1 * m2 as `symexpr` made it before it merged the two sorted
+    monomials: a dict of summed powers, zero powers deleted, re-sorted by
+    atom key."""
     powers = dict(m1)
     for a, p in m2:
         q = powers.get(a, 0) + p
@@ -432,7 +437,7 @@ def _mul2_ref(a: Expr, b: Expr) -> Expr:
     termmap = {}
     for c1, m1 in a.terms:
         for c2, m2 in b.terms:
-            m = _mul_monos_ref(m1, m2)
+            m = mul_monos_ref(m1, m2)
             termmap[m] = termmap.get(m, Fraction(0)) + c1 * c2
     return _mk_ref(termmap)
 

@@ -312,6 +312,33 @@ class TestRun:
         assert r.stdout == "2\n"
         assert r.stderr == f"error: line 2, col 3: {message}\n"
 
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            (HUGE, "cannot print an integer of more than 4300 digits"),
+            ("3", "index 3 out of bounds for axis of dimension 2"),
+        ],
+        ids=["huge", "small"],
+    )
+    def test_an_out_of_bounds_label_is_one_located_error(self, tmp_path, label, message):
+        f = tmp_path / "s.tegi"
+        f.write_text(f"(define $k {label})\n[|1 2|]_k\n", encoding="utf-8")
+        r = tegi("run", str(f))
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == f"error: line 2, col 8: {message}\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        ['"s"', "{1 2}", "(less-than? 1 2)", "(lambda [$x] x)"],
+        ids=["string", "collection", "boolean", "function"],
+    )
+    def test_df_normalize_refuses_a_non_form_value(self, tmp_path, value):
+        f = tmp_path / "s.tegi"
+        f.write_text(f"(+ 1 1)\n  (df-normalize {value})\n", encoding="utf-8")
+        r = tegi("run", str(f))
+        assert (r.returncode, r.stdout) == (1, "2\n")
+        assert r.stderr == "error: line 2, col 3: df-normalize expects a scalar or tensor value\n"
+
     def test_a_collection_with_a_huge_bound_is_not_refused(self, tmp_path):
         f = tmp_path / "s.tegi"
         f.write_text(f"(map (lambda [$n] (- n n)) (between {HUGE} {HUGE}))\n", encoding="utf-8")

@@ -1,6 +1,6 @@
 """Random diagonal metrics: the engine's curvature against a sympy oracle.
 
-Each case draws a diagonal metric of dimension 2 or 3 whose entries are
+Each case draws a diagonal metric of dimension 2, 3 or 4 whose entries are
 products of coordinate powers, (sin c)^2, the Schwarzschild factor
 1 - 2M/c and a parameter a.  The program writes g~~ as (/ 1 entry) and
 defines Γ, Γ~ and R as `tests/corpus/riemann_s2.tegi` does and Ric as
@@ -22,7 +22,7 @@ from tegi.symexpr import add, evaluate_at, mul, sub
 
 from oracles import curvature_ref, evaluate_mod
 
-COORDS = ("u", "v", "w")
+COORDS = ("u", "v", "w", "t")
 PARAMS = ("M", "a")
 SYMBOLS = {name: sp.Symbol(name) for name in COORDS + PARAMS}
 POINTS = 2
@@ -67,9 +67,9 @@ FACTORS = st.tuples(
     st.sampled_from(["power", "coordinate", "sin", "horizon", "parameter"]),
     st.sampled_from(COORDS),
 )
-# the diagonal entries of a metric of dimension 2 or 3, each a product of
+# the diagonal entries of a metric of dimension 2, 3 or 4, each a product of
 # one or two (kind, coordinate) factors
-METRICS = st.integers(2, 3).flatmap(
+METRICS = st.integers(2, 4).flatmap(
     lambda n: st.lists(st.lists(FACTORS, min_size=1, max_size=2), min_size=n, max_size=n)
 )
 
@@ -106,6 +106,9 @@ def is_zero(e) -> bool:
 @example([[("horizon", "u")], [("power", "u")], [("power", "u"), ("sin", "v")]])
 @example([[("parameter", "u"), ("horizon", "v")], [("coordinate", "u"), ("coordinate", "w")],
           [("sin", "w")]])
+# 4-D: 1 - 2M/u, the 2-sphere of radius u, and an entry that varies along its own t
+@example([[("horizon", "u")], [("power", "u")], [("power", "u"), ("sin", "v")],
+          [("horizon", "u"), ("coordinate", "t")]])
 def test_curvature_of_a_diagonal_metric_matches_sympy(diagonal):
     n = len(diagonal)
     coords = COORDS[:n]

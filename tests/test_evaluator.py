@@ -10,12 +10,13 @@ from tegi.errors import (
     DigitLimitError,
     DomainError,
     IndexArityError,
+    IndexBoundsError,
     ParseError,
     ShapeMismatchError,
     TegiTypeError,
     UnboundVariableError,
 )
-from tegi import evaluator
+from tegi import evaluator, forms
 from tegi.evaluator import Interpreter, format_value
 from tegi.lang import unparse
 from tegi.symexpr import Sym, as_int, int_pow, mul, rational, sin, symbol
@@ -612,6 +613,66 @@ class TestHodge:
         with pytest.raises(UnboundVariableError, match=r"hodge needs \$g__ and \$g~~"):
             ev(f"(define $g {m}) (hodge [|1 2|])")
 
+    def test_a_redefined_metric_takes_effect_at_the_next_call(self):
+        # one interpreter keeps the star of the last metric; a new $g__ or
+        # $g~~ is a new object, so the next call builds the new star
+        m, inv = "[|[|1 0|] [|0 4|]|]", "[|[|1 0|] [|0 (/ 1 4)|]|]"
+        got = [
+            format_value(v)
+            for v in Interpreter().eval_source(
+                EUCLID + "(hodge [|1 2|])\n"
+                f"(define $g__ {m}) (hodge [|1 2|])\n"
+                f"(define $g~~ {inv}) (hodge [|1 2|])\n"
+                f"(define $g__ {I2}) (hodge [|1 2|])"
+            )
+            if v is not None
+        ]
+        fresh = [
+            show(f"(define $g__ {lower}) (define $g~~ {upper}) (hodge [|1 2|])")
+            for lower, upper in [(I2, I2), (m, I2), (m, inv), (I2, inv)]
+        ]
+        assert got == fresh == ["[|-2 1|]", "[|-4 2|]", "[|-1 2|]", "[|(/ -1 2) 1|]"]
+
+    def test_each_interpreter_builds_its_own_star_once_per_metric(self, monkeypatch):
+        dets = []
+        real = forms.det
+
+        def counted(m):
+            dets.append(m)
+            return real(m)
+
+        monkeypatch.setattr(forms, "det", counted)
+        src = EUCLID + "(hodge 1) (hodge [|a b|]) (hodge (hodge [|a b|]))"
+        first, second = Interpreter(), Interpreter()
+        first.eval_source(src)
+        assert len(dets) == 1
+        first.eval_source("(hodge [|p q|])")
+        assert len(dets) == 1
+        second.eval_source(src)  # nothing is shared between interpreters
+        assert len(dets) == 2
+
+    FUNCTIONS = "(tensor-map (lambda [$c] (lambda [$x] x)) [|1 2|])"
+    BOOLEANS = "(tensor-map (lambda [$c] (less-than? c 5)) [|[|1 2|] [|6 7|]|])"
+
+    @pytest.mark.parametrize("starred_before", [False, True], ids=["first-call", "star-kept"])
+    @pytest.mark.parametrize(
+        "g_lower, form, message",
+        [
+            (I2, FUNCTIONS, "expected a scalar, got #<function>"),
+            (BOOLEANS, "1", "expected a scalar, got #t"),
+            # the form is checked before the metric
+            (BOOLEANS, FUNCTIONS, "expected a scalar, got #<function>"),
+        ],
+        ids=["form", "metric", "both"],
+    )
+    def test_a_non_scalar_is_refused_form_first(self, starred_before, g_lower, form, message):
+        before = EUCLID + "(hodge 1)\n" if starred_before else ""
+        src = f"{before}(define $g__ {g_lower})\n(define $g~~ {I2})\n  (hodge {form})"
+        with pytest.raises(TegiTypeError) as exc:
+            Interpreter().eval_source(src)
+        line = src.count("\n") + 1
+        assert str(exc.value) == f"line {line}, col 3: {message}"
+
 
 S2_PRELUDE = """
 (define $x [| θ φ |])
@@ -799,6 +860,16 @@ class TestErrors:
         finally:
             sys.set_int_max_str_digits(limit)
         assert str(info.value) == "line 2, col 3: cannot print an integer of more than 4300 digits"
+
+    def test_an_out_of_bounds_label_too_long_to_print_is_the_digit_error(self):
+        with pytest.raises(DigitLimitError) as info:
+            Interpreter().run(f"(define $k {HUGE})\n  [|1 2|]_k", format_value)
+        assert str(info.value) == "line 2, col 10: cannot print an integer of more than 4300 digits"
+
+    def test_a_small_out_of_bounds_label_keeps_its_message(self):
+        with pytest.raises(IndexBoundsError) as info:
+            Interpreter().run("(define $k 3)\n  [|1 2|]_k", format_value)
+        assert str(info.value) == "line 2, col 10: index 3 out of bounds for axis of dimension 2"
 
     def test_power_checks_its_exponent_before_its_base(self):
         with pytest.raises(TegiTypeError) as exc:

@@ -30,7 +30,7 @@ from tegi.symexpr import (
     symbol,
 )
 from tegi.tensor import TensorValue, attach_indices, down, tensor, up
-from tegi.forms import det, df_normalize, df_order, hodge, levi_civita
+from tegi.forms import det, df_normalize, df_order, hodge, hodge_star, levi_civita
 
 from oracles import (
     det_ref,
@@ -271,6 +271,13 @@ class TestDfNormalize:
         assert df_normalize(v) == v  # [TRIVIAL]
         assert df_normalize(integer(5)) == integer(5)
 
+    @pytest.mark.parametrize(
+        "value", ["s", (R,), True, len], ids=["string", "collection", "boolean", "function"]
+    )
+    def test_a_non_form_value_is_refused(self, value):
+        with pytest.raises(TegiTypeError, match="df-normalize expects a scalar or tensor value"):
+            df_normalize(value)
+
     def test_spec_example(self):
         # [DERIVED by hand] Alt([|[|30 40|] [|60 80|]|]) = [|[|0 -10|] [|10 0|]|]
         got = df_normalize(wedge(tensor([1, 2]), tensor([30, 40])))
@@ -411,29 +418,78 @@ class TestHodge:
         assert len(calls) == 1 + 2
         assert got == ZERO == hodge_ref(form, g, ginv)
 
+    def test_every_degree_through_one_star(self):
+        # [DERIVED: dense reference] one star of diag(a^2, b^2, c^2) applied
+        # to a form of each degree 0..3, a marked one included
+        sq = [int_pow(v, 2) for v in (A_, B_, C_)]
+        g, ginv = diagonal(sq), diagonal([div(integer(1), s) for s in sq])
+        rng = random.Random(29)
+        forms_ = [R] + [
+            TensorValue((3,) * k, tuple(rng.choice(ENTRIES) for _ in range(3**k)), ())
+            for k in (1, 2, 3)
+        ]
+        forms_.append(TensorValue((2, 3), tuple(rng.choice(ENTRIES) for _ in range(6)), (up(I),)))
+        star = hodge_star(g, ginv)
+        for form in forms_:
+            assert star(form) == hodge_ref(form, g, ginv)
+
+    def test_a_star_builds_each_degree_once(self, monkeypatch):
+        # det g once per star, and one table per degree at its first form
+        g, ginv = tensor([[A_, B_], [B_, C_]]), tensor([[C_, D_], [D_, A_]])
+        built, dets = [], []
+        real_table, real_det = forms._star_table, forms.det
+
+        def table(n, k, *rest):
+            built.append(k)
+            return real_table(n, k, *rest)
+
+        def counted_det(m):
+            dets.append(m)
+            return real_det(m)
+
+        monkeypatch.setattr(forms, "_star_table", table)
+        monkeypatch.setattr(forms, "det", counted_det)
+        star = hodge_star(g, ginv)
+        for form in (tensor([A_, B_]), R, tensor([C_, D_]), tensor([[A_, B_], [C_, D_]]), D_):
+            star(form)
+        assert (built, dets) == ([1, 0, 2], [g])
+
+    def test_the_metric_is_checked_before_the_form(self):
+        with pytest.raises(ShapeMismatchError, match="hodge star needs square metric matrices"):
+            hodge_star(tensor([[1, 0, 0], [0, 1, 0]]), DELTA)
+        star = hodge_star(DELTA, DELTA)
+        with pytest.raises(TegiTypeError, match="hodge star of a non-form value"):
+            star((R,))
+        with pytest.raises(FormDegreeError):
+            star(TensorValue((2, 2, 2), (R,) * 8, ()))
+        assert star(integer(1)) == hodge(integer(1), DELTA, DELTA)  # still usable
+
 
 # the minor-sum Hodge star against the loop it replaced and the dense reference
 
 ENTRIES = [integer(0), integer(0), ONE, integer(-1), integer(2), A_, B_, mul(A_, B_), sin(TH), add(A_, ONE)]
 
 
-@st.composite
-def hodge_cases(draw):
-    """Dense, non-symmetric g and g^{..} (not each other's inverse), a form
-    that need not be antisymmetric, and sometimes one marked axis."""
-    n = draw(st.integers(min_value=1, max_value=4))
-    k = draw(st.integers(min_value=0, max_value=n))
-    entry = st.sampled_from(ENTRIES)
+def draw_matrix(draw, n):
+    return tensor([[draw(st.sampled_from(ENTRIES)) for _ in range(n)] for _ in range(n)])
 
-    def matrix():
-        return tensor([[draw(entry) for _ in range(n)] for _ in range(n)])
 
-    g, ginv = matrix(), matrix()
+def draw_form(draw, n, k):
+    """A k-form in dimension n that need not be antisymmetric, sometimes
+    with one marked axis."""
     marked = draw(st.sampled_from([(), (2,)]))
     shape = marked + (n,) * k
-    comps = tuple(draw(entry) for _ in range(math.prod(shape)))
-    form = TensorValue(shape, comps, (up(I),) if marked else ()) if shape else comps[0]
-    return form, g, ginv
+    comps = tuple(draw(st.sampled_from(ENTRIES)) for _ in range(math.prod(shape)))
+    return TensorValue(shape, comps, (up(I),) if marked else ()) if shape else comps[0]
+
+
+@st.composite
+def hodge_cases(draw):
+    """Dense, non-symmetric g and g^{..} (not each other's inverse) and a form."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=0, max_value=n))
+    g, ginv = draw_matrix(draw, n), draw_matrix(draw, n)
+    return draw_form(draw, n, k), g, ginv
 
 
 @settings(max_examples=100, deadline=None)
@@ -451,3 +507,23 @@ def test_df_normalize_matches_the_reference(case):
     # the alternating sums df-normalize shares with hodge, on the same forms
     form = case[0]
     assert df_normalize(form) == df_normalize_ref(form)
+
+
+@st.composite
+def star_cases(draw):
+    """One metric pair of dimension 1..4 and forms of every degree 0..n,
+    shuffled, some repeated and some with a marked axis."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    g, ginv = draw_matrix(draw, n), draw_matrix(draw, n)
+    repeats = draw(st.lists(st.integers(min_value=0, max_value=n), max_size=2))
+    degrees = draw(st.permutations([*range(n + 1), *repeats]))
+    return g, ginv, [draw_form(draw, n, k) for k in degrees]
+
+
+@settings(max_examples=60, deadline=None)
+@given(star_cases())
+def test_one_star_applied_to_many_forms_matches_a_fresh_hodge_per_form(case):
+    g, ginv, forms_ = case
+    star = hodge_star(g, ginv)
+    for form in forms_:
+        assert star(form) == hodge(form, g, ginv) == hodge_loop_ref(form, g, ginv)

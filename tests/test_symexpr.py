@@ -55,6 +55,7 @@ from oracles import (
     format_ref,
     int_pow_ref,
     mono_key_ref,
+    mul_monos_ref,
     mul_ref,
     order_key_ref,
     structural_ref,
@@ -587,6 +588,53 @@ def test_neg_matches_the_product_by_minus_one(e):
     assert [m for _, m in got.terms] == [m for _, m in e.terms]
     assert coefficients_are_stored_exactly(got)
     assert neg(got) == e
+
+
+# the monomial product: one merge of two sorted monomials against the dict
+# and re-sort it replaced
+
+MONO_ATOMS = [
+    Sym("x"),
+    Sym("y"),
+    Sym("x", 1),
+    Fun("sin", X),
+    Fun("cos", mul(X, sin(Y))),
+    Fun("sqrt", Y),
+    INV_XY.terms[0][1][0][0],
+]
+
+
+@st.composite
+def monomial_pairs(draw):
+    """Two canonical monomials over symbol, function and inverse atoms; the
+    second often holds an atom of the first to the negated power, so that
+    powers cancel."""
+    power = st.integers(min_value=-3, max_value=3).filter(bool)
+    atoms = st.sets(st.sampled_from(MONO_ATOMS))
+    m1 = {a: draw(power) for a in draw(atoms)}
+    m2 = {a: -m1[a] if a in m1 and draw(st.booleans()) else draw(power) for a in draw(atoms)}
+    return tuple(
+        tuple(sorted(m.items(), key=lambda ap: atom_key_ref(ap[0]))) for m in (m1, m2)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_pairs())
+def test_the_monomial_merge_matches_the_dict_and_sort_product(pair):
+    m1, m2 = pair
+    for a, b in ((m1, m2), (m2, m1)):
+        got = symexpr._mul_monos(a, b)
+        assert got == mul_monos_ref(a, b)
+        assert all(p for _, p in got)  # a cancelled atom drops out
+        assert [atom_key_ref(atom) for atom, _ in got] == sorted(
+            atom_key_ref(atom) for atom, _ in got
+        )
+
+
+def test_cancelling_every_power_leaves_the_empty_monomial():
+    (x, _), (s, _) = X.terms[0][1][0], sin(X).terms[0][1][0]
+    assert symexpr._mul_monos(((x, 2), (s, -1)), ((x, -2), (s, 1))) == ()
+    assert symexpr._mul_monos((), ((x, 1),)) == ((x, 1),)
 
 
 class TestMemoisedNodes:

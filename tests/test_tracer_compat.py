@@ -92,8 +92,12 @@ print(json.dumps(runs))
 
 @pytest.mark.parametrize(
     "program",
-    [ROOT / "bench" / "programs" / "schwarzschild.tegi", CORPUS / "riemann_s2.tegi"],
-    ids=["schwarzschild", "riemann_s2"],
+    [
+        ROOT / "bench" / "programs" / "schwarzschild.tegi",
+        CORPUS / "riemann_s2.tegi",
+        CORPUS / "forms_s3.tegi",  # the Hodge star each `Interpreter` keeps
+    ],
+    ids=["schwarzschild", "riemann_s2", "forms_s3"],
 )
 def test_first_traced_runs_in_a_fresh_process_count_the_same(program):
     r = subprocess.run(
