@@ -28,11 +28,11 @@ from .errors import CompletionMismatchError
 from .symexpr import Sym
 from .tensor import (
     TensorValue,
+    _label_axes,
     attach_indices,
     down,
     flip_indices,
     fresh_uid,
-    labels_equal,
     permute_marked_axes,
     tensor_map,
 )
@@ -126,14 +126,10 @@ def with_symbols_scope(symbols: Sequence[Sym], result):
     declaration order first, so the freed axes line up ahead of any existing
     form axes.
     """
-    if not isinstance(result, TensorValue):
+    if not symbols or not isinstance(result, TensorValue):
         return result
-    positions = []
-    for s in symbols:
-        for i, m in enumerate(result.indices):
-            if labels_equal(m.label, s):
-                positions.append(i)
-                break
+    where = _label_axes(result.indices)
+    positions = [where[s] for s in symbols if s in where]
     if not positions:
         return result
     rest = [i for i in range(len(result.indices)) if i not in positions]

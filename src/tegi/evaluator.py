@@ -15,8 +15,13 @@ to `apply_with_kinds`, the same way for both.  A lambda whose body applies
 a named function, without `!`, to exactly its own parameters, as `∂/∂`'s
 `(derivative f x)` does, is a direct kernel: it skips evaluating the body
 and makes the body's call through `Interpreter.call`, so values and errors
-are the body's.  Each `Interpreter` keeps one bounded memo of `derivative`
-results, and the Hodge star of the last metric `hodge` used.
+are the body's.  A lambda of two `%` parameters whose body is
+`(contract + (* p q))` on them, without `!`, as the prelude's `.` is, runs
+as one sparse join (`tensor.contract_product`) while `contract`, `+` and `*`
+are this interpreter's own builtins and both arguments are tensors of
+scalars with every axis marked; otherwise it evaluates its body.  Each
+`Interpreter` keeps one bounded memo of `derivative` results, and the Hodge
+star of the last metric `hodge` used.
 
 Each check on the way to a kernel happens once: `_scalar_args` refuses a
 non-scalar argument before a scalar builtin runs, and the one handler in
@@ -80,6 +85,7 @@ from .tensor import (
     attach_indices,
     check_size,
     contract,
+    contract_product,
     flip_indices,
     format_tensor,
     fresh_uid,
@@ -186,6 +192,15 @@ def _index_label(v) -> Sym | int | None:
     return s if s is not None else as_int(v)
 
 
+def _marked_scalars(v) -> bool:
+    """Whether v is a tensor with every axis marked and every component a scalar."""
+    return (
+        isinstance(v, TensorValue)
+        and 0 < len(v.indices) == len(v.shape)
+        and all(isinstance(c, Expr) for c in v.components)
+    )
+
+
 def _one_application(body: lang.Node, names: tuple) -> bool:
     """Whether body applies a named function, without `!`, to exactly the
     distinct parameters `names`, in order, the name being none of them."""
@@ -195,6 +210,17 @@ def _one_application(body: lang.Node, names: tuple) -> bool:
         and isinstance(body.fn, lang.SymbolRef)
         and tuple(a.name if isinstance(a, lang.SymbolRef) else None for a in body.args) == names
         and len({body.fn.name, *names}) == len(names) + 1
+    )
+
+
+def _contracted_product(body: lang.Node, names: tuple) -> bool:
+    """Whether body is `(contract + (* p q))`, without `!`, on the two
+    distinct parameters `names` in order, none named `contract`, `+` or `*`."""
+    return (
+        len({*names, "contract", "+", "*"}) == len(names) + 3 == 5
+        and isinstance(body, lang.Apply)
+        and getattr(body.fn, "name", None) == "contract"  # before the unparse
+        and lang.unparse(body) == "(contract + (* {} {}))".format(*names)
     )
 
 
@@ -305,6 +331,28 @@ class Interpreter:
             # `self.eval` is looked up at each call, so a rebound `eval` is used
             return self.eval(body, Environment(dict(zip(names, vals)), env))
 
+        if kinds == (TENSOR, TENSOR) and _contracted_product(body, names):
+            own = self._product_builtins
+            product = body.args[1]
+
+            def join(a, b):
+                # the body's value as one sparse join, while its three names
+                # are this interpreter's own builtins and both arguments are
+                # marked tensors of scalars; else the body, as written
+                if not (
+                    all(env.lookup(f.name) is f for f in own)
+                    and _marked_scalars(a)
+                    and _marked_scalars(b)
+                ):
+                    return kernel(a, b)
+                try:
+                    return contract_product(a, b, mul, add)
+                except TegiError as exc:
+                    if exc.location is None:  # where `*` would have raised it
+                        exc.location = product.loc
+                    raise
+
+            return Function(None, kinds, join)
         if not _one_application(body, names):
             return Function(None, kinds, kernel)
         name = body.fn.name
@@ -397,6 +445,8 @@ class Interpreter:
             return d
 
         def contract_fn(f, t):
+            if not isinstance(f, Function):
+                raise TegiTypeError(f"not a function: {format_value(f)}")
             if f is plus:
                 return contract(plus.fn, t)
             return contract(lambda *run: reduce(lambda a, b: self.call(f, [a, b]), run), t)
@@ -452,10 +502,14 @@ class Interpreter:
                 star[:] = g_lower, g_upper, hodge_star(_scalars(g_lower), _scalars(g_upper))
             return star[2](a)
 
+        times_b = Function("*", None, _scalar_args(times))
+        contract_b = Function("contract", (T, T), contract_fn)
+        # the builtins a `(contract + (* p q))` body must find to run as one join
+        self._product_builtins = (contract_b, plus, times_b)
         return [
             plus,
             Function("-", None, _scalar_args(minus)),
-            Function("*", None, _scalar_args(times)),
+            times_b,
             Function("/", None, _scalar_args(lambda *xs: reduce(div, xs)), min_args=2),
             Function("^", (S, S), power),
             Function("less-than?", (S, S), _scalar_args(less_than)),
@@ -464,7 +518,7 @@ class Interpreter:
             Function("sqrt", (S,), _scalar_args(sqrt)),
             Function("abs", (S,), _scalar_args(abs_)),
             Function("derivative", (S, S), _scalar_args(derivative)),
-            Function("contract", (T, T), contract_fn),
+            contract_b,
             Function("tensor-map", (T, T), lambda f, t: tensor_map(lambda c: self.call(f, [c]), t)),
             Function("flip-indices", (T,), flip_indices),
             Function("transpose", (T, T), transpose_by),

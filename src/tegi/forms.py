@@ -17,7 +17,7 @@ import math
 
 from .errors import DomainError, FormDegreeError, ShapeMismatchError, TegiTypeError
 from .symexpr import ONE, ZERO, Expr, abs_, add, mul, neg, rational, sqrt
-from .tensor import MAX_LEVI_CIVITA, TensorValue, _strides, check_size
+from .tensor import MAX_COMPONENTS, MAX_LEVI_CIVITA, TensorValue, _strides, check_size
 
 __all__ = [
     "det",
@@ -109,10 +109,24 @@ def _nonzero_rows(m: TensorValue) -> list:
 
 def det(m) -> Expr:
     """Leibniz-formula determinant of a square rank-2 tensor (marks ignored):
-    the one minor on every row and column."""
+    the one minor on every row and column.
+
+    After k rows there are at most min(Π of those rows' nonzero counts,
+    n!/(n-k)!) partial terms; a matrix for which that bound passes
+    MAX_COMPONENTS at some k is refused before any term is built.
+    """
     if not isinstance(m, TensorValue) or m.rank != 2 or m.shape[0] != m.shape[1]:
         raise ShapeMismatchError("determinant needs a square matrix")
-    minors = _minors(_nonzero_rows(m), range(m.shape[0]))
+    n, rows = m.shape[0], _nonzero_rows(m)
+    product = falling = 1
+    for k, row in enumerate(rows):
+        product, falling = product * len(row), falling * (n - k)
+        if min(product, falling) > MAX_COMPONENTS:
+            raise DomainError(
+                f"the determinant of a {n}×{n} matrix would build {min(product, falling)} "
+                f"partial terms after {k + 1} rows, more than {MAX_COMPONENTS}"
+            )
+    minors = _minors(rows, range(n))
     return minors[0][1] if minors else ZERO
 
 

@@ -4,6 +4,12 @@ A TensorValue is a row-major tuple of components plus a list of index marks
 bound to its leading axes; trailing unmarked axes are the "form axes" used by
 the differential-forms layer.  Components are arbitrary values (usually exact
 scalars), so everything here is plain Python data manipulation.
+
+Labels pair by one rule, `_label_axes`: a dict from each label to its first
+mark, dummies left out.  `_align` lays strided tensors out as one in a
+single pass over their marks; reduction, lifting and `contract_product`
+(the sparse join behind `.`) read through that layout, and `transpose`
+and the scope exit of `with-symbols` look labels up in the same dict.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .record import Record
-from .symexpr import Sym, _int_str, integer
+from .symexpr import ZERO, Sym, _int_str, integer
 
 __all__ = [
     "Dummy",
@@ -32,11 +38,11 @@ __all__ = [
     "VARIANCE_STR",
     "attach_indices",
     "contract",
+    "contract_product",
     "down",
     "flip_indices",
     "format_tensor",
     "fresh_uid",
-    "labels_equal",
     "tensor",
     "tensor_map",
     "transpose",
@@ -58,8 +64,8 @@ def fresh_uid() -> int:
 class Dummy(Record):
     """An anonymous index label.
 
-    Two dummies with the same uid are equal values, but `labels_equal` never
-    matches a dummy with any label, itself included.
+    Two dummies with the same uid are equal values, but a dummy never pairs
+    with any label, itself included: `_label_axes` leaves dummies out.
     """
 
     __slots__ = ("uid",)
@@ -105,12 +111,6 @@ def down(label: Label) -> IndexMark:
 
 def updown(label: Label) -> IndexMark:
     return IndexMark(SUPERSUBSCRIPT, label)
-
-
-def labels_equal(a: Label, b: Label) -> bool:
-    if isinstance(a, Dummy) or isinstance(b, Dummy):
-        return False
-    return a == b
 
 
 class TensorValue(Record):
@@ -203,70 +203,102 @@ def tensor(data):
     return TensorValue((len(elems),) + first.shape, comps)
 
 
-def _diagonal(k: int, j: int, shape: tuple, strides: list) -> tuple[tuple, list]:
-    """Merge axis j into axis k (0-based, k < j) of a strided layout.
+def _label_axes(marks) -> dict:
+    """Each label of marks at the position of its first mark: the one pairing
+    rule, as a dict.  Dummies never pair, so none is a key."""
+    where = {}
+    for p, m in enumerate(marks):
+        label = m.label
+        if type(label) is not Dummy and label not in where:
+            where[label] = p
+    return where
 
-    Each tensor read through the layout has its own stride vector over the
-    axes of shape; the diagonal adds axis j's stride to axis k's in each.
+
+def _align(parts, readers: int = 1):
+    """Lay the axes of strided tensors out as one, pairing labels in one pass.
+
+    Each part is (marks, shape, strides, reader): the marks bind the leading
+    axes of shape, and strides step through the components of tensor number
+    `reader`.  A label's first mark gives it an output axis, found by
+    `_label_axes` over every part's marks; each later mark with that label
+    merges into the axis, adding its stride, and the axis's mark becomes a
+    supersubscript when the variances differ.  The unmarked axes follow all
+    marked ones, in order.  Returns the marks, the shape, and one stride
+    tuple per reader.
+
+    A layout with a fault raises the error `_fault` finds.
     """
-    if shape[k] != shape[j]:
-        raise ShapeMismatchError(
-            f"repeated index over axes of dimension {shape[k]} and {shape[j]}"
-        )
-    return shape[:j] + shape[j + 1 :], [
-        s[:k] + (s[k] + s[j],) + s[k + 1 : j] + s[j + 1 :] for s in strides
-    ]
+    where = _label_axes([m for part in parts for m in part[0]])
+    if len(parts) == readers == 1 and len(where) == len(parts[0][0]):  # nothing pairs
+        ms, dims, steps, _ = parts[0]
+        return tuple(ms), tuple(dims), [tuple(steps)]
+    marks, shape, axis_at, tail = [], [], [], []
+    strides = [[] for _ in range(readers)]  # each reader's, over the marked axes
+    tails = [[] for _ in range(readers)]  # and over the unmarked ones
+    faulty = unmarked = False
+    for ms, dims, steps, r in parts:
+        faulty = faulty or (unmarked and bool(ms))
+        own = strides[r]
+        for m, d, s in zip(ms, dims, steps):
+            p = len(axis_at)
+            first = where.get(m.label, p)
+            if first == p:
+                axis_at.append(len(marks))
+                marks.append(m)
+                shape.append(d)
+                for st in strides:
+                    st.append(0)
+                own[-1] = s
+                continue
+            axis = axis_at[first]
+            axis_at.append(axis)
+            faulty = faulty or d != shape[axis]
+            own[axis] += s
+            if m.variance != marks[axis].variance:
+                marks[axis] = IndexMark(SUPERSUBSCRIPT, m.label)
+        n = len(ms)
+        if len(dims) > n:
+            unmarked = True
+            tail += dims[n:]
+            for q, st in enumerate(tails):
+                st += steps[n:] if q == r else [0] * (len(dims) - n)
+    if faulty:
+        raise _fault(parts)
+    return tuple(marks), tuple(shape + tail), [tuple(st + t) for st, t in zip(strides, tails)]
 
 
-def _repeats(marks) -> bool:
-    """Whether two marks share a label, in one set pass; dummies never pair."""
-    labels = [m.label for m in marks if not isinstance(m.label, Dummy)]
-    return len(set(labels)) != len(labels)
+def _fault(parts) -> Exception:
+    """The error that collapsing repeated labels pairwise meets first, with
+    the parts nested right to left as single-tensor maps nest.
 
-
-def _collapse(marks: tuple, shape: tuple, strides: list) -> tuple[tuple, tuple, list]:
-    """Collapse repeated labels of a strided layout pairwise, leftmost pair first.
-
-    The first mark of a pair keeps its position, and becomes a supersubscript
-    when the two variances differ; dummies never pair.  A merge never gives
-    an earlier mark a new partner, so one left-to-right pass that merges each
-    mark with its next later match until it has none takes the pairs in that
-    order.  Returns the new (marks, shape, strides).
+    Each part, the last first, refuses marks on a later part if it has
+    unmarked axes; then, for its labels in the order of their first marks,
+    checks the dimension of each later mark of its own and then that of the
+    label's axis in the parts after it.
     """
-    if not _repeats(marks):
-        return marks, shape, strides
-    marks = list(marks)
-    k = 0
-    while k < len(marks):
-        label = marks[k].label
-        j = next((j for j in range(k + 1, len(marks)) if labels_equal(label, marks[j].label)), None)
-        if j is None:
-            k += 1
-            continue
-        shape, strides = _diagonal(k, j, shape, strides)
-        if marks[k].variance != marks[j].variance:
-            marks[k] = IndexMark(SUPERSUBSCRIPT, label)
-        del marks[j]
-    return tuple(marks), shape, strides
-
-
-def _nest(shape: tuple, marks: tuple, inner_shape: tuple, inner_marks: tuple, strides: list):
-    """Layout of an outer tensor whose components are inner tensors.
-
-    The inner axes follow the outer ones and the marks are concatenated, so
-    inner marks cannot follow an unmarked outer axis; then repeated labels
-    collapse.  strides are over shape + inner_shape.
-    """
-    if inner_marks and len(shape) > len(marks):
-        raise IndexLabelError("cannot hoist marked results over unmarked axes")
-    return _collapse(marks + inner_marks, shape + inner_shape, strides)
+    later, marked = {}, False  # label -> dimension of its axis in the later parts
+    for ms, dims, *_ in reversed(parts):
+        if marked and len(dims) > len(ms):
+            return IndexLabelError("cannot hoist marked results over unmarked axes")
+        own = {}
+        for m, d in zip(ms, dims):
+            if not isinstance(m.label, Dummy):
+                own.setdefault(m.label, []).append(d)
+        for label, (d0, *rest) in own.items():
+            for d in (*rest, later.get(label, d0)):
+                if d != d0:
+                    return ShapeMismatchError(
+                        f"repeated index over axes of dimension {d0} and {d}"
+                    )
+            later[label] = d0
+        marked = marked or bool(ms)
 
 
 def attach_indices(t, marks: Sequence[IndexMark]):
     """Bind marks to the leading free axes; literal labels select components.
 
     In one strided layout a literal adds its offset to the base and drops its
-    axis; the other marks, t's own first, collapse as in `_collapse`.  With
+    axis; the other marks, t's own first, pair as `_align` pairs them.  With
     no new marks this is index reduction: t's repeated labels collapse.
     """
     marks = tuple(marks)
@@ -281,8 +313,8 @@ def attach_indices(t, marks: Sequence[IndexMark]):
             f"{len(marks)} index marks on a tensor with "
             f"{free} free {'axis' if free == 1 else 'axes'}"
         )
-    named = t.indices + tuple(m for m in marks if not isinstance(m.label, int))
-    if len(named) == existing + len(marks) and not _repeats(named):  # nothing to gather
+    named = t.indices + tuple([m for m in marks if not isinstance(m.label, int)])
+    if len(named) == existing + len(marks) == len(_label_axes(named)):  # nothing to gather
         return TensorValue(t.shape, t.components, named) if t.shape else t.components[0]
     strides, base, kept = _strides(t.shape), 0, list(range(existing))
     for axis, m in enumerate(marks, existing):
@@ -296,8 +328,8 @@ def attach_indices(t, marks: Sequence[IndexMark]):
         else:
             kept.append(axis)
     kept += range(existing + len(marks), t.rank)
-    shape = tuple(t.shape[a] for a in kept)
-    named, shape, (strides,) = _collapse(named, shape, [tuple(strides[a] for a in kept)])
+    part = (named, [t.shape[a] for a in kept], [strides[a] for a in kept], 0)
+    named, shape, (strides,) = _align([part])
     if not shape:
         return t.components[base]
     return TensorValue(shape, _view(t.components, shape, strides, base), named)
@@ -353,17 +385,11 @@ def transpose(order: Sequence[Label], t: TensorValue):
     """Permute the marked axes so labels appear in the given order."""
     if not isinstance(t, TensorValue):
         raise IndexLabelError("transpose expects a tensor")
-    labels = [m.label for m in t.indices]
-    if len(order) != len(labels):
+    where = _label_axes(t.indices)
+    perm = [where.get(label) for label in order]
+    # a repeated or dummy label on t leaves fewer keys than marks, so no order fits
+    if len(perm) != len(t.indices) or None in perm or len(set(perm)) != len(perm):
         raise IndexLabelError("transpose order is not a permutation of the tensor's labels")
-    perm: list[int] = []
-    for lab in order:
-        hits = [i for i, existing in enumerate(labels) if labels_equal(existing, lab)]
-        if len(hits) != 1 or hits[0] in perm:
-            raise IndexLabelError(
-                "transpose order is not a permutation of the tensor's labels"
-            )
-        perm.append(hits[0])
     return permute_marked_axes(t, perm)
 
 
@@ -371,26 +397,21 @@ def tensor_map(f: Callable, *ts):
     """Call f on the index-aligned components of ts, once per result component.
 
     The result's axes are those of the outer product of ts, in argument
-    order, with repeated labels collapsed as attach_indices collapses them.
-    The collapse works on each tensor's strides, so f runs only on the
+    order, with repeated labels paired as attach_indices pairs them.  The
+    pairing works on each tensor's strides (`_align`), so f runs only on the
     diagonal that the result keeps.  Arguments that are not tensors go to
     every call unchanged.  Marked results hoist their indices to the end.
     """
-    if not any(isinstance(t, TensorValue) for t in ts):
+    tensors = [t for t in ts if isinstance(t, TensorValue)]
+    if not tensors:
         return f(*ts)
-    marks, shape, strides = (), (), [()] * len(ts)
-    # Nest right to left, as one single-tensor map inside another would, so
-    # a malformed combination raises the same error as that nesting.
-    for n in reversed(range(len(ts))):
-        t = ts[n]
-        if isinstance(t, TensorValue):
-            own, zeros = _strides(t.shape), (0,) * t.rank
-            strides = [(own if q == n else zeros) + s for q, s in enumerate(strides)]
-            marks, shape, strides = _nest(t.shape, t.indices, shape, marks, strides)
+    parts = [(t.indices, t.shape, _strides(t.shape), r) for r, t in enumerate(tensors)]
+    marks, shape, strides = _align(parts, len(parts))
     check_size(math.prod(shape), "the result")
+    readers = iter(strides)
     columns = [
-        _view(t.components, shape, s) if isinstance(t, TensorValue) else itertools.repeat(t)
-        for t, s in zip(ts, strides)
+        _view(t.components, shape, next(readers)) if isinstance(t, TensorValue) else itertools.repeat(t)
+        for t in ts
     ]
     results = [f(*vals) for vals in zip(*columns)]
     inner = [r for r in results if isinstance(r, TensorValue)]
@@ -405,8 +426,55 @@ def tensor_map(f: Callable, *ts):
     full = shape + first.shape
     check_size(math.prod(full), "the result")
     comps = tuple(c for r in results for c in r.components)
-    marks, shape, (strides,) = _nest(shape, marks, first.shape, first.indices, [_strides(full)])
+    if first.indices and len(shape) > len(marks):
+        raise IndexLabelError("cannot hoist marked results over unmarked axes")
+    marks, shape, (strides,) = _align([(marks + first.indices, full, _strides(full), 0)])
     return TensorValue(shape, _view(comps, shape, strides), marks)
+
+
+def contract_product(a: TensorValue, b: TensorValue, mul: Callable, add: Callable):
+    """contract(add, tensor_map(mul, a, b)) for marked tensors of scalars,
+    with only the products of nonzero factors made.
+
+    a and b lay out as one by `_align`.  Each nonzero component of a meets
+    the components of b that share its coordinates on the shared axes, so
+    a zero of a skips all of them; each product of two nonzero factors goes
+    to the sum of its result component.  A result component with two or more
+    products is one add of them, with one it is that product, and with none
+    ZERO.  A result with no free axis left is its one component.
+    """
+    parts = [(t.indices, t.shape, _strides(t.shape), r) for r, t in enumerate((a, b))]
+    marks, shape, (sa, sb) = _align(parts, 2)
+    check_size(math.prod(shape), "the result")
+    free = [i for i, m in enumerate(marks) if m.variance != SUPERSUBSCRIPT]
+    out_shape = tuple(shape[i] for i in free)
+    so = [0] * len(shape)  # strides into the result; a summed axis adds nothing
+    for i, s in zip(free, _strides(out_shape)):
+        so[i] = s
+    # Offsets over a's axes, shared ones included, outside (into a, b and the
+    # result), and over b's own axes inside (into b and the result).  Every
+    # stride of a tensor is positive, so a 0 in sa is an axis a lacks.
+    outer, inner = [(0, 0, 0)], [(0, 0)]
+    for d, x, y, z in zip(shape, sa, sb, so):
+        if x:
+            outer = [(p + c * x, q + c * y, o + c * z) for p, q, o in outer for c in range(d)]
+        else:
+            inner = [(q + c * y, o + c * z) for q, o in inner for c in range(d)]
+    sums = {}  # result offset -> its products
+    ca, cb = a.components, b.components
+    for oa, ob, oo in outer:
+        x = ca[oa]
+        if x.terms:
+            for ib, io in inner:
+                y = cb[ob + ib]
+                if y.terms:
+                    sums.setdefault(oo + io, []).append(mul(x, y))
+    comps = [ZERO] * math.prod(out_shape)
+    for o, products in sums.items():
+        comps[o] = products[0] if len(products) == 1 else add(*products)
+    if len(free) < len(shape) and not out_shape:
+        return comps[0]
+    return TensorValue(out_shape, tuple(comps), tuple(marks[i] for i in free))
 
 
 def format_tensor(t: TensorValue, fmt: Callable[[object], str]) -> str:

@@ -24,10 +24,16 @@ powers re-sorted, as `symexpr` made it before it merged sorted monomials.
 public constructors, and `differentiate_ref` is differentiation as it was
 when it rebuilt every atom it met that way.  `find_identical_pairs` lists
 the 1-based label pairs that `reduce_indices_ref` collapses one at a time.
+`align_ref` is `tegi.tensor._align` as it was before labels paired in one
+pass: `_nest` nests the tensors right to left, and `_collapse` merges
+repeated labels pairwise with `_diagonal`, leftmost pair first, each pair
+found by `labels_equal`.
 `DenseInterpreter` is the evaluator before calls with nothing to lift ran
 directly: every call completes omitted indices and lifts, `+` and `*` fold
 pairwise with zero factors multiplied out, and `contract` folds each run
-through `call`, calling the builtin `+` on a run of one as well.
+through `call`, calling the builtin `+` on a run of one as well.  Its
+`contract`, `+` and `*` are not the engine's own builtins, so its `.`
+evaluates `(contract + (* t1 t2))` as written, never as one join.
 `DATACLASS_TWINS` rebuilds every value class of the engine as the
 dataclass it used to be.  `tokenize_ref` is the lexer as it was before it
 read tokens with one regular expression: a loop over characters.
@@ -119,11 +125,11 @@ from tegi.lang import (
 )
 from tegi.tensor import (
     SUPERSUBSCRIPT,
+    Dummy,
     IndexMark,
     TensorValue,
     contract,
     flip_indices,
-    labels_equal,
     tensor_map,
 )
 
@@ -548,6 +554,65 @@ def differentiate_ref(e: Expr, by: Expr) -> Expr:
 # ---------------------------------------------------------------- tensor
 
 
+def labels_equal(a, b) -> bool:
+    if isinstance(a, Dummy) or isinstance(b, Dummy):
+        return False
+    return a == b
+
+
+def _diagonal(k: int, j: int, shape: tuple, strides: list) -> tuple[tuple, list]:
+    """Merge axis j into axis k (0-based, k < j) of a strided layout."""
+    if shape[k] != shape[j]:
+        raise ShapeMismatchError(
+            f"repeated index over axes of dimension {shape[k]} and {shape[j]}"
+        )
+    return shape[:j] + shape[j + 1 :], [
+        s[:k] + (s[k] + s[j],) + s[k + 1 : j] + s[j + 1 :] for s in strides
+    ]
+
+
+def _repeats(marks) -> bool:
+    labels = [m.label for m in marks if not isinstance(m.label, Dummy)]
+    return len(set(labels)) != len(labels)
+
+
+def _collapse(marks: tuple, shape: tuple, strides: list) -> tuple[tuple, tuple, list]:
+    """Collapse repeated labels pairwise, leftmost pair first: each mark merges
+    with its next later match until it has none."""
+    if not _repeats(marks):
+        return marks, shape, strides
+    marks = list(marks)
+    k = 0
+    while k < len(marks):
+        label = marks[k].label
+        j = next((j for j in range(k + 1, len(marks)) if labels_equal(label, marks[j].label)), None)
+        if j is None:
+            k += 1
+            continue
+        shape, strides = _diagonal(k, j, shape, strides)
+        if marks[k].variance != marks[j].variance:
+            marks[k] = IndexMark(SUPERSUBSCRIPT, label)
+        del marks[j]
+    return tuple(marks), shape, strides
+
+
+def _nest(shape: tuple, marks: tuple, inner_shape: tuple, inner_marks: tuple, strides: list):
+    """Layout of an outer tensor whose components are inner tensors."""
+    if inner_marks and len(shape) > len(marks):
+        raise IndexLabelError("cannot hoist marked results over unmarked axes")
+    return _collapse(marks + inner_marks, shape + inner_shape, strides)
+
+
+def align_ref(parts, readers: int = 1):
+    """`tegi.tensor._align` as pairwise collapses made it: each part, the last
+    first, nests the layout of the parts after it (`_nest`)."""
+    marks, shape, strides = (), (), [()] * readers
+    for ms, dims, steps, r in reversed(parts):
+        strides = [(tuple(steps) if q == r else (0,) * len(dims)) + s for q, s in enumerate(strides)]
+        marks, shape, strides = _nest(tuple(dims), tuple(ms), shape, marks, strides)
+    return marks, shape, strides
+
+
 def diag_ref(k: int, j: int, t: TensorValue) -> TensorValue:
     k0, j0 = k - 1, j - 1
     if t.shape[k0] != t.shape[j0]:
@@ -796,6 +861,9 @@ class DenseInterpreter(Interpreter):
         plus = fold(add)
 
         def contract_dense(f, t):
+            if not isinstance(f, Function):
+                raise TegiTypeError(f"not a function: {format_value(f)}")
+
             def single(a):  # the builtin `+` is called on a run of one as well
                 return self.call(f, [a])
 

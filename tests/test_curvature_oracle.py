@@ -83,8 +83,11 @@ def entry(factors: list) -> tuple:
 
 def matrix(diagonal: list[str]) -> str:
     n = len(diagonal)
-    rows = (" ".join(e if i == j else "0" for j in range(n)) for i, e in enumerate(diagonal))
-    return "[| " + " ".join(f"[| {row} |]" for row in rows) + " |]"
+    return rows([[e if i == j else "0" for j in range(n)] for i, e in enumerate(diagonal)])
+
+
+def rows(entries: list[list[str]]) -> str:
+    return "[| " + " ".join(f"[| {' '.join(row)} |]" for row in entries) + " |]"
 
 
 def point(seed: int) -> dict:
@@ -110,18 +113,74 @@ def is_zero(e) -> bool:
 @example([[("horizon", "u")], [("power", "u")], [("power", "u"), ("sin", "v")],
           [("horizon", "u"), ("coordinate", "t")]])
 def test_curvature_of_a_diagonal_metric_matches_sympy(diagonal):
-    n = len(diagonal)
-    coords = COORDS[:n]
     texts, exprs = zip(*map(entry, diagonal))
-    text = PROGRAM.format(
-        coords=" ".join(coords),
-        lower=matrix(texts),
-        upper=matrix([f"(/ 1 {e})" for e in texts]),
+    check_curvature(matrix(texts), matrix([f"(/ 1 {e})" for e in texts]), sp.diag(*exprs))
+
+
+# A metric with one off-diagonal entry, M times one factor, in the block of
+# coordinates p < q.  Diagonal entries are single factors, at least 0.23 at
+# the points, and the off-diagonal one is at most 0.15, so the block's
+# determinant stays positive.
+OFF_FACTORS = st.tuples(
+    st.sampled_from(["coordinate", "sin", "horizon", "parameter"]), st.sampled_from(COORDS)
+)
+BLOCKS = st.integers(2, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(FACTORS, min_size=n, max_size=n),
+        st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(sorted),
+        OFF_FACTORS,
     )
+)
+
+
+@settings(max_examples=3, deadline=None)
+@given(BLOCKS)
+@example(([("power", "u"), ("sin", "u")], [0, 1], ("parameter", "u")))
+# 4-D: 1 - 2M/u, u^2, (sin v)^2 and t, with v and t mixed by M (1 - 2M/w)
+@example(([("horizon", "u"), ("power", "u"), ("sin", "v"), ("coordinate", "t")], [2, 3],
+          ("horizon", "w")))
+def test_curvature_of_a_metric_with_an_off_diagonal_block_matches_sympy(case):
+    diagonal, (p, q), off = case
+    texts, exprs = zip(*(factor(kind, c) for kind, c in diagonal))
+    off_text, off_expr = factor(*off)
+    lower = [[texts[i] if i == j else "0" for j in range(len(texts))] for i in range(len(texts))]
+    lower[p][q] = lower[q][p] = f"(* M {off_text})"
+    g = sp.diag(*exprs)
+    g[p, q] = g[q, p] = SYMBOLS["M"] * off_expr
+    upper = [[tegi_text(e) for e in g.inv().row(i)] for i in range(g.rows)]
+    check_curvature(rows(lower), rows(upper), g)
+
+
+def tegi_text(e) -> str:
+    """A sympy sum, product, integer power, sine, rational or symbol as tegi source."""
+    if e.is_Symbol:
+        return e.name
+    if e.is_Integer:
+        return str(e)
+    if e.is_Rational:
+        return f"(/ {e.p} {e.q})"
+    if e.is_Add or e.is_Mul:
+        return f"({'+' if e.is_Add else '*'} {' '.join(map(tegi_text, e.args))})"
+    if e.is_Pow and e.exp.is_Integer:
+        base, n = tegi_text(e.base), int(e.exp)
+        power = base if abs(n) == 1 else f"(^ {base} {abs(n)})"
+        return power if n > 0 else f"(/ 1 {power})"
+    if isinstance(e, sp.sin):
+        return f"(sin {tegi_text(e.args[0])})"
+    raise ValueError(f"no tegi text for {e}")
+
+
+def check_curvature(lower: str, upper: str, g_ref) -> None:
+    """Run PROGRAM on the metric texts g__ and g~~; compare with curvature_ref
+    of the sympy metric g_ref at the points, and check the four identities
+    exactly."""
+    n = g_ref.rows
+    coords = COORDS[:n]
+    text = PROGRAM.format(coords=" ".join(coords), lower=lower, upper=upper)
     g, *engine = Interpreter().eval_source(text)
     engine = [t.components for t in engine]
 
-    reference = curvature_ref([SYMBOLS[c] for c in coords], sp.diag(*exprs))
+    reference = curvature_ref([SYMBOLS[c] for c in coords], g_ref)
     order = list(SYMBOLS.values())
     for mine, theirs in zip(engine, reference):
         at_point = sp.lambdify(order, theirs, modules="math")

@@ -2,7 +2,8 @@
 
 `oracles.DenseInterpreter` completes and lifts every call, folds `+` and `*`
 pairwise with zero factors multiplied out, and contracts each run through
-`call`.  The interpreter skips all three where nothing changes.  Each form
+`call`; it evaluates the body of `.` as written.  The interpreter skips all
+of that where nothing changes, and runs `.` as one sparse join.  Each form
 must print the same in both, or fail with the same error class, message and
 location.
 """
@@ -10,7 +11,7 @@ location.
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tegi.errors import TegiError
 from tegi.evaluator import Interpreter, format_value
@@ -110,6 +111,71 @@ def scalar_calls(draw) -> str:
     args = draw(st.lists(pool, min_size=1, max_size=3))
     bang = draw(st.sampled_from(["", "!"]))
     return f"{bang}({op} {' '.join(args)})"
+
+
+@st.composite
+def dot_operands(draw, dims) -> str:
+    """A scalar, or a tensor literal of rank 1 to 3 for `.`.
+
+    Labels i, j, k have the dimensions in dims, but one axis in five draws
+    its own; `#` marks a dummy.  Marks may repeat a label within the operand
+    and may leave trailing form axes.  Components are mostly zeros, and an
+    operand may be lifted through `less-than?`, so its components are not
+    scalars.
+    """
+    rank = draw(st.sampled_from([0, 1, 1, 2, 2, 3]))
+    if rank == 0:
+        return draw(scalars)
+    n_marks = rank - draw(st.sampled_from([0, 0, 0, 0, 0, 0, 1]))
+    shape, marks = [], ""
+    for axis in range(rank):
+        label = draw(st.sampled_from(["i", "j", "k", "#"]))
+        own = label == "#" or axis >= n_marks or draw(st.integers(0, 4)) == 0
+        shape.append(draw(st.integers(1, 3)) if own else dims[label])
+        if axis < n_marks:
+            marks += draw(st.sampled_from("~_")) + label
+    if draw(st.integers(0, 7)) == 0:
+        return f"(less-than? {literal(draw, shape, numbers)}{marks} 2)"
+    leaves = st.sampled_from(["0", "0", "0", "1", "-2", "r", "(sin θ)", "(* 0 r)"])
+    return literal(draw, shape, leaves) + marks
+
+
+REBINDINGS = [
+    "(define $+ (lambda [$a $b] (- a (* 2 b))))",
+    "(define $* (lambda [$a $b] (- a b)))",
+    "(define $* +)",
+    "(define $+ +)",  # the same builtin under its own name: still the join
+    "(define $contract (lambda [%f %t] t))",
+]
+# a user lambda with the body of `.`, whose nodes carry locations
+USER_DOT = "(define $dot (lambda [%p %q] (contract + (* p q))))"
+
+
+@st.composite
+def dot_programs(draw) -> list[str]:
+    """`(. A B)`, `!(. A B)` and `(dot A B)` forms, after a rebinding or not."""
+    dims = {label: draw(st.integers(1, 3)) for label in "ijk"}
+    rebinding = draw(st.sampled_from([None, None, None, *REBINDINGS]))
+    program = [USER_DOT] + ([rebinding] if rebinding else [])
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(dot_operands(dims)), draw(dot_operands(dims))
+        form = draw(st.sampled_from(["(. {} {})", "!(. {} {})", "(dot {} {})"]))
+        program.append(form.format(a, b))
+    return program
+
+
+@settings(max_examples=400, deadline=None)
+@given(dot_programs())
+# an argument's own summed axis, summed with the shared one
+@example(["(. [|[|1 2|] [|3 r|]|]~i_i [|[|5 0|] [|r 7|]|]~j_k)", "(. [|[|1 2|] [|3 r|]|]~i_j [|[|5 0|] [|r 7|]|]_j~i)"])
+# zeros on both sides of a shared label, and an unshared pair
+@example(["(. [|[|0 r|] [|1 0|]|]~i~j [|[|r 0|] [|0 2|]|]_j_k)", "(. [|0 r|]~i [|(sin θ) 0|]_j)"])
+@example(["(define $* (lambda [$a $b] (- a b)))", "(. [|1 2|]~i [|3 4|]_i)"])
+# bodies of the join's shape that are not it: a parameter named `+`, swapped factors
+@example(["((lambda [%+ %q] (contract + (* + q))) [|1 2|]~i [|3 4|]_i)",
+          "((lambda [%p %q] (contract + (* q p))) [|1 2|]~i [|3 r|]_i)"])
+def test_dot_forms(program):
+    assert_same(program)
 
 
 forms = st.one_of(lifted(), contractions(), scalar_calls())

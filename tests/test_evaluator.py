@@ -539,6 +539,33 @@ class TestBuiltins:
         src = "(define $g__ [|[|r^2 0|] [|0 (* r^2 (sin θ)^2)|]|]) (M.det g_#_#)"
         assert show(src) == "(* r^4 (sin θ)^2)"
 
+    @staticmethod
+    def symbol_matrix(n: int) -> str:
+        rows = " ".join("[|" + " ".join(f"m{i}x{j}" for j in range(n)) + "|]" for i in range(n))
+        return f"(define $m [| {rows} |])\n  (M.det m)"
+
+    def test_det_of_a_dense_10x10_matrix_is_refused_before_any_term(self, monkeypatch):
+        # after 8 rows: min(10**8, 10!/2!) = 1,814,400 partial terms
+        built = []
+        monkeypatch.setattr(forms, "_transversals", lambda rows: built.append(rows) or [])
+        with pytest.raises(DomainError) as info:
+            Interpreter().eval_source(self.symbol_matrix(10))
+        assert str(info.value) == (
+            "line 2, col 3: the determinant of a 10×10 matrix would build 1814400 "
+            "partial terms after 8 rows, more than 1000000"
+        )
+        assert built == []
+
+    def test_det_of_a_dense_6x6_matrix_is_computed(self):
+        assert len(ev(self.symbol_matrix(6)).terms) == 720  # 6! Leibniz terms
+
+    @pytest.mark.parametrize("t", ["5", "[|1|]~_i", "[|1 2|]~i", "[|1 2|]~_i"])
+    def test_contract_refuses_a_non_function_at_any_run_length(self, t):
+        for cls in (Interpreter, DenseInterpreter):
+            with pytest.raises(TegiTypeError) as info:
+                cls().eval_source(f"(+ 1 2)\n  (contract 5 {t})")
+            assert str(info.value) == "line 2, col 3: not a function: 5"
+
     def test_between_and_map(self):
         assert show("(between 1 3)") == "{1 2 3}"
         assert show("(map (lambda [$n] (* n n)) (between 1 3))") == "{1 4 9}"

@@ -22,6 +22,7 @@ from tegi.tensor import (
     Dummy,
     IndexMark,
     TensorValue,
+    _align,
     attach_indices,
     contract,
     fresh_uid,
@@ -29,6 +30,7 @@ from tegi.tensor import (
 )
 
 from oracles import (
+    align_ref,
     attach_indices_ref,
     contract_ref,
     det_ref,
@@ -146,6 +148,60 @@ def test_reduce_indices_matches_the_reference(t):
         assert str(got.value) == str(exc)
         return
     assert attach_indices(t, []) == want
+
+
+@st.composite
+def layouts(draw):
+    """One to three parts for `_align`, over one to three readers.
+
+    Marks are shared names with dimensions that mostly agree, or dummies, in
+    any variance and repeated within a part as well; some parts have
+    unmarked axes, so hoisting faults and several mismatches can meet.
+    Strides are distinct powers of two, so a stride added to the wrong axis
+    or reader shows.
+    """
+    readers = draw(st.integers(1, 3))
+    dims = {label: draw(st.integers(1, 3)) for label in (I_, J_, Sym("k"))}
+    parts, bit = [], 1
+    for _ in range(draw(st.integers(1, 3))):
+        ms, shape = [], []
+        for _ in range(draw(st.integers(0, 3))):
+            label = draw(st.one_of(NAMES, DUMMIES))
+            ms.append(IndexMark(draw(VARIANCES), label))
+            clash = draw(st.integers(0, 4)) == 0
+            shape.append(draw(st.integers(1, 3)) if clash or isinstance(label, Dummy) else dims[label])
+        shape += [draw(st.integers(1, 3)) for _ in range(draw(st.sampled_from([0, 0, 1, 2])))]
+        steps = [bit << n for n in range(len(shape))]
+        bit <<= len(shape)
+        parts.append((tuple(ms), tuple(shape), tuple(steps), draw(st.integers(0, readers - 1))))
+    return parts, readers
+
+
+@settings(max_examples=400, deadline=None)
+@given(layouts())
+# the first mismatch in pairwise order is a's, over 2 and 3, not b's, over 2 and 4
+@example(([(tuple(IndexMark(SUPERSCRIPT, Sym(c)) for c in "abba"), (2, 2, 4, 3), (24, 12, 3, 1), 0)], 1))
+# the last part's own mismatch comes before the hoisting fault of the part before it
+@example(([((IndexMark(SUPERSCRIPT, I_),), (2,), (1,), 0),
+           ((IndexMark(SUBSCRIPT, I_),), (2, 3), (3, 1), 1),
+           ((IndexMark(SUBSCRIPT, I_), IndexMark(SUBSCRIPT, I_)), (2, 3), (3, 1), 1)], 2))
+# a part's hoisting fault comes before its own mismatch with a later part
+@example(([((IndexMark(SUPERSCRIPT, I_),), (2, 3), (3, 1), 0),
+           ((IndexMark(SUBSCRIPT, I_),), (3,), (1,), 1)], 2))
+# a label's own later mark, over 2 and 3, before its axis in a later part, over 2 and 4
+@example(([((IndexMark(SUPERSCRIPT, I_), IndexMark(SUBSCRIPT, I_)), (2, 3), (3, 1), 0),
+           ((IndexMark(SUBSCRIPT, I_),), (4,), (1,), 1)], 2))
+def test_align_matches_pairwise_nesting(case):
+    # the same layout, or an error of the same class with the same message
+    parts, readers = case
+    try:
+        want = align_ref(parts, readers)
+    except TegiError as exc:
+        with pytest.raises(type(exc)) as got:
+            _align(parts, readers)
+        assert got.value.message == exc.message
+        return
+    assert _align(parts, readers) == want
 
 
 @settings(max_examples=150, deadline=None)
