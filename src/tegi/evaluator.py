@@ -346,7 +346,7 @@ class Interpreter:
                 ):
                     return kernel(a, b)
                 try:
-                    return contract_product(a, b, mul, add)
+                    return contract_product(a, b)
                 except TegiError as exc:
                     if exc.location is None:  # where `*` would have raised it
                         exc.location = product.loc
@@ -426,12 +426,6 @@ class Interpreter:
         def minus(*xs):
             return neg(xs[0]) if len(xs) == 1 else reduce(sub, xs)
 
-        def times(*xs):
-            for x in xs:
-                if not x.terms:  # a zero factor is the product
-                    return x
-            return mul(*xs)
-
         plus = Function("+", None, _scalar_args(add))
         memo = {}  # (f.terms, x.terms) -> derivative, kept by this interpreter only
 
@@ -502,14 +496,14 @@ class Interpreter:
                 star[:] = g_lower, g_upper, hodge_star(_scalars(g_lower), _scalars(g_upper))
             return star[2](a)
 
-        times_b = Function("*", None, _scalar_args(times))
+        mul_b = Function("*", None, _scalar_args(mul))
         contract_b = Function("contract", (T, T), contract_fn)
         # the builtins a `(contract + (* p q))` body must find to run as one join
-        self._product_builtins = (contract_b, plus, times_b)
+        self._product_builtins = (contract_b, plus, mul_b)
         return [
             plus,
             Function("-", None, _scalar_args(minus)),
-            times_b,
+            mul_b,
             Function("/", None, _scalar_args(lambda *xs: reduce(div, xs)), min_args=2),
             Function("^", (S, S), power),
             Function("less-than?", (S, S), _scalar_args(less_than)),

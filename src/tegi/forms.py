@@ -24,7 +24,6 @@ __all__ = [
     "df_normalize",
     "df_order",
     "apply_star",
-    "hodge",
     "hodge_star",
     "levi_civita",
 ]
@@ -174,13 +173,25 @@ def df_normalize(v):
 
 
 def hodge_star(g_lower: TensorValue, g_upper: TensorValue):
-    """The Hodge star of one metric, as a function of a form.
+    """The Hodge star against a metric and its inverse, as a function of a form:
 
-    `hodge_star(g_lower, g_upper)(a)` is `hodge(a, g_lower, g_upper)`.  The
-    metric is checked and √|det g| computed here, once.  The table for
-    k-forms, √|det g| times each signed nonzero minor of g^{..}, is built at
-    the first k-form and kept, so a form costs only its alternating sums,
-    one product per nonzero (minor, alternating sum) pair, and the writes.
+        (*A)_{i_{k+1}..i_n} = sqrt|det g| ε_{i_1..i_n} A_{j_1..j_k} g^{i_1 j_1}..g^{i_k j_k}
+
+    summed over repeated indices, with no 1/k! factor.  Only the increasing
+    output tuples are summed; `_alternate` writes the rest.  For an output
+    whose left-out indices are L, the sum is, by Cauchy–Binet,
+
+        Σ_J det g^{L,J} · Σ_p sign(p) A_{J∘p}
+
+    over increasing column tuples J and permutations p, for any A and any
+    metric.  The metric is checked and √|det g| computed here, once.  The
+    table for k-forms, √|det g| times each signed nonzero minor of g^{..},
+    is built at the first k-form and kept, so a form costs only one
+    alternating sum per marked block and J, shared by the outputs that need
+    it, one product per nonzero (minor, alternating sum) pair, and the
+    writes.  A zero minor or alternating sum is never multiplied.  Marked
+    axes of A pass through unchanged, so matrix-valued forms star
+    componentwise.
     """
     for g in (g_lower, g_upper):
         if not isinstance(g, TensorValue) or g.rank != 2 or g.shape[0] != g.shape[1]:
@@ -250,25 +261,3 @@ def apply_star(a, n: int, table):
         out.extend(slots)
     out_shape = shape[:m] + (n,) * (n - k)
     return TensorValue(out_shape, tuple(out), marks) if out_shape else out[0]
-
-
-def hodge(a, g_lower: TensorValue, g_upper: TensorValue):
-    """Hodge star of a k-form against a metric and its inverse.
-
-    (*A)_{i_{k+1}..i_n} = sqrt|det g| ε_{i_1..i_n} A_{j_1..j_k} g^{i_1 j_1}..g^{i_k j_k}
-
-    summed over repeated indices, with no 1/k! factor.  Only the increasing
-    output tuples are summed; `_alternate` writes the rest.  For an output
-    whose left-out indices are L, the sum is, by Cauchy–Binet,
-
-        Σ_J det g^{L,J} · Σ_p sign(p) A_{J∘p}
-
-    over increasing column tuples J and permutations p, for any A and any
-    metric: one product per nonzero minor, made once per star, and one
-    alternating sum per marked block and J, shared by the outputs that need
-    it.  A zero minor or alternating sum is never multiplied.  Marked axes of
-    A pass through unchanged, so matrix-valued forms star componentwise.
-    The metric is checked before the form.  A caller starring several forms
-    against one metric keeps `hodge_star(g_lower, g_upper)` instead.
-    """
-    return hodge_star(g_lower, g_upper)(a)

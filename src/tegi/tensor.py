@@ -3,13 +3,15 @@
 A TensorValue is a row-major tuple of components plus a list of index marks
 bound to its leading axes; trailing unmarked axes are the "form axes" used by
 the differential-forms layer.  Components are arbitrary values (usually exact
-scalars), so everything here is plain Python data manipulation.
+scalars); code here moves them or hands them to a caller's function, except
+the sparse join behind `.` (`contract_product`), which multiplies and sums
+them itself with the scalar kernel's `mul` and `add`.
 
 Labels pair by one rule, `_label_axes`: a dict from each label to its first
 mark, dummies left out.  `_align` lays strided tensors out as one in a
-single pass over their marks; reduction, lifting and `contract_product`
-(the sparse join behind `.`) read through that layout, and `transpose`
-and the scope exit of `with-symbols` look labels up in the same dict.
+single pass over their marks; reduction, lifting and the join read
+through that layout, and `transpose` and the scope exit of `with-symbols`
+look labels up in the same dict.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .record import Record
-from .symexpr import ZERO, Sym, _int_str, integer
+from .symexpr import ZERO, Sym, _int_str, add, integer, mul
 
 __all__ = [
     "Dummy",
@@ -214,21 +216,23 @@ def _label_axes(marks) -> dict:
     return where
 
 
-def _align(parts, readers: int = 1):
+def _align(parts):
     """Lay the axes of strided tensors out as one, pairing labels in one pass.
 
     Each part is (marks, shape, strides, reader): the marks bind the leading
     axes of shape, and strides step through the components of tensor number
-    `reader`.  A label's first mark gives it an output axis, found by
-    `_label_axes` over every part's marks; each later mark with that label
-    merges into the axis, adding its stride, and the axis's mark becomes a
-    supersubscript when the variances differ.  The unmarked axes follow all
-    marked ones, in order.  Returns the marks, the shape, and one stride
-    tuple per reader.
+    `reader`.  There are 1 + the largest reader number of readers; one that
+    no part names gets only zero strides.  A label's first mark gives it an
+    output axis, found by `_label_axes` over every part's marks; each later
+    mark with that label merges into the axis, adding its stride, and the
+    axis's mark becomes a supersubscript when the variances differ.  The
+    unmarked axes follow all marked ones, in order.  Returns the marks, the
+    shape, and one stride tuple per reader.
 
     A layout with a fault raises the error `_fault` finds.
     """
     where = _label_axes([m for part in parts for m in part[0]])
+    readers = 1 + max(part[3] for part in parts)
     if len(parts) == readers == 1 and len(where) == len(parts[0][0]):  # nothing pairs
         ms, dims, steps, _ = parts[0]
         return tuple(ms), tuple(dims), [tuple(steps)]
@@ -406,7 +410,7 @@ def tensor_map(f: Callable, *ts):
     if not tensors:
         return f(*ts)
     parts = [(t.indices, t.shape, _strides(t.shape), r) for r, t in enumerate(tensors)]
-    marks, shape, strides = _align(parts, len(parts))
+    marks, shape, strides = _align(parts)
     check_size(math.prod(shape), "the result")
     readers = iter(strides)
     columns = [
@@ -432,7 +436,7 @@ def tensor_map(f: Callable, *ts):
     return TensorValue(shape, _view(comps, shape, strides), marks)
 
 
-def contract_product(a: TensorValue, b: TensorValue, mul: Callable, add: Callable):
+def contract_product(a: TensorValue, b: TensorValue):
     """contract(add, tensor_map(mul, a, b)) for marked tensors of scalars,
     with only the products of nonzero factors made.
 
@@ -444,7 +448,7 @@ def contract_product(a: TensorValue, b: TensorValue, mul: Callable, add: Callabl
     ZERO.  A result with no free axis left is its one component.
     """
     parts = [(t.indices, t.shape, _strides(t.shape), r) for r, t in enumerate((a, b))]
-    marks, shape, (sa, sb) = _align(parts, 2)
+    marks, shape, (sa, sb) = _align(parts)
     check_size(math.prod(shape), "the result")
     free = [i for i, m in enumerate(marks) if m.variance != SUPERSUBSCRIPT]
     out_shape = tuple(shape[i] for i in free)

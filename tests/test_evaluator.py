@@ -16,7 +16,7 @@ from tegi.errors import (
     TegiTypeError,
     UnboundVariableError,
 )
-from tegi import evaluator, forms
+from tegi import evaluator, forms, tensor
 from tegi.evaluator import Interpreter, format_value
 from tegi.lang import unparse
 from tegi.symexpr import Sym, as_int, int_pow, mul, rational, sin, symbol
@@ -833,14 +833,16 @@ class TestDirectCalls:
         for cls in (Interpreter, DenseInterpreter):
             assert format_value(cls().eval_source(src)[-1]) == want
 
-    def test_lifted_product_never_multiplies_by_zero(self, monkeypatch):
-        src = self.S2_METRIC + "(* g~i~m g_m_k)"
+    def test_dot_never_multiplies_by_zero(self, monkeypatch):
+        # the join multiplies only pairs of nonzero components; the dense
+        # path builds the whole product, zeros of the diagonal metric included
+        src = self.S2_METRIC + "(. g~i~m g_m_k)"
         results = []
-        for cls, module in [(Interpreter, evaluator), (DenseInterpreter, oracles)]:
+        for cls, module in [(Interpreter, tensor), (DenseInterpreter, oracles)]:
             factors = self.record(monkeypatch, module, "mul")
             results.append(cls().eval_source(src)[-1])
             zero_products = [fs for fs in factors if any(not f.terms for f in fs)]
-            assert bool(zero_products) == (cls is DenseInterpreter)
+            assert factors and bool(zero_products) == (cls is DenseInterpreter)
             monkeypatch.undo()
         assert results[0] == results[1]
 
@@ -869,7 +871,7 @@ class TestErrors:
         ],
     )
     def test_every_scalar_builtin_refuses_a_non_scalar(self, src):
-        # `*` checks its factors before a zero factor ends the product
+        # `(* 0 B)`: a zero factor does not spare the other factors the check
         with pytest.raises(TegiTypeError) as exc:
             ev(src.replace("B", "(less-than? 1 2)"))
         assert exc.value.message == "expected a scalar, got #t"
