@@ -98,18 +98,12 @@ def run_script(path: str, dump: bool, binds, precision: int) -> int:
 
 
 def _incomplete(src: str) -> bool:
-    """Does the buffered input still have an open bracket or literal?"""
+    """Does the buffered input still have an open bracket or string?"""
     try:
-        tokens = lang.tokenize(src)
+        lang.tokenize(src)
     except LexError as exc:
-        return "unterminated" in str(exc)
-    depth = 0
-    for t in tokens:
-        if t.type in ("(", "[", "{", "[|"):
-            depth += 1
-        elif t.type in (")", "]", "}", "|]"):
-            depth -= 1
-    return depth > 0
+        return "unterminated" in exc.message
+    return False
 
 
 def _signature_name(key) -> str:

@@ -24,11 +24,11 @@ class TegiError(Exception):
 
 
 class LexError(TegiError):
-    """Unterminated string or tensor literal, stray '|'."""
+    """Unterminated string or bracket, stray '|'."""
 
 
 class ParseError(TegiError):
-    """Malformed expression or unexpected token."""
+    """Malformed expression, unexpected token or closer of the wrong kind."""
 
 
 class DesugarError(TegiError):

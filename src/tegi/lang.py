@@ -67,20 +67,23 @@ _LEXEME = re.compile(
     re.VERBOSE,
 )
 _ESCAPE = re.compile(r"\\([\s\S])")
+# Each opener and the name an unclosed one is reported by; any closer pops the innermost.
+_OPENERS = {"(": "'('", "[": "'['", "{": "'{'", "[|": "tensor literal"}
+_CLOSERS = {")", "]", "}", "|]"}
 
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
     pos, line, line_start = 0, 1, 0  # a column is 1 plus the offset from line_start
     glued = False
-    open_tensors: list[tuple[int, int]] = []
+    open_brackets: list[tuple[str, int, int]] = []
     for punct, string, num, sym, stray, blanks in _LEXEME.findall(text):
         c = pos - line_start + 1
         if punct:
-            if punct == "[|":
-                open_tensors.append((line, c))
-            elif punct == "|]" and open_tensors:
-                open_tensors.pop()
+            if punct in _OPENERS:
+                open_brackets.append((punct, line, c))
+            elif punct in _CLOSERS and open_brackets:
+                open_brackets.pop()
             toks.append(_token(Token, (punct, punct, line, c, glued)))
         elif sym:
             toks.append(_token(Token, ("sym", sym, line, c, glued)))
@@ -97,8 +100,9 @@ def tokenize(text: str) -> list[Token]:
             line += text.count("\n", pos, end)
             line_start = text.rindex("\n", pos, end) + 1
         pos, glued = end, not blanks
-    if open_tensors:
-        raise LexError("unterminated tensor literal", open_tensors[-1])
+    if open_brackets:
+        opener, line, c = open_brackets[-1]
+        raise LexError(f"unterminated {_OPENERS[opener]}", (line, c))
     toks.append(_token(Token, ("eof", None, line, pos - line_start + 1, False)))
     return toks
 
@@ -187,17 +191,16 @@ def parse_program(text: str, located: bool = True) -> list[Node]:
         t = toks[pos]
         pos += 1
         if t.type != type_:
-            raise ParseError(f"expected {type_!r}, found {t.value!r}", (t.line, t.col))
+            found = "end of input" if t.type == "eof" else repr(t.value)
+            raise ParseError(f"expected {type_!r}, found {found}", (t.line, t.col))
         return t
 
-    def until(close: str, item, opener: Token | None = None) -> tuple:
+    def until(close: str, item) -> tuple:
         """What `item` reads up to the token `close`, which it then steps over;
-        the end of the input before it is an error at `opener`, if one is given."""
+        the lexer has closed every bracket, so `close` comes before the end."""
         nonlocal pos
         items = []
         while toks[pos].type != close:
-            if opener is not None and toks[pos].type == "eof":
-                raise ParseError(f"unterminated {opener.type!r}", (opener.line, opener.col))
             items.append(item())
         pos += 1
         return tuple(items)
@@ -237,11 +240,11 @@ def parse_program(text: str, located: bool = True) -> list[Node]:
         elif kind == "sym" or kind == "^":  # an unglued `^` names the power function
             node = SymbolRef(t.value, loc)
         elif kind == "[|":
-            node = TensorLit(until("|]", expression), loc)  # the lexer rejects an unclosed [|
+            node = TensorLit(until("|]", expression), loc)
             if not node.elements:
                 raise ParseError("empty tensor literal", (t.line, t.col))
         elif kind == "{":
-            node = Braces(until("}", expression, t), loc)
+            node = Braces(until("}", expression), loc)
         elif kind == "(" or kind == "!":
             node = form(t if kind == "(" else expect("("), loc, kind == "!")
             if kind == "!" and not isinstance(node, Apply):
@@ -273,7 +276,7 @@ def parse_program(text: str, located: bool = True) -> list[Node]:
         nonlocal pos
         head = toks[pos].value if toks[pos].type == "sym" else None
         if head not in _SPECIAL_FORMS:
-            return Apply(expression(), until(")", expression, opener), distinct, loc)
+            return Apply(expression(), until(")", expression), distinct, loc)
         pos += 1
         if head == "define":
             if toks[pos].type == "$":

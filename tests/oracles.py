@@ -39,7 +39,8 @@ dataclass it used to be.  `tokenize_ref` is the lexer as it was before it
 read tokens with one regular expression: a loop over characters.
 `parse_ref` is the parser as it was before it read each construct once:
 a class with a method per construct and per special form, and a loop of
-its own for each bracketed sequence.
+its own for each bracketed sequence.  It lexes with the engine's `tokenize`,
+which refuses a bracket left open, so no loop meets the end of the input.
 `lookup_ref` resolves a name under index marks by the README's rule, from a
 list of every frame's candidate bindings.  `evaluate_mod` evaluates an
 expression modulo the prime `MOD_P` at a random point, an exact zero test
@@ -955,7 +956,7 @@ def tokenize_ref(text: str) -> list[Token]:
     toks: list[Token] = []
     i, line, line_start = 0, 1, 0  # a column is 1 plus the offset from line_start
     glued = False
-    open_tensors: list[tuple[int, int]] = []
+    open_brackets: list[tuple[str, int, int]] = []
 
     def emit(type_, value, l, c, width):
         nonlocal glued
@@ -983,11 +984,11 @@ def tokenize_ref(text: str) -> list[Token]:
             continue
         l, c = line, i - line_start + 1
         if ch == "[" and i + 1 < n and text[i + 1] == "|":
-            open_tensors.append((l, c))
+            open_brackets.append(("tensor literal", l, c))
             w = emit("[|", "[|", l, c, 2)
         elif ch == "|" and i + 1 < n and text[i + 1] == "]":
-            if open_tensors:
-                open_tensors.pop()
+            if open_brackets:
+                open_brackets.pop()
             w = emit("|]", "|]", l, c, 2)
         elif ch == "|":
             raise LexError("stray '|'", (l, c))
@@ -995,7 +996,14 @@ def tokenize_ref(text: str) -> list[Token]:
             w = emit("~_", "~_", l, c, 2)
         elif ch == "*" and i + 1 < n and text[i + 1] == "$":
             w = emit("*$", "*$", l, c, 2)
-        elif ch in "()[]{}_~!$%#^":
+        elif ch in "([{":
+            open_brackets.append((repr(ch), l, c))
+            w = emit(ch, ch, l, c, 1)
+        elif ch in ")]}":
+            if open_brackets:
+                open_brackets.pop()
+            w = emit(ch, ch, l, c, 1)
+        elif ch in "_~!$%#^":
             w = emit(ch, ch, l, c, 1)
         elif ch == '"':
             j = i + 1
@@ -1024,8 +1032,9 @@ def tokenize_ref(text: str) -> list[Token]:
                 j += 1
             w = emit("sym", text[i:j], l, c, j - i)
         i += w
-    if open_tensors:
-        raise LexError("unterminated tensor literal", open_tensors[-1])
+    if open_brackets:
+        name, l, c = open_brackets[-1]
+        raise LexError(f"unterminated {name}", (l, c))
     toks.append(_token(Token, ("eof", None, line, n - line_start + 1, False)))
     return toks
 
@@ -1052,7 +1061,8 @@ class _Parser:
     def expect(self, type_: str) -> Token:
         t = self.next()
         if t.type != type_:
-            raise ParseError(f"expected {type_!r}, found {t.value!r}", (t.line, t.col))
+            found = "end of input" if t.type == "eof" else repr(t.value)
+            raise ParseError(f"expected {type_!r}, found {found}", (t.line, t.col))
         return t
 
     def loc(self, t: Token) -> tuple:
@@ -1078,7 +1088,7 @@ class _Parser:
             return SymbolRef(t.value, self.loc(t))
         if t.type == "[|":
             elems = []
-            while self.peek().type != "|]":  # the lexer rejects an unclosed [|
+            while self.peek().type != "|]":
                 elems.append(self.expression())
             self.next()
             if not elems:
@@ -1087,8 +1097,6 @@ class _Parser:
         if t.type == "{":
             items = []
             while self.peek().type != "}":
-                if self.peek().type == "eof":
-                    raise ParseError("unterminated '{'", self.loc(t))
                 items.append(self.expression())
             self.next()
             return Braces(tuple(items), self.loc(t))
@@ -1152,8 +1160,6 @@ class _Parser:
         fn = self.expression()
         args = []
         while self.peek().type != ")":
-            if self.peek().type == "eof":
-                raise ParseError("unterminated '('", self.loc(opener))
             args.append(self.expression())
         self.next()
         return Apply(fn, tuple(args), loc=self.loc(opener))

@@ -381,7 +381,7 @@ class TestRun:
         f.write_text("(define $x 1 ; trailing comment", encoding="utf-8")
         r = tegi("run", str(f))
         assert r.returncode == 1
-        assert r.stderr == "error: line 1, col 32: expected ')', found None\n"
+        assert r.stderr == "error: line 1, col 1: unterminated '('\n"
         assert "Traceback" not in r.stderr
 
     def test_dump_desugared(self, tmp_path):
@@ -520,6 +520,23 @@ class TestRepl:
     def test_multi_line_form(self):
         r = tegi("repl", stdin="(+ 1\n2)\n")
         assert r.stdout == "3\n"
+
+    def test_open_brackets_of_every_kind_continue_onto_the_next_line(self):
+        r = tegi("repl", stdin="(let {[$x 1\n]} x)\n")
+        assert r.stdout == "1\n"
+        assert r.stderr == ""
+
+    def test_a_closer_of_the_wrong_kind_is_reported_at_once(self):
+        # any closer closes the innermost bracket, so the input is finished
+        # and the parser reports the ')' that does not match the '[|'
+        r = tegi("repl", stdin="[|1 2)\n(+ 1 1)\n")
+        assert r.stderr == "error: line 1, col 6: unexpected ')'\n"
+        assert r.stdout == "2\n"
+
+    def test_an_unterminated_string_continues_onto_the_next_line(self):
+        r = tegi("repl", stdin='"ab\ncd"\n(+ 1 1)\n')
+        assert r.stdout == '"ab\ncd"\n2\n'
+        assert r.stderr == ""
 
     def test_error_recovers(self):
         r = tegi("repl", stdin="(derivative r 2)\n(+ 1 2)\n")

@@ -1,5 +1,8 @@
 """Tests for the lexer, parser, desugarer, and unparser."""
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +27,11 @@ from tegi.lang import (
 from tegi.tensor import IndexMark
 
 
+ROOT = Path(__file__).resolve().parent.parent
+PROGRAMS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.tegi"))
+STRING = re.compile(r'"(?:\\[\s\S]|[^"\\])*"')
+
+
 def kinds(text):
     return [t.type for t in tokenize(text) if t.type != "eof"]
 
@@ -41,6 +49,10 @@ TEXTS = st.builds(
     st.lists(st.sampled_from(PIECES), max_size=12),
     st.sampled_from(["", "; end"]),
 )
+
+# The opener each name in an `unterminated …` message is spelled with.
+OPENERS = {"'('": "(", "'['": "[", "'{'": "{", "tensor literal": "[|"}
+OPENER_NAMES = {opener: name for name, opener in OPENERS.items()}
 
 
 def lexeme(t):
@@ -139,9 +151,16 @@ class TestTokenize:
     @given(TEXTS)
     def test_each_token_is_located_where_its_lexeme_starts(self, text):
         # a column is 1 plus the offset from the start of its line, after
-        # comments and strings spanning lines too
+        # comments and strings spanning lines too; a bracket left open is
+        # refused where its opener starts
         lines = text.split("\n")
-        *toks, eof = tokenize(text)
+        try:
+            *toks, eof = tokenize(text)
+        except LexError as exc:
+            line, col = exc.location
+            opener = OPENERS[exc.message.removeprefix("unterminated ")]
+            assert lines[line - 1][col - 1:].startswith(opener), (exc, text)
+            return
         for t in toks:
             assert lines[t.line - 1][t.col - 1:].startswith(lexeme(t)), (t, text)
         assert (eof.line, eof.col) == (len(lines), len(lines[-1]) + 1)
@@ -236,7 +255,7 @@ class TestParse:
         assert len(parse_program("1 2 (f 3)")) == 3
 
     def test_unbalanced(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(LexError):
             parse_program("(f 1")
         with pytest.raises(ParseError):
             parse_program("(f 1))")
@@ -252,7 +271,7 @@ class TestParse:
             parse_program("(contract + v_)")
 
     def test_parse_errors_carry_location(self):
-        with pytest.raises(ParseError) as ei:
+        with pytest.raises(LexError) as ei:
             parse_program("(f\n")
         assert "line" in str(ei.value)
 
@@ -368,3 +387,66 @@ class TestUnparse:
         # neither node can be written as `r^2`, so `^` heads the form
         assert unparse(node) == text
         assert parse_program(text) == [node]
+
+
+def token_spans(text):
+    """(start, end, type) of each token of text, as offsets into it."""
+    line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+    for t in tokenize(text)[:-1]:
+        start = line_starts[t.line - 1] + t.col - 1
+        if t.type == "str":
+            end = STRING.match(text, start).end()
+        else:
+            end = start + len(str(t.value) if t.type in ("int", "sym") else t.type)
+        yield start, end, t.type
+
+
+def prefix_errors(text):
+    """Each prefix of text, cut at every character, with the error its
+    parse must raise: a string or a `|]` cut in two is refused where it
+    starts, else a bracket left open is refused at the innermost opener; a
+    prefix with no bracket open has None and must parse or be a ParseError."""
+    def where(offset):
+        line_start = text.rfind("\n", 0, offset) + 1
+        return text.count("\n", 0, offset) + 1, offset - line_start + 1
+
+    spans, j, opened = list(token_spans(text)), 0, []
+    for k in range(len(text) + 1):
+        while j < len(spans) and spans[j][1] <= k:
+            start, _, kind = spans[j]
+            if kind in OPENER_NAMES:
+                opened.append((OPENER_NAMES[kind], start))
+            elif kind in (")", "]", "}", "|]"):
+                opened.pop()
+            j += 1
+        start, _, kind = spans[j] if j < len(spans) and spans[j][0] < k else (k, k, None)
+        if kind == "str":
+            want = LexError, "unterminated string", where(start)
+        elif kind == "|]":
+            want = LexError, "stray '|'", where(start)
+        elif kind == "[|" or opened:  # a `[|` cut in two leaves its `[` open
+            name, at = ("'['", start) if kind == "[|" else opened[-1]
+            want = LexError, f"unterminated {name}", where(at)
+        else:
+            want = None
+        yield text[:k], want
+
+
+@pytest.mark.parametrize("path", PROGRAMS, ids=[p.name for p in PROGRAMS])
+def test_every_prefix_of_a_program_parses_or_is_a_located_error(path):
+    # an unfinished program names its innermost open bracket, and no parse
+    # error names Python's None where a token belongs
+    wrong = []
+    for prefix, want in prefix_errors(path.read_text(encoding="utf-8")):
+        try:
+            parse_program(prefix)
+            got = None
+        except (LexError, ParseError) as exc:
+            got = type(exc), exc.message, exc.location
+        if want is not None:
+            ok = got == want
+        else:
+            ok = got is None or got[0] is ParseError and got[2] and "None" not in got[1]
+        if not ok:
+            wrong.append((prefix[-30:], want, got))
+    assert not wrong, (len(wrong), wrong[:5])
