@@ -28,11 +28,8 @@ class LexError(TegiError):
 
 
 class ParseError(TegiError):
-    """Malformed expression, unexpected token or closer of the wrong kind."""
-
-
-class DesugarError(TegiError):
-    """Invalid define-with-indices form (duplicate or mixed index names)."""
+    """Malformed expression, unexpected token or closer of the wrong kind, a name
+    bound twice in one form, or a define name's indices mixed, not symbols or repeated."""
 
 
 class EvalError(TegiError):

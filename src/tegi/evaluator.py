@@ -203,24 +203,26 @@ def _marked_scalars(v) -> bool:
 
 def _one_application(body: lang.Node, names: tuple) -> bool:
     """Whether body applies a named function, without `!`, to exactly the
-    distinct parameters `names`, in order, the name being none of them."""
+    parameters `names`, in order, the name being none of them; the parser
+    has already made the parameters distinct."""
     return (
         isinstance(body, lang.Apply)
         and not body.distinct
         and isinstance(body.fn, lang.SymbolRef)
+        and body.fn.name not in names
         and tuple(a.name if isinstance(a, lang.SymbolRef) else None for a in body.args) == names
-        and len({body.fn.name, *names}) == len(names) + 1
     )
 
 
 def _contracted_product(body: lang.Node, names: tuple) -> bool:
-    """Whether body is `(contract + (* p q))`, without `!`, on the two
-    distinct parameters `names` in order, none named `contract`, `+` or `*`."""
+    """Whether body is `(contract + (* p q))`, without `!`, on the parameters
+    `names` in order, none named `contract`, `+` or `*` (nodes compare
+    without their locations)."""
+    ref = lang.SymbolRef
     return (
-        len({*names, "contract", "+", "*"}) == len(names) + 3 == 5
-        and isinstance(body, lang.Apply)
-        and getattr(body.fn, "name", None) == "contract"  # before the unparse
-        and lang.unparse(body) == "(contract + (* {} {}))".format(*names)
+        getattr(body, "fn", None) == ref("contract")  # before the whole body is built
+        and not {"contract", "+", "*"} & set(names)
+        and body == lang.Apply(body.fn, (ref("+"), lang.Apply(ref("*"), tuple(map(ref, names)))))
     )
 
 
@@ -307,12 +309,12 @@ class Interpreter:
             raise TegiTypeError(f"not a function: {format_value(fnv)}")
         kinds = fnv.kinds
         if kinds is None:
-            if len(args) < fnv.min_args:
-                raise ArityError(f"{fnv.name} needs at least {fnv.min_args} argument(s)")
-            kinds = (SCALAR,) * len(args)
-        elif len(args) != len(kinds):
+            kinds = (SCALAR,) * max(len(args), fnv.min_args)
+        if len(args) != len(kinds):
             who = "" if fnv.name is None else f"{fnv.name} "
-            raise ArityError(f"{who}expected {len(kinds)} arguments, got {len(args)}")
+            least = "at least " if fnv.kinds is None else ""
+            s = "" if len(kinds) == 1 else "s"
+            raise ArityError(f"{who}expected {least}{len(kinds)} argument{s}, got {len(args)}")
 
         for a in args:
             if isinstance(a, TensorValue):
@@ -323,7 +325,7 @@ class Interpreter:
         return with_symbols_scope(gens, apply_with_kinds(fnv.fn, kinds, args))
 
     def _lambda(self, node: lang.Lambda, env: Environment) -> Function:
-        kinds = tuple(ParamKind(sigil) for sigil, _ in node.params)
+        kinds = tuple(kind for kind, _ in node.params)
         names = tuple(name for _, name in node.params)
         body = node.body
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-from .errors import DesugarError, LexError, ParseError
+from .application import ParamKind
+from .errors import LexError, ParseError
 from .record import Record
 from .symexpr import MAX_DIGITS
 from .tensor import VARIANCE_STR, IndexMark, mark_str
@@ -143,7 +144,7 @@ class Apply(Record):
 
 
 class Lambda(Record):
-    __slots__ = ("params", "body", "loc")  # params: tuple of (sigil, name)
+    __slots__ = ("params", "body", "loc")  # params: tuple of (ParamKind, name)
 
 
 class Define(Record):
@@ -169,7 +170,7 @@ Node = (
 
 _MARK_TOKENS = {spelling: v for v, spelling in VARIANCE_STR.items()}
 _SUFFIXES = {*_MARK_TOKENS, "^"}  # the tokens that glue onto an expression
-_SIGILS = {"$", "%", "*$"}
+_SIGILS = {kind.value: kind for kind in ParamKind}
 _SPECIAL_FORMS = {"define", "lambda", "with-symbols", "let", "if"}
 
 
@@ -179,9 +180,10 @@ def parse_program(text: str, located: bool = True) -> list[Node]:
     Each node's `loc` is where it starts in the text.  With `located` false
     every `loc` is None, so that an error raised while evaluating the nodes
     (the prelude's) is located at the user's node that reached them; parse
-    and desugar errors are located in the text either way.  A form nested
-    too deeply for the Python stack is a ParseError located at the start of
-    that top-level form; the recursion limit is left alone.
+    errors are located in the text either way, a name bound twice in one
+    binding form at the form's '('.  A form nested too deeply for the Python
+    stack is a ParseError located at the start of that top-level form; the
+    recursion limit is left alone.
     """
     toks = tokenize(text)
     pos = 0
@@ -278,6 +280,7 @@ def parse_program(text: str, located: bool = True) -> list[Node]:
         if head not in _SPECIAL_FORMS:
             return Apply(expression(), until(")", expression), distinct, loc)
         pos += 1
+        names = ()
         if head == "define":
             if toks[pos].type == "$":
                 pos += 1
@@ -285,30 +288,40 @@ def parse_program(text: str, located: bool = True) -> list[Node]:
         elif head == "lambda":
             expect("[")
             node = Lambda(until("]", parameter), expression(), loc)
+            names = [name for _, name in node.params]
         elif head == "with-symbols":
             expect("{")
             node = WithSymbols(until("}", lambda: expect("sym").value), expression(), loc)
+            names = node.names
         elif head == "let":
             expect("{")
             node = Let(until("}", binding), expression(), loc)
+            names = [name for name, _ in node.bindings]
         else:
             node = If(expression(), expression(), expression(), loc)
         expect(")")
-        if head != "define":
-            return node
-        try:
-            return desugar_define_indices(node)
-        except DesugarError as exc:  # at the '(', whether or not the nodes are located
-            exc.location = (opener.line, opener.col)
-            raise
+        at = (opener.line, opener.col)  # whether or not the nodes are located
+        if head == "define":  # its index symbols: none when every mark is bare
+            names = [m.label for m in node.signature if m.label is not None]
+            for m in node.signature if names else ():
+                if not isinstance(m.label, str) or m.label == "#":
+                    shape = "mixes bare and labeled" if m.label is None else "needs symbolic"
+                    raise ParseError(f"define name {node.name!r} {shape} indices", at)
+        if len(set(names)) < len(names):  # the one rule: a form binds each name once
+            twice = next(n for i, n in enumerate(names) if n in names[:i])
+            if head == "define":
+                raise ParseError(f"define name {node.name!r} repeats an index symbol", at)
+            raise ParseError(f"{head} binds {twice!r} twice", at)
+        return desugar_define_indices(node) if head == "define" else node
 
     def parameter() -> tuple:
         nonlocal pos
         t = toks[pos]
         pos += 1
-        if t.type not in _SIGILS:
+        kind = _SIGILS.get(t.type)
+        if kind is None:
             raise ParseError("parameter needs a '$', '%', or '*$' sigil", (t.line, t.col))
-        return t.type, expect("sym").value
+        return kind, expect("sym").value
 
     def binding() -> tuple:
         nonlocal pos
@@ -337,31 +350,18 @@ def desugar_define_indices(node: Define) -> Define:
 
     `(define $Γ_i_j_k E)` becomes
     `(define $Γ___ (with-symbols {i j k} (transpose {i j k} E)))`;
-    defines with bare or absent marks pass through unchanged.
+    defines with bare or absent marks pass through unchanged.  A rewrite of
+    a name the parser has already checked: all bare, or distinct symbols.
     """
-    if not any(m.label is not None for m in node.signature):
+    labels = tuple(m.label for m in node.signature if m.label is not None)
+    if not labels:
         return node
-    labels = []
-    for m in node.signature:
-        if m.label is None:
-            raise DesugarError(
-                f"define name {node.name!r} mixes bare and labeled indices", node.loc
-            )
-        if not isinstance(m.label, str) or m.label == "#":
-            raise DesugarError(
-                f"define name {node.name!r} needs symbolic indices", node.loc
-            )
-        labels.append(m.label)
-    if len(set(labels)) != len(labels):
-        raise DesugarError(
-            f"define name {node.name!r} repeats an index symbol", node.loc
-        )
     # The generated nodes carry the define's location, so an error raised
     # inside them (say, by the transpose) is reported where the define is.
     loc = node.loc
     refs = Braces(tuple(SymbolRef(s, loc) for s in labels), loc)
     body = WithSymbols(
-        tuple(labels),
+        labels,
         Apply(SymbolRef("transpose", loc), (refs, node.body), loc=loc),
         loc,
     )
@@ -399,7 +399,7 @@ def unparse(node: Node) -> str:
         opener = "!(" if node.distinct else "("
         return opener + " ".join(unparse(e) for e in (node.fn, *node.args)) + ")"
     if isinstance(node, Lambda):
-        params = " ".join(sigil + name for sigil, name in node.params)
+        params = " ".join(kind.value + name for kind, name in node.params)
         return f"(lambda [{params}] {unparse(node.body)})"
     if isinstance(node, Define):
         marks = "".join(mark_str(m) for m in node.signature)

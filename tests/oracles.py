@@ -819,6 +819,10 @@ def apply_with_kinds_dense(kernel, kinds, args):
     return tensor_map(at, *(args[p] for p in spots))
 
 
+def _arguments(n: int) -> str:
+    return "1 argument" if n == 1 else f"{n} arguments"
+
+
 class DenseInterpreter(Interpreter):
     """Every call completes and lifts; `+`, `*` and `contract` fold pairwise."""
 
@@ -828,11 +832,12 @@ class DenseInterpreter(Interpreter):
         kinds = fnv.kinds
         if kinds is None:
             if len(args) < fnv.min_args:
-                raise ArityError(f"{fnv.name} needs at least {fnv.min_args} argument(s)")
+                wanted = _arguments(fnv.min_args)
+                raise ArityError(f"{fnv.name} expected at least {wanted}, got {len(args)}")
             kinds = (SCALAR,) * len(args)
         elif len(args) != len(kinds):
             who = "" if fnv.name is None else f"{fnv.name} "
-            raise ArityError(f"{who}expected {len(kinds)} arguments, got {len(args)}")
+            raise ArityError(f"{who}expected {_arguments(len(kinds))}, got {len(args)}")
 
         # pick the positions to complete here, apart from how the engine picks them
         if distinct:
@@ -1042,7 +1047,7 @@ def tokenize_ref(text: str) -> list[Token]:
 # ---------------------------------------------------------------- parser
 
 _MARK_TOKENS = {"_": -1, "~": 1, "~_": 0}
-_SIGILS = {"$", "%", "*$"}
+_SIGILS = {"$": SCALAR, "%": TENSOR, "*$": INVERTED}
 
 
 class _Parser:
@@ -1180,8 +1185,31 @@ class _Parser:
                 sig.append(IndexMark(_MARK_TOKENS[mt.type], label))
         body = self.expression()
         self.expect(")")
-        node = Define(name.value, tuple(sig), body, self.loc(opener))
-        return desugar_define_indices(node)
+        labels = [m.label for m in sig]
+        if any(label is not None for label in labels):
+            for label in labels:
+                if label is None:
+                    raise ParseError(
+                        f"define name {name.value!r} mixes bare and labeled indices",
+                        self.loc(opener),
+                    )
+                if not isinstance(label, str) or label == "#":
+                    raise ParseError(
+                        f"define name {name.value!r} needs symbolic indices", self.loc(opener)
+                    )
+            if len(set(labels)) != len(labels):
+                raise ParseError(
+                    f"define name {name.value!r} repeats an index symbol", self.loc(opener)
+                )
+        return desugar_define_indices(Define(name.value, tuple(sig), body, self.loc(opener)))
+
+    def bound_once(self, head: str, names: list, opener: Token) -> None:
+        """Refuse, at its '(', a binding form that binds a name twice."""
+        seen = set()
+        for name in names:
+            if name in seen:
+                raise ParseError(f"{head} binds {name!r} twice", self.loc(opener))
+            seen.add(name)
 
     def lambda_form(self, opener: Token) -> Node:
         self.expect("[")
@@ -1193,10 +1221,11 @@ class _Parser:
                     "parameter needs a '$', '%', or '*$' sigil", (t.line, t.col)
                 )
             name = self.expect("sym")
-            params.append((t.type, name.value))
+            params.append((_SIGILS[t.type], name.value))
         self.next()
         body = self.expression()
         self.expect(")")
+        self.bound_once("lambda", [name for _, name in params], opener)
         return Lambda(tuple(params), body, self.loc(opener))
 
     def with_symbols_form(self, opener: Token) -> Node:
@@ -1207,6 +1236,7 @@ class _Parser:
         self.next()
         body = self.expression()
         self.expect(")")
+        self.bound_once("with-symbols", names, opener)
         return WithSymbols(tuple(names), body, self.loc(opener))
 
     def let_form(self, opener: Token) -> Node:
@@ -1223,6 +1253,7 @@ class _Parser:
         self.next()
         body = self.expression()
         self.expect(")")
+        self.bound_once("let", [name for name, _ in bindings], opener)
         return Let(tuple(bindings), body, self.loc(opener))
 
     def if_form(self, opener: Token) -> Node:

@@ -209,6 +209,12 @@ class TestRun:
                          id="parse-define-with-marks"),
             pytest.param("(define $y 2)^2", 1, "define must be a top-level form",
                          id="parse-define-with-an-exponent"),
+            pytest.param("((lambda [$x $x] x) 1 2)", 2, "lambda binds 'x' twice",
+                         id="parse-lambda-binds-twice"),
+            pytest.param("(let {[$x 1] [$x 2]} x)", 1, "let binds 'x' twice",
+                         id="parse-let-binds-twice"),
+            pytest.param("(with-symbols {i i} 1)", 1, "with-symbols binds 'i' twice",
+                         id="parse-with-symbols-binds-twice"),
         ],
     )
     def test_error_is_located_by_node_kind(self, tmp_path, line, col, message):

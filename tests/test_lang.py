@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tegi.errors import DesugarError, LexError, ParseError
+from tegi.application import ParamKind
+from tegi.errors import LexError, ParseError
 from tegi.lang import (
     Apply,
     Braces,
@@ -171,7 +172,7 @@ class TestParse:
         # [PAPER] min function body
         got = parse1("(lambda [$x $y] (if (less-than? x y) x y))")
         assert got == Lambda(
-            (("$", "x"), ("$", "y")),
+            ((ParamKind.SCALAR, "x"), (ParamKind.SCALAR, "y")),
             If(
                 Apply(SymbolRef("less-than?"), (SymbolRef("x"), SymbolRef("y"))),
                 SymbolRef("x"),
@@ -276,6 +277,40 @@ class TestParse:
         assert "line" in str(ei.value)
 
 
+class TestBindingForms:
+    @pytest.mark.parametrize("text, message", [
+        ("1\n  ((lambda [$x $x] x) 1 2)", "line 2, col 4: lambda binds 'x' twice"),
+        ("1\n  (lambda [$x %y *$x] x)", "line 2, col 3: lambda binds 'x' twice"),
+        ("1\n  (let {[$x 1] [$y 2] [$x 3]} x)", "line 2, col 3: let binds 'x' twice"),
+        ("1\n  (with-symbols {i j i} 1)", "line 2, col 3: with-symbols binds 'i' twice"),
+        ("1\n  (with-symbols {i j j i} 1)", "line 2, col 3: with-symbols binds 'j' twice"),
+        ("1\n  (define $T~i_j_i E)", "line 2, col 3: define name 'T' repeats an index symbol"),
+        ("(f (g (lambda [$a $a]\n  a)))", "line 1, col 7: lambda binds 'a' twice"),
+    ])
+    @pytest.mark.parametrize("located", [True, False])
+    def test_a_name_bound_twice_is_refused_at_the_form(self, text, message, located):
+        with pytest.raises(ParseError) as ei:
+            parse_program(text, located)
+        assert str(ei.value) == message
+
+    def test_the_first_repeat_is_named(self):
+        with pytest.raises(ParseError) as ei:
+            parse_program("(lambda [$y $x $x $y] x)")
+        assert ei.value.message == "lambda binds 'x' twice"
+
+    def test_the_innermost_form_is_refused_first(self):
+        with pytest.raises(ParseError) as ei:
+            parse_program("(let {[$x 1] [$x 2]} (with-symbols {i i} x))")
+        assert str(ei.value) == "line 1, col 22: with-symbols binds 'i' twice"
+
+    @pytest.mark.parametrize("text", [
+        "(lambda [$x $y] (let {[$x y] [$y x]} x))",
+        "(define $T_i_j (with-symbols {i j} (lambda [$i $j] i)))",
+    ])
+    def test_an_inner_form_may_rebind_a_name_of_another_form(self, text):
+        assert len(parse_program(text)) == 1
+
+
 class TestDesugarDefineIndices:
     def test_labeled_define_rule(self):
         # [PAPER] (define $Γ_i_j_k E) =>
@@ -295,16 +330,19 @@ class TestDesugarDefineIndices:
         assert got == Define("x", (), TensorLit((SymbolRef("θ"), SymbolRef("φ"))))
 
     def test_duplicate_labels(self):
-        with pytest.raises(DesugarError):
+        with pytest.raises(ParseError) as ei:
             parse_program("(define $T_i_i E)")
+        assert str(ei.value) == "line 1, col 1: define name 'T' repeats an index symbol"
 
     def test_mixed_bare_and_labeled(self):
-        with pytest.raises(DesugarError):
+        with pytest.raises(ParseError) as ei:
             parse_program("(define $T_i_ E)")
+        assert str(ei.value) == "line 1, col 1: define name 'T' mixes bare and labeled indices"
 
     def test_integer_labels_rejected(self):
-        with pytest.raises(DesugarError):
+        with pytest.raises(ParseError) as ei:
             parse_program("(define $T_1 E)")
+        assert str(ei.value) == "line 1, col 1: define name 'T' needs symbolic indices"
 
     def test_direct_call(self):
         node = Define("R", (IndexMark(1, "i"), IndexMark(-1, "j")), SymbolRef("E"))
