@@ -339,6 +339,9 @@ def parse_program(text: str, located: bool = True) -> list[Node]:
             forms.append(expression(True))
         except RecursionError:
             raise ParseError("nesting too deep", (start.line, start.col)) from None
+    # the closures above refer to one another, a cycle that holds `toks`:
+    # emptying it frees the tokens now, not at the next cyclic collection
+    toks.clear()
     return forms
 
 

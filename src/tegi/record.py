@@ -1,15 +1,17 @@
 """Immutable value records: what a frozen dataclass gives, from `__slots__`.
 
-A record class states its fields once, in `__slots__`.  Its slots, root
-class first, are the parameters of its constructor, which the base compiles
-for each class: `__init__(self, <slots>)` sets each slot and then, if the
-class has a `__post_init__`, calls `self.__post_init__()`, looked up on the
-instance at each call so that a method rebound on the class takes effect.
-A record class defines no `__init__` of its own.  Slots named `_...` (memos)
-are not parameters.  A parameter named `loc` defaults to `None`; any other
-default is declared once, in the class's `_defaults` dict, because a class
-attribute cannot share a slot's name.  As in any `def`, a parameter with a
-default cannot precede one without.
+A record class states its fields once, in `__slots__`, and defines no
+constructor.  Its slots, root class first, are the parameters of the one
+constructor the base compiles for it: the class's `__init__`, or `__new__`
+for an interned class, named `__init__` either way so that its argument
+errors read like a dataclass's.  It sets each slot through that slot's
+descriptor and then, if the class has a `__post_init__`, calls
+`self.__post_init__()`, looked up on the instance at each call so that a
+method rebound on the class takes effect.  Slots named `_...` (memos) are not
+parameters.  A parameter named `loc` defaults to `None`; any other default is
+declared once, in the class's `_defaults` dict, because a class attribute
+cannot share a slot's name.  As in any `def`, a parameter with a default
+cannot precede one without.
 
 The fields are the parameters except `loc` (a source location, kept but not
 part of the value).  From the fields the base derives:
@@ -23,22 +25,35 @@ part of the value).  From the fields the base derives:
 - pickling through the constructor, so memos are never pickled.
 
 A class that sets `_interned = True` keeps one live record per argument
-tuple.  Its compiled function binds the arguments to a key, and its
-`__new__` hands back the live record with an equal key when there is one,
-and otherwise builds and registers a new one (running `__post_init__` only
-then).  The table is a `weakref.WeakValueDictionary`, so a record is freed
-with the last value that refers to it, and its entry goes with it.
-Unpickling goes through the constructor, so it finds the live record too.
-The lookup and the registration are not locked: records are built from one
-thread.
+tuple.  Its `__new__` hands back the live record under the key
+`(class, *arguments)` if there is one, and otherwise builds a record and
+registers it.  The table is a plain dict of weak references, so a record is
+freed with the last value that holds it; the reference's callback then drops
+the entry, unless a newer record holds the key by then.  Unpickling goes
+through the constructor, so it finds the live record too.  The lookup and
+the registration are not locked: records are built from one thread.
 """
 
 from operator import attrgetter
-from weakref import WeakValueDictionary
+from weakref import ref
 
 __all__ = ["Record"]
 
-_live = WeakValueDictionary()  # (class, *arguments) -> the live record built from them
+_live = {}  # (class, *arguments) -> a weak reference to the live record built from them
+
+_INIT = "def __init__(self, {params}):\n{build}"
+_NEW = """def __new__(cls, {params}):
+    key = (cls, {args})
+    entry = _live.get(key)
+    if entry is not None and (self := entry()) is not None:
+        return self
+    self = _new(cls)
+{build}
+    def drop(entry, key=key):  # the entry goes unless a newer record took the key
+        if _live.get(key) is entry:
+            del _live[key]
+    _live[key] = _ref(self, drop)
+    return self"""
 
 
 def _getter(names):
@@ -49,39 +64,24 @@ def _getter(names):
     return attrgetter(*names) if names else lambda r: ()
 
 
-def _make_init(cls, names):
-    """Compile `cls.__init__` with one parameter per name, in order; for an
-    interned class, compile instead its key, the tuple `(cls, *arguments)`,
-    from the same parameters.  Either is named `__init__`, so its argument
-    errors read like a dataclass's."""
+def _compile_constructor(cls, names):
+    """Compile the constructor of `cls`, with one parameter per name, in
+    order, and set it on the class: `__init__`, or `__new__` if interned."""
     defaults = {"loc": None, **getattr(cls, "_defaults", {})}
-    params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names)
-    if cls._interned:
-        body = [f"    return (self, {', '.join(names)})"]
-    else:
-        body = [f"    _set(self, {n!r}, {n})" for n in names]
-        if hasattr(cls, "__post_init__"):
-            body.append("    self.__post_init__()")
-    namespace = {"_set": object.__setattr__, "_defaults": defaults}
-    exec(f"def __init__(self, {params}):\n" + ("\n".join(body) or "    pass"), namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
-
-
-def _intern(cls, *args, **kwargs):
-    """`__new__` of an interned class: the live record built from equal
-    arguments if there is one, else a new record, registered."""
-    key = cls._intern_key(cls, *args, **kwargs)
-    self = _live.get(key)
-    if self is None:
-        self = object.__new__(cls)
-        for name, value in zip(cls._fields, key[1:]):  # an interned class has no `loc`
-            object.__setattr__(self, name, value)
-        if hasattr(cls, "__post_init__"):
-            self.__post_init__()
-        _live[key] = self
-    return self
+    build = [f"_set_{n}(self, {n})" for n in names]
+    if hasattr(cls, "__post_init__"):
+        build.append("self.__post_init__()")
+    source = (_NEW if cls._interned else _INIT).format(
+        params=", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names),
+        args="".join(f"{n}, " for n in names),
+        build="\n".join(f"    {b}" for b in build or ["pass"]),
+    )
+    namespace = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
+    namespace.update(_defaults=defaults, _live=_live, _new=object.__new__, _ref=ref)
+    exec(source, namespace)
+    name = "__new__" if cls._interned else "__init__"
+    namespace[name].__qualname__ = f"{cls.__qualname__}.__init__"
+    setattr(cls, name, namespace[name])
 
 
 class Record:
@@ -95,12 +95,7 @@ class Record:
         cls._fields = tuple(s for s in args if s != "loc")
         cls._values = staticmethod(_getter(cls._fields))
         cls._args = staticmethod(_getter(args))
-        if cls._interned:
-            cls._intern_key = staticmethod(_make_init(cls, args))
-            cls.__new__ = _intern
-            cls.__init__ = object.__init__
-        else:
-            cls.__init__ = _make_init(cls, args)
+        _compile_constructor(cls, args)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

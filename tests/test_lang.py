@@ -1,5 +1,6 @@
 """Tests for the lexer, parser, desugarer, and unparser."""
 
+import gc
 import re
 from pathlib import Path
 
@@ -488,3 +489,18 @@ def test_every_prefix_of_a_program_parses_or_is_a_located_error(path):
         if not ok:
             wrong.append((prefix[-30:], want, got))
     assert not wrong, (len(wrong), wrong[:5])
+
+
+def test_a_parse_leaves_the_same_garbage_whatever_the_program():
+    # the parser's closures form a cycle; it must not hold the program's tokens
+    def garbage_after(text):
+        gc.collect()
+        gc.disable()
+        try:
+            parse_program(text)
+        finally:
+            gc.enable()
+        return gc.collect()
+
+    riemann = (ROOT / "tests" / "corpus" / "riemann_s2.tegi").read_text(encoding="utf-8")
+    assert garbage_after(riemann * 3) == garbage_after("(+ 1 2)")

@@ -9,6 +9,7 @@ Expected values tagged in comments:
 import gc
 import math
 import pickle
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -738,6 +739,23 @@ def test_atoms_die_with_the_values_that_hold_them():
     gc.collect()
     assert len(record._live) == before
     assert printed == [format_value(v) for v in Interpreter().eval_source(text)]
+
+
+def test_an_atom_leaves_the_table_with_its_last_holder_without_the_collector():
+    arg = add(symbol("table_u"), symbol("table_v"))  # holds its symbols live
+    key = (Fun, "sin", arg)
+    gc.disable()
+    try:
+        for _ in range(2):  # the second build makes a new atom, dropped the same way
+            before = len(record._live)
+            atom = Fun("sin", arg)
+            assert len(record._live) == before + 1 and record._live[key]() is atom
+            gone = weakref.ref(atom)
+            del atom  # its entry goes at once, with no collection
+            assert gone() is None and key not in record._live
+            assert len(record._live) == before
+    finally:
+        gc.enable()
 
 
 def test_printing_a_value_twice_formats_the_same_atoms_twice(monkeypatch):
