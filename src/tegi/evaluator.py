@@ -11,15 +11,14 @@ each parameter (None for a variadic scalar builtin) and a Python callable.
 A lambda evaluates once to a `Function` whose callable runs the body in a
 new frame; `Interpreter.call` checks the arity and runs the callable itself
 when no argument is a tensor, else completes omitted indices and hands it
-to `apply_with_kinds`, the same way for both.  A lambda whose body applies
-a named function, without `!`, to exactly its own parameters, as `∂/∂`'s
-`(derivative f x)` does, is a direct kernel: it skips evaluating the body
-and makes the body's call through `Interpreter.call`, so values and errors
-are the body's.  A lambda of two `%` parameters whose body is
-`(contract + (* p q))` on them, without `!`, as the prelude's `.` is, runs
-as one sparse join (`tensor.contract_product`) while `contract`, `+` and `*`
-are this interpreter's own builtins and both arguments are tensors of
-scalars with every axis marked; otherwise it evaluates its body.  Each
+to `apply_with_kinds`, the same way for both.  The shape the parser settled
+on the `lang.Lambda` node picks a faster callable.  A direct application,
+as `∂/∂`'s `(derivative f x)`, skips evaluating the body and makes the
+body's call through `Interpreter.call`, so values and errors are the body's.
+A contracted product, as the prelude's `.`, runs as one sparse join
+(`tensor.contract_product`) while `contract`, `+` and `*` are this
+interpreter's own builtins and both arguments are tensors of scalars with
+every axis marked; otherwise it evaluates its body.  Each
 `Interpreter` keeps one bounded memo of `derivative` results, and the Hodge
 star of the last metric `hodge` used.
 
@@ -201,31 +200,6 @@ def _marked_scalars(v) -> bool:
     )
 
 
-def _one_application(body: lang.Node, names: tuple) -> bool:
-    """Whether body applies a named function, without `!`, to exactly the
-    parameters `names`, in order, the name being none of them; the parser
-    has already made the parameters distinct."""
-    return (
-        isinstance(body, lang.Apply)
-        and not body.distinct
-        and isinstance(body.fn, lang.SymbolRef)
-        and body.fn.name not in names
-        and tuple(a.name if isinstance(a, lang.SymbolRef) else None for a in body.args) == names
-    )
-
-
-def _contracted_product(body: lang.Node, names: tuple) -> bool:
-    """Whether body is `(contract + (* p q))`, without `!`, on the parameters
-    `names` in order, none named `contract`, `+` or `*` (nodes compare
-    without their locations)."""
-    ref = lang.SymbolRef
-    return (
-        getattr(body, "fn", None) == ref("contract")  # before the whole body is built
-        and not {"contract", "+", "*"} & set(names)
-        and body == lang.Apply(body.fn, (ref("+"), lang.Apply(ref("*"), tuple(map(ref, names)))))
-    )
-
-
 class Interpreter:
     def __init__(self):
         self.global_env = Environment()
@@ -325,37 +299,29 @@ class Interpreter:
         return with_symbols_scope(gens, apply_with_kinds(fnv.fn, kinds, args))
 
     def _lambda(self, node: lang.Lambda, env: Environment) -> Function:
-        kinds = tuple(kind for kind, _ in node.params)
-        names = tuple(name for _, name in node.params)
-        body = node.body
+        (kinds, names, shape), body = node._facts, node.body
 
         def kernel(*vals):
             # `self.eval` is looked up at each call, so a rebound `eval` is used
             return self.eval(body, Environment(dict(zip(names, vals)), env))
 
-        if kinds == (TENSOR, TENSOR) and _contracted_product(body, names):
-            own = self._product_builtins
-            product = body.args[1]
-
+        if shape == "product":
             def join(a, b):
                 # the body's value as one sparse join, while its three names
                 # are this interpreter's own builtins and both arguments are
                 # marked tensors of scalars; else the body, as written
-                if not (
-                    all(env.lookup(f.name) is f for f in own)
-                    and _marked_scalars(a)
-                    and _marked_scalars(b)
-                ):
+                own = all(env.lookup(f.name) is f for f in self._product_builtins)
+                if not (own and _marked_scalars(a) and _marked_scalars(b)):
                     return kernel(a, b)
                 try:
                     return contract_product(a, b)
                 except TegiError as exc:
                     if exc.location is None:  # where `*` would have raised it
-                        exc.location = product.loc
+                        exc.location = body.args[1].loc
                     raise
 
             return Function(None, kinds, join)
-        if not _one_application(body, names):
+        if shape == "plain":
             return Function(None, kinds, kernel)
         name = body.fn.name
 

@@ -3,6 +3,7 @@
 The syntax is a parenthesized prefix notation with three extra pieces: tensor
 literals `[|...|]`, index suffixes (`_i`, `~j`, `~_k`, `_2`, `_#`) that glue
 onto the expression before them, and parameter sigils (`$`, `%`, `*$`).
+One `_Parser` reads the tokens; a `Lambda` settles its shape as it is built.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-from .application import ParamKind
+from .application import TENSOR, ParamKind
 from .errors import LexError, ParseError
 from .record import Record
 from .symexpr import MAX_DIGITS
@@ -144,7 +145,41 @@ class Apply(Record):
 
 
 class Lambda(Record):
-    __slots__ = ("params", "body", "loc")  # params: tuple of (ParamKind, name)
+    # params: tuple of (ParamKind, name); memo _facts: (kinds, names, shape)
+    __slots__ = ("params", "body", "loc", "_facts")
+
+    def __post_init__(self):
+        kinds = tuple(kind for kind, _ in self.params)
+        names = tuple(name for _, name in self.params)
+        product = kinds == (TENSOR, TENSOR) and _contracted_product(self.body, names)
+        direct = not product and _one_application(self.body, names)
+        shape = "product" if product else "direct" if direct else "plain"
+        object.__setattr__(self, "_facts", (kinds, names, shape))
+
+
+def _one_application(body, names: tuple) -> bool:
+    """Whether body applies a named function, without `!`, to exactly the
+    parameters `names`, in order, the name being none of them; the parser
+    refuses a lambda whose parameters are not distinct."""
+    return (
+        isinstance(body, Apply)
+        and not body.distinct
+        and isinstance(body.fn, SymbolRef)
+        and body.fn.name not in names
+        and tuple(a.name if isinstance(a, SymbolRef) else None for a in body.args) == names
+    )
+
+
+def _contracted_product(body, names: tuple) -> bool:
+    """Whether body is `(contract + (* p q))`, without `!`, on the parameters
+    `names` in order, none named `contract`, `+` or `*` (nodes compare
+    without their locations)."""
+    ref = SymbolRef
+    return (
+        getattr(body, "fn", None) == ref("contract")  # before the whole body is built
+        and not {"contract", "+", "*"} & set(names)
+        and body == Apply(body.fn, (ref("+"), Apply(ref("*"), tuple(map(ref, names)))))
+    )
 
 
 class Define(Record):
@@ -177,47 +212,61 @@ _SPECIAL_FORMS = {"define", "lambda", "with-symbols", "let", "if"}
 def parse_program(text: str, located: bool = True) -> list[Node]:
     """Parse source text into a list of (desugared) top-level forms.
 
-    Each node's `loc` is where it starts in the text.  With `located` false
-    every `loc` is None, so that an error raised while evaluating the nodes
-    (the prelude's) is located at the user's node that reached them; parse
-    errors are located in the text either way, a name bound twice in one
-    binding form at the form's '('.  A form nested too deeply for the Python
-    stack is a ParseError located at the start of that top-level form; the
-    recursion limit is left alone.
+    One `_Parser` holds the tokens and `located`, and nothing refers back to
+    it, so a parse, failed or not, leaves no cyclic garbage; a `Lambda`
+    settles its shape as it is built.  Each node's `loc` is where it starts
+    in the text.  With `located` false every `loc` is None, so that an error
+    raised while evaluating the nodes (the prelude's) is located at the
+    user's node that reached them; parse errors are located in the text
+    either way, a name bound twice in one binding form at the form's '('.
+    A form nested too deeply for the Python stack is a ParseError located at
+    the start of that top-level form; the recursion limit is left alone.
     """
-    toks = tokenize(text)
-    pos = 0
+    parser = _Parser(tokenize(text), located)
+    forms = []
+    while parser.toks[-1].type != "eof":
+        start = parser.toks[-1]
+        try:
+            forms.append(parser.expression(True))
+        except RecursionError:
+            raise ParseError("nesting too deep", (start.line, start.col)) from None
+    return forms
 
-    def expect(type_: str) -> Token:
-        nonlocal pos
-        t = toks[pos]
-        pos += 1
+
+class _Parser:
+    """A method per construct, each popping what it reads off `toks`, the tokens
+    last first; the lexer closed every bracket, so none reads past the end."""
+
+    __slots__ = ("toks", "located")
+
+    def __init__(self, toks: list[Token], located: bool):
+        self.toks, self.located = toks[::-1], located
+
+    def expect(self, type_: str) -> Token:
+        t = self.toks.pop()
         if t.type != type_:
             found = "end of input" if t.type == "eof" else repr(t.value)
             raise ParseError(f"expected {type_!r}, found {found}", (t.line, t.col))
         return t
 
-    def until(close: str, item) -> tuple:
-        """What `item` reads up to the token `close`, which it then steps over;
-        the lexer has closed every bracket, so `close` comes before the end."""
-        nonlocal pos
+    def until(self, close: str, item) -> tuple:
+        """What `item` reads up to the token `close`, which it then steps over."""
         items = []
-        while toks[pos].type != close:
+        while self.toks[-1].type != close:
             items.append(item())
-        pos += 1
+        self.toks.pop()
         return tuple(items)
 
-    def marks(labeled: bool) -> tuple:
-        """The index marks glued on at the cursor.  A reference's mark needs a
-        glued label; a signature's need not, and there a bare `~_` is two
-        marks, not a supersubscript."""
-        nonlocal pos
+    def marks(self, labeled: bool) -> tuple:
+        """The index marks glued on next.  A reference's mark needs a glued
+        label; a signature's need not, and there a bare `~_` is two marks,
+        not a supersubscript."""
+        toks = self.toks
         out = []
-        while toks[pos].type in _MARK_TOKENS and toks[pos].glued:
-            m, t = toks[pos], toks[pos + 1]
-            pos += 1
+        while toks[-1].type in _MARK_TOKENS and toks[-1].glued:
+            m, t = toks.pop(), toks[-1]
             if t.glued and t.type in ("sym", "int", "#"):
-                pos += 1
+                toks.pop()
                 out.append(IndexMark(_MARK_TOKENS[m.type], t.value))
             elif labeled:
                 raise ParseError("index mark needs a label", (t.line, t.col))
@@ -227,12 +276,11 @@ def parse_program(text: str, located: bool = True) -> list[Node]:
                 out.append(IndexMark(_MARK_TOKENS[m.type], None))
         return tuple(out)
 
-    def expression(top: bool = False) -> Node:
+    def expression(self, top: bool = False) -> Node:
         """A primary and the index marks and `^` exponents glued after it;
         only a `top` expression, a whole top-level form, may be a define."""
-        nonlocal pos
-        t = toks[pos]
-        pos += 1
+        toks, located = self.toks, self.located
+        t = toks.pop()
         kind = t.type
         loc = (t.line, t.col) if located else None
         if kind == "int":
@@ -242,30 +290,29 @@ def parse_program(text: str, located: bool = True) -> list[Node]:
         elif kind == "sym" or kind == "^":  # an unglued `^` names the power function
             node = SymbolRef(t.value, loc)
         elif kind == "[|":
-            node = TensorLit(until("|]", expression), loc)
+            node = TensorLit(self.until("|]", self.expression), loc)
             if not node.elements:
                 raise ParseError("empty tensor literal", (t.line, t.col))
         elif kind == "{":
-            node = Braces(until("}", expression), loc)
+            node = Braces(self.until("}", self.expression), loc)
         elif kind == "(" or kind == "!":
-            node = form(t if kind == "(" else expect("("), loc, kind == "!")
+            node = self.form(t if kind == "(" else self.expect("("), loc, kind == "!")
             if kind == "!" and not isinstance(node, Apply):
                 raise ParseError("'!' must precede a function application", (t.line, t.col))
             if isinstance(node, Define):
-                after = toks[pos]
-                if not top or after.glued and after.type in _SUFFIXES:
+                if not top or toks[-1].glued and toks[-1].type in _SUFFIXES:
                     raise ParseError("define must be a top-level form", (t.line, t.col))
         else:
             raise ParseError(f"unexpected {t.value!r}", (t.line, t.col))
-        while toks[pos].glued:
-            t = toks[pos]
+        while toks[-1].glued:
+            t = toks[-1]
             if t.type in _MARK_TOKENS:
-                node = IndexedRef(node, marks(True), (t.line, t.col) if located else None)
+                node = IndexedRef(node, self.marks(True), (t.line, t.col) if located else None)
             elif t.type == "^":
-                e = toks[pos + 1]
+                e = toks[-2]
                 if e.type != "int" or not e.glued:
                     raise ParseError("'^' needs an integer exponent", (e.line, e.col))
-                pos += 2
+                del toks[-2:]
                 loc = (t.line, t.col) if located else None
                 exponent = IntLit(e.value, (e.line, e.col) if located else None)
                 node = Apply(SymbolRef("^", loc), (node, exponent), False, loc)
@@ -273,33 +320,33 @@ def parse_program(text: str, located: bool = True) -> list[Node]:
                 break
         return node
 
-    def form(opener: Token, loc: tuple | None, distinct: bool) -> Node:
+    def form(self, opener: Token, loc: tuple | None, distinct: bool) -> Node:
         """The form after its '(' `opener`; an application is located at `loc`."""
-        nonlocal pos
-        head = toks[pos].value if toks[pos].type == "sym" else None
+        t = self.toks[-1]
+        head = t.value if t.type == "sym" else None
         if head not in _SPECIAL_FORMS:
-            return Apply(expression(), until(")", expression), distinct, loc)
-        pos += 1
+            return Apply(self.expression(), self.until(")", self.expression), distinct, loc)
+        self.toks.pop()
         names = ()
         if head == "define":
-            if toks[pos].type == "$":
-                pos += 1
-            node = Define(expect("sym").value, marks(False), expression(), loc)
+            if self.toks[-1].type == "$":
+                self.toks.pop()
+            node = Define(self.expect("sym").value, self.marks(False), self.expression(), loc)
         elif head == "lambda":
-            expect("[")
-            node = Lambda(until("]", parameter), expression(), loc)
-            names = [name for _, name in node.params]
+            self.expect("[")
+            node = Lambda(self.until("]", self.parameter), self.expression(), loc)
+            names = node._facts[1]
         elif head == "with-symbols":
-            expect("{")
-            node = WithSymbols(until("}", lambda: expect("sym").value), expression(), loc)
-            names = node.names
+            self.expect("{")
+            names = self.until("}", lambda: self.expect("sym").value)
+            node = WithSymbols(names, self.expression(), loc)
         elif head == "let":
-            expect("{")
-            node = Let(until("}", binding), expression(), loc)
+            self.expect("{")
+            node = Let(self.until("}", self.binding), self.expression(), loc)
             names = [name for name, _ in node.bindings]
         else:
-            node = If(expression(), expression(), expression(), loc)
-        expect(")")
+            node = If(self.expression(), self.expression(), self.expression(), loc)
+        self.expect(")")
         at = (opener.line, opener.col)  # whether or not the nodes are located
         if head == "define":  # its index symbols: none when every mark is bare
             names = [m.label for m in node.signature if m.label is not None]
@@ -314,35 +361,20 @@ def parse_program(text: str, located: bool = True) -> list[Node]:
             raise ParseError(f"{head} binds {twice!r} twice", at)
         return desugar_define_indices(node) if head == "define" else node
 
-    def parameter() -> tuple:
-        nonlocal pos
-        t = toks[pos]
-        pos += 1
+    def parameter(self) -> tuple:
+        t = self.toks.pop()
         kind = _SIGILS.get(t.type)
         if kind is None:
             raise ParseError("parameter needs a '$', '%', or '*$' sigil", (t.line, t.col))
-        return kind, expect("sym").value
+        return kind, self.expect("sym").value
 
-    def binding() -> tuple:
-        nonlocal pos
-        expect("[")
-        if toks[pos].type in _SIGILS:
-            pos += 1
-        name_value = expect("sym").value, expression()
-        expect("]")
+    def binding(self) -> tuple:
+        self.expect("[")
+        if self.toks[-1].type in _SIGILS:
+            self.toks.pop()
+        name_value = self.expect("sym").value, self.expression()
+        self.expect("]")
         return name_value
-
-    forms = []
-    while toks[pos].type != "eof":
-        start = toks[pos]
-        try:
-            forms.append(expression(True))
-        except RecursionError:
-            raise ParseError("nesting too deep", (start.line, start.col)) from None
-    # the closures above refer to one another, a cycle that holds `toks`:
-    # emptying it frees the tokens now, not at the next cyclic collection
-    toks.clear()
-    return forms
 
 
 # ---------------------------------------------------------------------------

@@ -389,15 +389,14 @@ def _d_atom(atom: Atom, s: Sym) -> Expr:
 
 def _d_expr(e: Expr, s: Sym) -> Expr:
     """d e / d s, term by term with the product rule; atoms are used as they are."""
-    acc = ZERO
+    parts = []
     for c, mono in e.terms:
         for i, (atom, p) in enumerate(mono):
             da = _d_atom(atom, s)
-            if not da.terms:
-                continue
-            rest = Expr(((_norm(c * p), mono[:i] + mono[i + 1 :]),))
-            acc = add(acc, mul(rest, int_pow(_atom(atom), p - 1), da))
-    return acc
+            if da.terms:
+                rest = Expr(((_norm(c * p), mono[:i] + mono[i + 1 :]),))
+                parts.append(mul(rest, int_pow(_atom(atom), p - 1), da))
+    return ZERO if not parts else parts[0] if len(parts) == 1 else add(*parts)
 
 
 def differentiate(e: Expr, by: Expr) -> Expr:

@@ -16,7 +16,7 @@ from tegi.errors import (
     TegiTypeError,
     UnboundVariableError,
 )
-from tegi import evaluator, forms, tensor
+from tegi import evaluator, forms, lang, tensor
 from tegi.evaluator import Interpreter, format_value
 from tegi.lang import unparse
 from tegi.symexpr import Sym, as_int, int_pow, mul, rational, sin, symbol
@@ -363,6 +363,28 @@ class TestDirectKernel:
     ])
     def test_other_bodies_keep_the_general_path(self, src, want):
         assert show(src) == want
+
+    def test_a_lambdas_shape_is_found_when_it_is_parsed_not_when_it_is_evaluated(
+        self, monkeypatch
+    ):
+        # each `d` evaluates `flip`'s inner lambda afresh
+        calls = []
+        for name in ("_one_application", "_contracted_product"):
+            real = getattr(lang, name)
+
+            def counting(body, names, real=real, name=name):
+                calls.append(name)
+                return real(body, names)
+
+            monkeypatch.setattr(lang, name, counting)
+        interp = Interpreter()
+        assert calls  # the prelude's lambdas, as it was parsed
+        src = "(define $x [|r θ|]) (define $A [|(sin θ) r|]_i)" + " (d A)" * 3
+        nodes = lang.parse_program(src)
+        parsed = len(calls)
+        values = [interp.eval(node, interp.global_env) for node in nodes]
+        assert [format_value(v) for v in values[2:]] == ["[|[|0 (cos θ)|] [|1 0|]|]_i"] * 3
+        assert len(calls) == parsed
 
 
 class TestDerivativeMemo:

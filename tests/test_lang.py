@@ -492,15 +492,20 @@ def test_every_prefix_of_a_program_parses_or_is_a_located_error(path):
 
 
 def test_a_parse_leaves_the_same_garbage_whatever_the_program():
-    # the parser's closures form a cycle; it must not hold the program's tokens
-    def garbage_after(text):
+    # none: the parser holds its tokens in one object that nothing refers
+    # back to, so a parse frees them as it ends, whether or not it fails
+    def garbage_after(text, error=None):
         gc.collect()
         gc.disable()
         try:
             parse_program(text)
+        except ParseError as exc:
+            assert error is not None and error in str(exc), exc
         finally:
             gc.enable()
         return gc.collect()
 
     riemann = (ROOT / "tests" / "corpus" / "riemann_s2.tegi").read_text(encoding="utf-8")
-    assert garbage_after(riemann * 3) == garbage_after("(+ 1 2)")
+    assert garbage_after(riemann) == 0
+    assert garbage_after(riemann + "(lambda [x] x)", "parameter needs a '$'") == 0
+    assert garbage_after("(" * 5000 + ")" * 5000, "nesting too deep") == 0

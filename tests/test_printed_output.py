@@ -4,9 +4,9 @@
 read where they are, must print exactly the file of the same name under
 `tests/expected/`.  A change that prints any value differently, by a
 term's order or a factor's spelling, fails here.  `tegi run
---dump-desugared` on every corpus file and benchmark program must print
-exactly the `.dump` file of the same name: the desugared program changes
-only with the language.
+--dump-desugared` on every corpus file, benchmark program and the prelude
+must print exactly the `.dump` file of the same name: the desugared
+program changes only with the language.
 """
 
 import subprocess
@@ -19,7 +19,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PROGRAMS = [ROOT / "tests" / "corpus" / "riemann_s2.tegi"] + [
     ROOT / "bench" / "programs" / f"{name}.tegi" for name in ("hodge3", "hodge4", "schwarzschild")
 ]
-DUMPED = sorted((ROOT / "tests" / "corpus").glob("*.tegi")) + PROGRAMS[1:]
+DUMPED = (
+    sorted((ROOT / "tests" / "corpus").glob("*.tegi"))
+    + PROGRAMS[1:]
+    + [ROOT / "src" / "tegi" / "prelude.tegi"]
+)
 
 
 @pytest.mark.parametrize("program", PROGRAMS, ids=lambda p: p.name)

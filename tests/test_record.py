@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import DATACLASS_TWINS
 from tegi import evaluator, lang, symexpr, tensor
+from tegi.application import SCALAR, TENSOR
 from tegi.errors import TegiError
 from tegi.symexpr import ONE, ZERO, add, div, integer, sin, symbol
 
@@ -43,6 +44,8 @@ SPECIAL = {
     ("Fun", "arg"): st.sampled_from(EXPRS),
     ("Inv", "arg"): st.sampled_from(EXPRS),
     ("Expr", "terms"): st.sampled_from([e.terms for e in EXPRS]),
+    # a lambda reads the kinds and names of its parameters as it is built
+    ("Lambda", "params"): st.sampled_from([(), ((SCALAR, "a"),), ((TENSOR, "a"), (TENSOR, "b"))]),
 }
 
 
@@ -162,7 +165,7 @@ def test_classes_sharing_fields_are_never_equal(group):
         for nb in group:
             if na == nb:
                 continue
-            shared = args.get(na, (1, (), None)[: len(twin_fields(na))])
+            shared = args.get(na, ((), (), None)[: len(twin_fields(na))])
             a, ta = both(na, shared)
             b, tb = both(nb, shared)
             assert a != b and ta != tb

@@ -508,6 +508,22 @@ def test_differentiate_matches_the_rebuilding_reference(e, by):
     assert coefficients_are_stored_exactly(got)
 
 
+def test_differentiating_a_sum_adds_each_term_of_its_derivative_once(monkeypatch):
+    # a running sum would pass the terms found so far to `add` once per term
+    e = add(*(int_pow(X, k) for k in range(1, 201)))
+    passed = []
+
+    def counting_add(*es):
+        passed.append(sum(len(x.terms) for x in es))
+        return add(*es)
+
+    monkeypatch.setattr(symexpr, "add", counting_add)
+    got = differentiate(e, X)
+    monkeypatch.undo()
+    assert got == add(*(mul(integer(k), int_pow(X, k - 1)) for k in range(1, 201)))
+    assert sum(passed) <= 3 * len(e.terms)
+
+
 class TestIntegerCoefficients:
     def test_integral_values_are_stored_as_ints(self):
         half = rational(1, 2)
